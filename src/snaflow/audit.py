@@ -465,13 +465,13 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     smap0 = SectionMap(family, 0.0, rho_v, cfg)
     res = smap0.step(grid_nodes, np.full(len(grid_nodes), 1.0 - c), channels="x",
                      reuse_h=False)
-    short = float(np.min(res.y[0])) - (1.0 - c)
     i7 = int(np.argmin(res.y[0]))
+    short = float(res.y[0][i7]) - (1.0 - c)
     e7 = AuditEntry(
         "A7", "at beta = 0 every fibre map keeps 1-c at or above itself",
         "pass" if short >= 0.0 else "fail",
         {"min_image_minus_target": short},
-        _witness(grid_nodes[i7], 1.0 - c, 0.0, "x_next-(1-c)", float(res.y[0][i7])),
+        _witness(grid_nodes[i7], 1.0 - c, 0.0, "x_next-(1-c)", short),
     )
 
     # A8: beta-monotonicity of the fibre maps plus the forcing sign
@@ -564,6 +564,11 @@ def audit_bump_convexity(family: RadialLogistic, beta: float, rho,
                          cfg: IntegratorConfig, sample_x: int = 16):
     """A9 at one beta: the second base derivative on the pinch set exceeds s.
 
+    Every (x-level, pinch node) pair is one lane of a single full-channel
+    return, so the adaptive step is paid once per beta rather than once per
+    x-level. The lanes run with the x-level outermost, so an exact tie
+    resolves to the lowest x-level, as in a level-by-level scan.
+
     Returns (entry, j0_mask). Positivity is reported separately from the
     exp(b delta2 / 4) margin, which the theory only guarantees for large b.
     Empty pinch set (beta below the lower boundary parameter): not-applicable.
@@ -581,15 +586,14 @@ def audit_bump_convexity(family: RadialLogistic, beta: float, rho,
     nodes = _grid_nodes(mask.shape, d)[mask.ravel()]
     lo, hi = constants.contraction_interval
     xs_levels = lo + (hi - lo) * (np.arange(sample_x) + 0.5) / sample_x
-    smap = SectionMap(family, beta, rho_v, cfg)
+    th = np.tile(nodes, (sample_x, 1))
+    xs = np.repeat(xs_levels, len(nodes))
+    res = SectionMap(family, beta, rho_v, cfg).step(
+        th, xs, channels="full", direction=_axis_direction(d), reuse_h=False)
+    ok = ~res.escaped
+    n_escaped = int(res.escaped.sum())
     ex_min = _Extreme("min")
-    n_escaped = 0
-    for xv in xs_levels:
-        res = smap.step(nodes, np.full(len(nodes), xv), channels="full",
-                        direction=_axis_direction(d), reuse_h=False)
-        ok = ~res.escaped
-        n_escaped += int(res.escaped.sum())
-        ex_min.offer(res.y[5][ok], nodes[ok], np.full(int(ok.sum()), xv), beta, "dtheta2")
+    ex_min.offer(res.y[5][ok], th[ok], xs[ok], beta, "dtheta2")
     if ex_min.witness is None:
         entry = AuditEntry(
             "A9", "second base derivative of the fibre maps exceeds s on the pinch set x C",
@@ -650,24 +654,29 @@ def audit_A11_A16(family: RadialLogistic, rho, beta_grid, constants: AuditConsta
     ex_inv_mix = _Extreme("max")    # A16
 
     for k, beta in enumerate(beta_grid):
+        # the section samples (Gamma) and the C samples share one forward return
+        th_G, xs_G = _region_samples(constants, sample_n, seed + 17 * k + 5, G_int)
+        th_C, xs_C = _region_samples(constants, sample_n, seed + 17 * k + 6, C_int)
+        n_G = len(xs_G)
         smap = SectionMap(family, beta, rho_v, cfg)
-        th, xs = _region_samples(constants, sample_n, seed + 17 * k + 5, G_int)
-        res = smap.step(th, xs, channels="full", direction=_axis_direction(d),
-                        reuse_h=False)
+        res = smap.step(np.concatenate([th_G, th_C]), np.concatenate([xs_G, xs_C]),
+                        channels="full", direction=_axis_direction(d), reuse_h=False)
         ch = _channels(res)
-        keep = (~res.escaped) & (ch["x_next"] >= G_int[0]) & (ch["x_next"] <= G_int[1])
-        ex_dth.offer(np.abs(ch["dtheta"][keep]), th[keep], xs[keep], beta, "dtheta")
-        ex_dth2.offer(np.abs(ch["dtheta2"][keep]), th[keep], xs[keep], beta, "dtheta2")
-        ex_mix_G.offer(np.abs(ch["dtheta_dx"][keep]), th[keep], xs[keep], beta, "dtheta_dx")
-        ex_dxx_G.offer(np.abs(ch["dxx"][keep]), th[keep], xs[keep], beta, "dxx")
+        ch_G = {name: v[:n_G] for name, v in ch.items()}
+        ch_C = {name: v[n_G:] for name, v in ch.items()}
 
-        th, xs = _region_samples(constants, sample_n, seed + 17 * k + 6, C_int)
-        res = smap.step(th, xs, channels="full", direction=_axis_direction(d),
-                        reuse_h=False)
-        ch = _channels(res)
-        ok = ~res.escaped
-        ex_mix_C.offer(np.abs(ch["dtheta_dx"][ok]), th[ok], xs[ok], beta, "dtheta_dx")
-        ex_dxx_C.offer(np.abs(ch["dxx"][ok]), th[ok], xs[ok], beta, "dxx")
+        keep = ((~res.escaped[:n_G]) & (ch_G["x_next"] >= G_int[0])
+                & (ch_G["x_next"] <= G_int[1]))
+        th, xs = th_G[keep], xs_G[keep]
+        ex_dth.offer(np.abs(ch_G["dtheta"][keep]), th, xs, beta, "dtheta")
+        ex_dth2.offer(np.abs(ch_G["dtheta2"][keep]), th, xs, beta, "dtheta2")
+        ex_mix_G.offer(np.abs(ch_G["dtheta_dx"][keep]), th, xs, beta, "dtheta_dx")
+        ex_dxx_G.offer(np.abs(ch_G["dxx"][keep]), th, xs, beta, "dxx")
+
+        ok = ~res.escaped[n_G:]
+        th, xs = th_C[ok], xs_C[ok]
+        ex_mix_C.offer(np.abs(ch_C["dtheta_dx"][ok]), th, xs, beta, "dtheta_dx")
+        ex_dxx_C.offer(np.abs(ch_C["dxx"][ok]), th, xs, beta, "dxx")
 
         # reversed map on the bump-blind strip: theta - omega outside I_0
         inv = SectionMap(family, beta, rho_v, cfg, reverse=True)

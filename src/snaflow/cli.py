@@ -415,13 +415,21 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
+    if not isinstance(raw, dict):
+        print("config error: top-level config must be a JSON object", file=sys.stderr)
+        return 2
 
     if args.subcommand == "figure1":
         raw = _figure1_defaults(raw)
 
     env_threads = os.environ.get("SNAFLOW_THREADS")
     if env_threads is not None:
-        raw["threads"] = int(env_threads)
+        try:
+            raw["threads"] = int(env_threads)
+        except ValueError:
+            print(f"config error: SNAFLOW_THREADS: expected an integer, got {env_threads!r}",
+                  file=sys.stderr)
+            return 2
     elif args.threads is not None:
         raw["threads"] = args.threads
 

@@ -34,10 +34,12 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
-def _num(v, path: str, lo=None, hi=None) -> float:
+def _num(v, path: str, lo=None, hi=None, positive=False) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
         raise ConfigError(f"{path}: expected a finite number, got {v!r}")
     v = float(v)
+    if positive and v <= 0.0:
+        raise ConfigError(f"{path}: must be > 0, got {v}")
     if lo is not None and v < lo:
         raise ConfigError(f"{path}: must be >= {lo}, got {v}")
     if hi is not None and v > hi:
@@ -176,7 +178,7 @@ def load_config(d: dict) -> ExperimentConfig:
         lift_grid=_int(d.get("lift_grid", 256), "lift_grid", lo=8),
         beta=None if beta is None else _num(beta, "beta"),
         beta_range=None if beta_range is None else tuple(_vec(beta_range, "beta_range", 2)),
-        tol_beta=_num(d.get("tol_beta", 1e-3), "tol_beta", lo=0.0),
+        tol_beta=_num(d.get("tol_beta", 1e-3), "tol_beta", positive=True),
         out_dir=str(d.get("out_dir", "out")),
         threads=_int(d.get("threads", 1), "threads", lo=1),
         section_offset=_num(d.get("section_offset", 0.0), "section_offset"),

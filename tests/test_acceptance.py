@@ -21,6 +21,8 @@ from snaflow.graphs import Escaped, lyapunov_of_graph, pullback_attractor, pushf
 from snaflow.section import lyapunov_relation_check, return_map
 from snaflow.torus import RotationVector
 
+pytestmark = pytest.mark.slow
+
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 RHO_PI = RotationVector([GOLDEN, math.pi])
 CFG = IntegratorConfig()

@@ -5,6 +5,7 @@ import pytest
 
 from snaflow.audit import (
     AuditError,
+    audit_bump_convexity,
     compute_constants,
     critical_region,
     gate_report,
@@ -15,7 +16,7 @@ from snaflow.audit import (
 )
 from snaflow.fields import BumpProfile, RadialLogistic
 from snaflow.flow import IntegratorConfig
-from snaflow.section import return_map
+from snaflow.section import SectionMap, _grid_nodes, return_map
 from snaflow.torus import RotationVector
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -157,6 +158,55 @@ class TestKronecker:
         assert gaps.max() < 10.0 / 1000.0
 
 
+class TestBumpConvexity:
+    # beta = 1 lies inside the pinch window: 5 of 16 nodes, some lanes escape
+    BETA = 1.0
+    GRID = 16
+    SAMPLE_X = 4
+
+    def test_one_full_channel_return_per_beta(self, monkeypatch):
+        calls = []
+        step = SectionMap.step
+
+        def counting_step(self, *args, **kwargs):
+            res = step(self, *args, **kwargs)
+            calls.append((kwargs.get("channels", "x"), res.y.shape[1]))
+            return res
+
+        monkeypatch.setattr(SectionMap, "step", counting_step)
+        entry, mask = audit_bump_convexity(b6_family(), self.BETA, B6_RHO, b6_constants(),
+                                           self.GRID, CFG, sample_x=self.SAMPLE_X)
+        full = [lanes for channels, lanes in calls if channels == "full"]
+        assert entry.status != "not-applicable"
+        assert full == [int(mask.sum()) * self.SAMPLE_X]
+
+    @pytest.mark.slow
+    def test_matches_reference_loop(self):
+        fam, cons = b6_family(), b6_constants()
+        entry, mask = audit_bump_convexity(fam, self.BETA, B6_RHO, cons, self.GRID, CFG,
+                                           sample_x=self.SAMPLE_X)
+        nodes = _grid_nodes(mask.shape, 1)[mask.ravel()]
+        lo, hi = cons.contraction_interval
+        levels = lo + (hi - lo) * (np.arange(self.SAMPLE_X) + 0.5) / self.SAMPLE_X
+        ref_min, ref_theta, n_escaped = math.inf, None, 0
+        for xv in levels:
+            for th in nodes:
+                ev = return_map(fam, self.BETA, B6_RHO, th, xv, CFG)
+                if ev.escaped:
+                    n_escaped += 1
+                elif ev.dtheta2 < ref_min:
+                    ref_min, ref_theta = ev.dtheta2, list(th)
+        tol = 1e-8 * max(1.0, abs(ref_min))
+        assert entry.measured["n_escaped"] == n_escaped > 0
+        assert abs(entry.measured["min_dtheta2"] - ref_min) <= tol
+        # at a pinch node the x-levels tie to within integration noise, so
+        # the witness must name the reference node and reproduce its value
+        w = entry.witness
+        assert w["theta"] == ref_theta and w["x"] in levels
+        ev = return_map(fam, w["beta"], B6_RHO, w["theta"], w["x"], CFG)
+        assert abs(ev.dtheta2 - w["value"]) <= tol
+
+
 @pytest.fixture(scope="module")
 def b6_report():
     return run_audit(b6_family(), B6_RHO, b6_constants(),
@@ -164,6 +214,7 @@ def b6_report():
                      sample_n=120, cfg=CFG, seed=0)
 
 
+@pytest.mark.slow
 class TestRunAudit:
     def test_exactly_sixteen_entries(self, b6_report):
         ids = [e.id for e in b6_report.entries]
@@ -202,6 +253,11 @@ class TestRunAudit:
             tol = 1e-8 * max(1.0, abs(ref))
             if abs(ref) > 0:
                 assert abs(abs(got) - abs(ref)) <= tol
+
+    def test_a7_witness_is_the_difference(self, b6_report):
+        e7 = b6_report.entry("A7")
+        assert e7.witness["channel"] == "x_next-(1-c)"
+        assert e7.witness["value"] == e7.measured["min_image_minus_target"]
 
     def test_gate_attached(self, b6_report):
         assert b6_report.gate.kappa == "UNKNOWN"

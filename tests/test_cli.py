@@ -81,6 +81,29 @@ class TestConfigValidation:
         assert main(["graphs", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_zero_tol_beta_is_a_config_error(self, tmp_path, capsys):
+        path = oracle_cfg(tmp_path, tol_beta=0)
+        assert main(["bifurcate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error: tol_beta:" in err
+        assert "Traceback" not in err
+
+    def test_malformed_threads_env_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        path = oracle_cfg(tmp_path)
+        monkeypatch.setenv("SNAFLOW_THREADS", "abc")
+        assert main(["bifurcate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error: SNAFLOW_THREADS" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("subcommand", ["graphs", "figure1"])
+    def test_non_object_config_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                 subcommand):
+        path = write_cfg(tmp_path, [1, 2])
+        monkeypatch.setenv("SNAFLOW_THREADS", "2")
+        assert main([subcommand, "--config", path]) == 2
+        assert "top-level config must be a JSON object" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_bifurcate_oracle(self, tmp_path, capsys):
