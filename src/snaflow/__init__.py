@@ -19,6 +19,7 @@ from .torus import (
 from .fields import (
     BumpProfile,
     FieldEval,
+    ForcedField,
     RadialLogistic,
     Cos11,
     LogisticHarvest,

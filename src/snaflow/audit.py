@@ -588,8 +588,7 @@ def audit_bump_convexity(family: RadialLogistic, beta: float, rho,
     xs_levels = lo + (hi - lo) * (np.arange(sample_x) + 0.5) / sample_x
     th = np.tile(nodes, (sample_x, 1))
     xs = np.repeat(xs_levels, len(nodes))
-    res = SectionMap(family, beta, rho_v, cfg).step(
-        th, xs, channels="full", direction=_axis_direction(d), reuse_h=False)
+    res = SectionMap(family, beta, rho_v, cfg).step(th, xs, channels="full", reuse_h=False)
     ok = ~res.escaped
     n_escaped = int(res.escaped.sum())
     ex_min = _Extreme("min")
@@ -623,12 +622,6 @@ def audit_bump_convexity(family: RadialLogistic, beta: float, rho,
     return entry, mask
 
 
-def _axis_direction(d):
-    v = np.zeros(d)
-    v[0] = 1.0
-    return v
-
-
 # ------------------------------------------------------------ A11..A16
 
 
@@ -642,7 +635,6 @@ def audit_A11_A16(family: RadialLogistic, rho, beta_grid, constants: AuditConsta
     C_int = constants.contraction_interval
     G_int = constants.section_interval
     E_int = (-1.0, constants.e_top)
-    d = constants.rho.size - 1
 
     ex_dth = _Extreme("max")        # A11 on Gamma & pre(Gamma)
     ex_dth2 = _Extreme("max")       # A12
@@ -660,7 +652,7 @@ def audit_A11_A16(family: RadialLogistic, rho, beta_grid, constants: AuditConsta
         n_G = len(xs_G)
         smap = SectionMap(family, beta, rho_v, cfg)
         res = smap.step(np.concatenate([th_G, th_C]), np.concatenate([xs_G, xs_C]),
-                        channels="full", direction=_axis_direction(d), reuse_h=False)
+                        channels="full", reuse_h=False)
         ch = _channels(res)
         ch_G = {name: v[:n_G] for name, v in ch.items()}
         ch_C = {name: v[n_G:] for name, v in ch.items()}
@@ -682,8 +674,7 @@ def audit_A11_A16(family: RadialLogistic, rho, beta_grid, constants: AuditConsta
         inv = SectionMap(family, beta, rho_v, cfg, reverse=True)
         th, xs = _region_samples(constants, sample_n, seed + 17 * k + 7, E_int,
                                  exclude_critical=True, shift=omega)
-        res = inv.step(th, xs, channels="full", direction=_axis_direction(d),
-                       reuse_h=False)
+        res = inv.step(th, xs, channels="full", reuse_h=False)
         ch = _channels(res)
         ok = ~res.escaped
         ex_inv_dxx.offer(np.abs(ch["dxx"][ok]), th[ok], xs[ok], beta, "dxx_inverse")

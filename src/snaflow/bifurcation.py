@@ -15,15 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ForcedField, RadialLogistic
-from .flow import IntegratorConfig
+from .flow import FlowEscape, IntegratorConfig
 from .fractal import box_count, default_epsilons, graph_point_cloud
 from .graphs import (
     Escaped,
     GraphSample,
+    lift_graph,
+    lyapunov_of_graph,
     pullback_attractor,
     pushforward_repeller,
 )
-from .section import SectionMap
+from .section import SectionMap, _grid_nodes
 from .torus import RotationVector
 
 __all__ = [
@@ -85,14 +87,10 @@ class BetaBounds:
 
 def _graph_lambda(family, beta, rho_v, graph: GraphSample, cfg) -> float:
     """Flow-scale exponent of a (possibly loosely converged) graph; no defect gate."""
-    smap = SectionMap(family, beta, rho_v, cfg)
-    from .section import _grid_nodes
-
-    nodes = _grid_nodes(graph.values.shape, graph.d)
-    res = smap.step(nodes, graph.values.ravel(), channels="xl", reuse_h=False)
-    if res.escaped.any():
+    try:
+        return lyapunov_of_graph(family, beta, rho_v, graph, cfg, defect_tol=math.inf).flow_scale
+    except FlowEscape:
         return math.nan
-    return float(np.mean(res.y[1])) / smap.return_time
 
 
 def _predicate(family, beta, rho_v, grid_n, n_iter, cfg,
@@ -198,8 +196,6 @@ def locate_beta_c(family: ForcedField, rho, beta_range, grid_n: int, tol_beta: f
 
 def _section_min_image(family, beta, rho_v, grid_n, x_start, cfg):
     """min over grid nodes theta of xi~_beta,theta(x_start); -inf on escape-below."""
-    from .section import _grid_nodes
-
     smap = SectionMap(family, beta, rho_v, cfg)
     d = rho_v.D - 1
     nodes = _grid_nodes((grid_n,) * d, d)
@@ -375,8 +371,6 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
     # dimension-preserving; without it a fibre extent of many torus widths
     # saturates any desk-scale sample). Burn-in scales with the rung's
     # contraction rate so the cloud sits on the graph, not on the transient.
-    from .graphs import lift_graph
-
     lam_map = abs(rungs[-1].lambda_attractor) / rho_v.rho_D
     burn = int(min(20_000, max(48, 40.0 / max(lam_map, 1e-3))))
     lifted = lift_graph(family, rungs[-1].beta, rho_v, attractor_finest,
@@ -385,10 +379,6 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
                               cloud_points, cfg, seed=seed, burn_in=burn)
     ladder = box_count(_normalize_fibre(cloud), epsilons=epsilons
                        if epsilons is not None else default_epsilons(9))
-    section_cloud = graph_point_cloud(family, rungs[-1].beta, rho_v,
-                                      attractor_finest, cloud_points, cfg,
-                                      seed=seed, burn_in=burn)
-    section_ladder = box_count(_normalize_fibre(section_cloud))
     boxdim_threshold = d + thresholds.boxdim_excess
 
     fin = rungs[-1]
@@ -405,7 +395,7 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
         verdict = "Smooth"
     else:
         verdict = "Inconclusive"
-    result = BifurcationClassification(
+    return BifurcationClassification(
         verdict=verdict,
         rungs=rungs,
         boxdim_slope=ladder.slope,
@@ -414,5 +404,3 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
         thresholds=thresholds,
         checks=checks,
     )
-    result.checks["section_boxdim_slope"] = section_ladder.slope
-    return result

@@ -159,9 +159,9 @@ def _grid_axes(values: np.ndarray):
 def cmd_simulate(cfg: ExperimentConfig, out: str) -> None:
     sim = cfg.extras.get("simulate", {})
     theta0 = sim.get("theta0", [0.0] * cfg.family.D)
-    x0 = float(sim.get("x0", 0.0))
-    t_final = float(sim.get("t_final", 1.0))
-    n_samples = int(sim.get("n_samples", 200))
+    x0 = sim.get("x0", 0.0)
+    t_final = sim.get("t_final", 1.0)
+    n_samples = sim.get("n_samples", 200)
     beta = _beta_or_fail(cfg)
     rows = []
     t_grid = np.linspace(0.0, t_final, n_samples + 1)
@@ -266,21 +266,17 @@ def cmd_boxdim(cfg: ExperimentConfig, out: str) -> None:
     beta = _beta_or_fail(cfg)
     opts = cfg.extras.get("boxdim", {})
     target = opts.get("target", "attractor")
-    n_points = int(opts.get("n_points", 100_000))
+    n_points = opts.get("n_points", 100_000)
     att, rep = _graphs_or_fail(cfg, beta)
-    if target == "attractor":
-        graph = att
-    elif target == "repeller":
-        graph = rep
-    elif target == "lift":
+    if target == "lift":
         graph = lift_graph(cfg.family, beta, cfg.rho, att, cfg.lift_grid, cfg.integrator)
     else:
-        raise ConfigError("boxdim.target: must be attractor, repeller or lift")
+        graph = att if target == "attractor" else rep
     pows = opts.get("epsilons_pow")
     if pows is None:
         eps = default_epsilons() if target != "lift" else default_epsilons(9)
     else:
-        eps = default_epsilons(int(pows[1]), int(pows[0]))
+        eps = default_epsilons(pows[1], pows[0])
     cloud = graph_point_cloud(cfg.family, beta, cfg.rho, graph, n_points,
                               cfg.integrator, seed=cfg.seed)
     if opts.get("normalize_fibre", False):
@@ -310,9 +306,9 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> None:
     try:
         constants = compute_constants(
             b=getattr(fam, "b", None) or 0.0,
-            c=float(opts.get("c", 0.2)),
-            delta1=float(opts["delta1"]),
-            delta2=float(opts["delta2"]),
+            c=opts.get("c", 0.2),
+            delta1=opts["delta1"],
+            delta2=opts["delta2"],
             R_support=fam.bump.R_support,
             rho=cfg.rho,
             theta_bar=fam.center,
@@ -323,15 +319,15 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> None:
         raise ConfigError("audit: family must be radial_logistic") from exc
     report = run_audit(
         fam, cfg.rho, constants,
-        beta_grid=[float(b) for b in opts.get("beta_grid", [0.0, 0.25, 0.5, 0.75])],
+        beta_grid=opts.get("beta_grid", [0.0, 0.25, 0.5, 0.75]),
         grid_n=cfg.grid_n,
-        sample_n=int(opts.get("sample_n", 1000)),
+        sample_n=opts.get("sample_n", 1000),
         cfg=cfg.integrator,
         seed=cfg.seed,
-        K=int(opts.get("K", 50)),
-        M=int(opts.get("M", 2)),
-        p=float(opts.get("p", 2.0)),
-        eta=float(opts.get("eta", 2.0)),
+        K=opts.get("K", 50),
+        M=opts.get("M", 2),
+        p=opts.get("p", 2.0),
+        eta=opts.get("eta", 2.0),
         C_prime=opts.get("C_prime"),
     )
     print(format_report(report))

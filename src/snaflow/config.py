@@ -1,16 +1,19 @@
 """Experiment configuration: JSON schema, validation, canonical hashing.
 
-A run is reproducible bit-for-bit from (config, version): the resolved
-config's canonical JSON is hashed into every artifact, and nothing else
-(clocks, hostnames, scheduling) enters the outputs.
+A run is reproducible bit-for-bit from (config, version): the canonical JSON
+of the config as given (with the figure1 defaults filled in) is hashed into
+every artifact, and nothing else (clocks, hostnames, scheduling) enters the
+outputs. The threads resource hint is left out of the hash, because results
+never depend on it.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+from .bifurcation import ClassifyThresholds
 from .fields import (
     AutonomousRiccati,
     BumpProfile,
@@ -20,6 +23,7 @@ from .fields import (
     RadialLogistic,
 )
 from .flow import IntegratorConfig
+from .fractal import MIN_POINTS
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "canonical_hash"]
 
@@ -126,6 +130,81 @@ def build_integrator(d: dict, family: ForcedField, path: str = "integrator") -> 
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _bool(v, path: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{path}: expected true or false, got {v!r}")
+    return v
+
+
+def _choice(v, path: str, options) -> str:
+    if v not in options:
+        raise ConfigError(f"{path}: must be one of {', '.join(options)}, got {v!r}")
+    return v
+
+
+def _epsilon_powers(v, path: str) -> list:
+    """[coarsest, finest] powers of 1/2 for the box-counting ladder."""
+    if not isinstance(v, list) or len(v) != 2:
+        raise ConfigError(f"{path}: expected [coarsest, finest] powers of 1/2")
+    lo = _int(v[0], f"{path}[0]", lo=2)  # boxes no larger than 1/4
+    hi = _int(v[1], f"{path}[1]", lo=lo + 5)  # six scales: the fit drops two at each end
+    if hi > 30:
+        raise ConfigError(f"{path}[1]: must be <= 30, got {hi}")
+    return [lo, hi]
+
+
+def _thresholds(v, path: str) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigError(f"{path}: expected an object")
+    names = {f.name for f in fields(ClassifyThresholds)}
+    for key in v:
+        if key not in names:
+            known = ", ".join(sorted(names))
+            raise ConfigError(f"{path}.{key}: unknown threshold (known: {known})")
+    return {key: _num(x, f"{path}.{key}") for key, x in v.items()}
+
+
+def _extras(d: dict, family: ForcedField) -> dict:
+    """Validate the subcommand blocks; keys not listed here pass through unchecked."""
+    schema = {
+        "simulate": {
+            "theta0": lambda v, p: _vec(v, p, family.D),
+            "x0": _num,
+            "t_final": _num,
+            "n_samples": lambda v, p: _int(v, p, lo=0),
+        },
+        "boxdim": {
+            "target": lambda v, p: _choice(v, p, ("attractor", "repeller", "lift")),
+            "n_points": lambda v, p: _int(v, p, lo=MIN_POINTS),
+            "epsilons_pow": _epsilon_powers,
+            "normalize_fibre": _bool,
+        },
+        "audit": {
+            "c": _num,
+            "delta1": _num,
+            "delta2": _num,
+            "beta_grid": _vec,
+            "sample_n": lambda v, p: _int(v, p, lo=1),
+            "K": lambda v, p: _int(v, p, lo=1),
+            "M": lambda v, p: _int(v, p, lo=1),
+            "p": _num,
+            "eta": _num,
+            "C_prime": lambda v, p: None if v is None else _num(v, p),
+        },
+        "classify": {"thresholds": _thresholds},
+    }
+    extras = {}
+    for name, checks in schema.items():
+        if name not in d:
+            continue
+        block = d[name]
+        if not isinstance(block, dict):
+            raise ConfigError(f"{name}: expected an object")
+        extras[name] = {key: checks[key](v, f"{name}.{key}") if key in checks else v
+                        for key, v in block.items()}
+    return extras
+
+
 @dataclass
 class ExperimentConfig:
     raw: dict
@@ -147,7 +226,7 @@ class ExperimentConfig:
 
     @property
     def sha256(self) -> str:
-        return canonical_hash(self.raw)
+        return canonical_hash({k: v for k, v in self.raw.items() if k != "threads"})
 
 
 def canonical_hash(raw: dict) -> str:
@@ -182,7 +261,7 @@ def load_config(d: dict) -> ExperimentConfig:
         out_dir=str(d.get("out_dir", "out")),
         threads=_int(d.get("threads", 1), "threads", lo=1),
         section_offset=_num(d.get("section_offset", 0.0), "section_offset"),
-        extras={k: d[k] for k in ("simulate", "boxdim", "audit", "classify") if k in d},
+        extras=_extras(d, family),
     )
     if cfg.beta is not None:
         lo, hi = family.beta_range

@@ -1,15 +1,21 @@
 """Parameter-dependent non-autonomous vector fields with exact partials.
 
-Every family evaluates F(theta, x) together with its first and second partial
-derivatives analytically (nothing is finite-differenced here). Evaluation
-methods are numpy-vectorised: ``theta`` has shape (n, D) and ``x`` shape (n,);
-scalars broadcast. Families are immutable; the bifurcation parameter ``beta``
-is a call-site argument, never state, so concurrent sweeps need no locking.
+Every built-in family is one Riccati equation in the fibre coordinate x,
+
+    F_beta(theta, x) = a2 x^2 + a1 x + a0 - beta^p * scale * g(theta),
+
+so a family is data: the coefficients, the exponent p, and a forcing shape g
+(a radial bump, the two-frequency cos^11 forcing, or none). The named
+families below are constructors of ``ForcedField``. Partials are analytic
+(nothing is finite-differenced here) and numpy-vectorised: ``theta`` has
+shape (n, D) and ``x`` shape (n,); scalars broadcast. Families are immutable;
+the bifurcation parameter ``beta`` is a call-site argument, never state, so
+concurrent sweeps need no locking.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +24,9 @@ from .torus import TorusPoint, nearest_lift_offset
 __all__ = [
     "BumpProfile",
     "FieldEval",
+    "BumpShape",
+    "Cos11Shape",
+    "FlatShape",
     "ForcedField",
     "RadialLogistic",
     "Cos11",
@@ -26,6 +35,7 @@ __all__ = [
     "eval_field",
     "bump_value",
     "radial_to_harvest",
+    "unit_direction",
 ]
 
 
@@ -83,224 +93,201 @@ class FieldEval:
     dbeta: float
 
 
-class ForcedField:
-    """Shared behaviour of the built-in families."""
+# Forcing shapes: ``g(theta)`` alone, or ``triple(theta, v)`` for
+# (g, d_v g, d_v^2 g) from one pass over theta.
 
-    D: int
-    beta_range: tuple
-    theta_independent: bool = False
+
+@dataclass(frozen=True)
+class BumpShape:
+    """g(theta) = h(|theta - center|), a polynomial in the nearest-lift offset."""
+
+    bump: BumpProfile
+    center: np.ndarray
+
+    def _weight(self, u):
+        R2 = self.bump.R_support**2
+        return R2, np.maximum(1.0 - np.sum(u * u, axis=-1) / R2, 0.0)
+
+    def g(self, theta):
+        _, w = self._weight(nearest_lift_offset(theta, self.center))
+        return w * w * w
+
+    def triple(self, theta, v):
+        u = nearest_lift_offset(theta, self.center)
+        R2, w = self._weight(u)
+        uv = u @ v
+        k = -6.0 / R2 * w * w
+        return w * w * w, k * uv, k + 24.0 / (R2 * R2) * w * uv * uv
+
+
+def _cos_powers(c):
+    """(c^8, c^10) by squaring; c^9 = c^8 c and c^11 = c^10 c keep the sign of c."""
+    c2 = c * c
+    c4 = c2 * c2
+    c8 = c4 * c4
+    return c8, c8 * c2
+
+
+@dataclass(frozen=True)
+class Cos11Shape:
+    """g(theta) = (2 - cos^11(2 pi theta_1) - cos^11(2 pi theta_2)) / 4 on T^2."""
+
+    def g(self, theta):
+        c1 = np.cos(2.0 * np.pi * theta[..., 0])
+        c2 = np.cos(2.0 * np.pi * theta[..., 1])
+        return (2.0 - _cos_powers(c1)[1] * c1 - _cos_powers(c2)[1] * c2) / 4.0
+
+    def triple(self, theta, v):
+        axes = []
+        for j in (0, 1):
+            a = 2.0 * np.pi * theta[..., j]
+            c, s = np.cos(a), np.sin(a)
+            c8, c10 = _cos_powers(c)
+            c11 = c10 * c
+            # d/dtheta_j of -(cos^11)/4 is (11 pi / 2) sin cos^10, and the
+            # second derivative is 11 pi^2 (cos^11 - 10 sin^2 cos^9)
+            axes.append((c11, 5.5 * np.pi * s * c10,
+                         11.0 * (np.pi * np.pi) * (c11 - 10.0 * s * s * (c8 * c))))
+        (p1, d1, dd1), (p2, d2, dd2) = axes
+        return ((2.0 - p1 - p2) / 4.0, v[0] * d1 + v[1] * d2,
+                v[0] * v[0] * dd1 + v[1] * v[1] * dd2)
+
+
+@dataclass(frozen=True)
+class FlatShape:
+    """g = 1: the theta-independent (autonomous) family."""
+
+    def g(self, theta):
+        return 1.0
+
+    def triple(self, theta, v):
+        return 1.0, 0.0, 0.0
+
+
+def _like(x, v):
+    return np.broadcast_to(v, np.shape(x)) if np.ndim(x) else v
+
+
+@dataclass(frozen=True)
+class ForcedField:
+    """F_beta(theta, x) = a2 x^2 + a1 x + a0 - beta^beta_power * scale * g(theta).
+
+    ``shape`` is the forcing g; ``section`` is (gamma_minus, gamma_plus), the
+    vertical extent of the working section, and ``escape`` the default
+    blow-up guard window for the integrator. Across every family F_xx = 2 a2
+    is constant and F_{theta x} = 0.
+    """
+
+    a2: float
+    a1: float
+    a0: float
+    scale: float
+    shape: BumpShape | Cos11Shape | FlatShape
+    section: tuple
+    escape: tuple
+    beta_range: tuple = (0.0, 1.0)
+    beta_power: int = 1
+    D: int = 2
+
+    def __post_init__(self):
+        if self.theta_independent and self.a1 != 0.0:
+            raise ValueError("a theta-independent field needs a1 = 0 (shift x to remove it)")
+        lo, hi = self.beta_range
+        object.__setattr__(self, "beta_range", (float(lo), float(hi)))
+
+    @property
+    def theta_independent(self) -> bool:
+        return isinstance(self.shape, FlatShape)
 
     def check_beta(self, beta: float) -> None:
         lo, hi = self.beta_range
         if not (lo <= beta <= hi):
             raise ValueError(f"beta = {beta} outside beta_range [{lo}, {hi}]")
 
-    # Partials; subclasses implement the *_raw methods on broadcast arrays.
-    def value(self, beta, theta, x):
-        raise NotImplementedError
+    def forcing_scale(self, beta: float) -> float:
+        """beta^p * scale: the coefficient of -g(theta)."""
+        return self.scale * beta**self.beta_power
 
-    def dx(self, beta, theta, x):
-        raise NotImplementedError
-
-    def dxx(self, beta, theta, x):
-        raise NotImplementedError
-
-    def dtheta(self, beta, theta, x, direction):
-        raise NotImplementedError
-
-    def dtheta2(self, beta, theta, x, direction):
-        raise NotImplementedError
-
-    def dtheta_dx(self, beta, theta, x, direction):
-        raise NotImplementedError
-
-    def dbeta(self, beta, theta, x):
-        raise NotImplementedError
-
-    # Section geometry used by the invariant-graph machinery.
     def section_bounds(self) -> tuple:
         """(gamma_minus, gamma_plus): vertical extent of the working section."""
-        raise NotImplementedError
+        return self.section
 
     def default_escape(self) -> tuple:
         """Default blow-up guard window for the integrator."""
-        raise NotImplementedError
+        return self.escape
+
+    def polynomial(self, sign: float = 1.0):
+        """(x -> sign (a2 x^2 + a1 x + a0), its x-derivative) with bound coefficients.
+
+        ``sign = -1`` gives the reversed field; a zero a1 adds no term.
+        """
+        a2, a1, a0 = sign * self.a2, sign * self.a1, sign * self.a0
+        two_a2 = 2.0 * a2
+        if a1 == 0.0:
+            return (lambda x: a2 * x * x + a0), (lambda x: two_a2 * x)
+        return (lambda x: a2 * x * x + a1 * x + a0), (lambda x: two_a2 * x + a1)
+
+    def value(self, beta, theta, x):
+        return self.polynomial()[0](x) - self.forcing_scale(beta) * self.shape.g(theta)
+
+    def dx(self, beta, theta, x):
+        return self.polynomial()[1](x)
+
+    def dxx(self, beta, theta, x):
+        return _like(x, 2.0 * self.a2)
+
+    def dtheta(self, beta, theta, x, direction):
+        return _like(x, -self.forcing_scale(beta) * self.shape.triple(theta, direction)[1])
+
+    def dtheta2(self, beta, theta, x, direction):
+        return _like(x, -self.forcing_scale(beta) * self.shape.triple(theta, direction)[2])
+
+    def dtheta_dx(self, beta, theta, x, direction):
+        return _like(x, 0.0)
+
+    def dbeta(self, beta, theta, x):
+        p = self.beta_power
+        return _like(x, -(self.scale * p * beta ** (p - 1)) * self.shape.g(theta))
 
 
-def _as_direction(direction, D):
-    v = np.atleast_1d(np.asarray(direction, dtype=float))
-    if v.size == D - 1:
-        v = np.concatenate([v, [0.0]])  # section direction lifted into T^D
-    if v.size != D:
-        raise ValueError(f"direction must have {D} (or {D - 1}) components")
-    n = float(np.linalg.norm(v))
-    if not math.isclose(n, 1.0, rel_tol=0.0, abs_tol=1e-9):
-        raise ValueError("direction must be a unit vector")
-    return v
+def _name(field: ForcedField, **attrs) -> None:
+    """Attach a named family's own parameters to the frozen field."""
+    for key, value in attrs.items():
+        object.__setattr__(field, key, value)
 
 
-@dataclass(frozen=True)
 class RadialLogistic(ForcedField):
     """F_beta(theta, x) = -b x^2 + b - beta * b/(1 - b^(-1/2)) * h(|theta - center|).
 
     The forcing is a radially symmetric bump around ``center`` on T^D; b > 1.
     """
 
-    b: float
-    bump: BumpProfile
-    center: np.ndarray
-    beta_range: tuple = (0.0, 1.0)
-
     def __init__(self, b, bump, center, beta_range=(0.0, 1.0)):
         if b <= 1.0:
             raise ValueError("RadialLogistic requires b > 1")
+        b = float(b)
         c = TorusPoint(center).coords
-        object.__setattr__(self, "b", float(b))
-        object.__setattr__(self, "bump", bump)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "beta_range", (float(beta_range[0]), float(beta_range[1])))
-        object.__setattr__(self, "D", c.size)
-
-    @property
-    def forcing_coeff(self) -> float:
-        """b / (1 - b^(-1/2)): scale of the beta-term."""
-        return self.b / (1.0 - self.b ** (-0.5))
-
-    # -- bump field g(theta) = h(|theta - center|) as a polynomial in the lift
-    def _offsets(self, theta):
-        return nearest_lift_offset(theta, self.center)
-
-    def _g(self, theta):
-        u = self._offsets(theta)
-        q = np.sum(u * u, axis=-1)
-        R2 = self.bump.R_support**2
-        w = np.maximum(1.0 - q / R2, 0.0)
-        return w * w * w
-
-    def _g_dir(self, theta, v):
-        u = self._offsets(theta)
-        q = np.sum(u * u, axis=-1)
-        R2 = self.bump.R_support**2
-        w = np.maximum(1.0 - q / R2, 0.0)
-        uv = u @ v
-        g1 = -6.0 / R2 * w * w * uv
-        g2 = -6.0 / R2 * w * w + 24.0 / (R2 * R2) * w * uv * uv
-        return g1, g2
-
-    def value(self, beta, theta, x):
-        b = self.b
-        return -b * x * x + b - beta * self.forcing_coeff * self._g(theta)
-
-    def dx(self, beta, theta, x):
-        return -2.0 * self.b * x
-
-    def dxx(self, beta, theta, x):
-        return np.broadcast_to(-2.0 * self.b, np.shape(x)) if np.ndim(x) else -2.0 * self.b
-
-    def dtheta(self, beta, theta, x, direction):
-        g1, _ = self._g_dir(theta, direction)
-        return -beta * self.forcing_coeff * g1
-
-    def dtheta2(self, beta, theta, x, direction):
-        _, g2 = self._g_dir(theta, direction)
-        return -beta * self.forcing_coeff * g2
-
-    def dtheta_dx(self, beta, theta, x, direction):
-        return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
-
-    def dbeta(self, beta, theta, x):
-        return -self.forcing_coeff * self._g(theta)
-
-    def section_bounds(self):
-        return (-1.0, 1.25)
-
-    def default_escape(self):
-        return (-10.0, 10.0)
+        super().__init__(-b, 0.0, b, b / (1.0 - b ** (-0.5)), BumpShape(bump, c),
+                         (-1.0, 1.25), (-10.0, 10.0), beta_range, D=c.size)
+        _name(self, b=b, bump=bump, center=c)
 
 
-def _cos_pow(c, n):
-    """c**n for n in {9, 10, 11} by squaring; exact sign for odd n."""
-    c2 = c * c
-    c4 = c2 * c2
-    c8 = c4 * c4
-    if n == 9:
-        return c8 * c
-    if n == 10:
-        return c8 * c2
-    if n == 11:
-        return c8 * c2 * c
-    raise ValueError(n)
-
-
-@dataclass(frozen=True)
 class Cos11(ForcedField):
     """F_beta(theta, x) = -x^2 + b - beta * (2 - cos^11(2 pi theta_1) - cos^11(2 pi theta_2)) / 4.
 
     Two-frequency forcing with a unique forcing maximum at (1/2, 1/2); D = 2.
     """
 
-    b: float
-    beta_range: tuple = (0.0, 400.0)
-    D: int = field(default=2, init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta_range", (float(self.beta_range[0]), float(self.beta_range[1])))
-
-    def _w(self, theta):
-        c1 = np.cos(2.0 * np.pi * theta[..., 0])
-        c2 = np.cos(2.0 * np.pi * theta[..., 1])
-        return (2.0 - _cos_pow(c1, 11) - _cos_pow(c2, 11)) / 4.0
-
-    def _w_dir(self, theta, v):
-        two_pi = 2.0 * np.pi
-        a1 = two_pi * theta[..., 0]
-        a2 = two_pi * theta[..., 1]
-        c1, s1 = np.cos(a1), np.sin(a1)
-        c2, s2 = np.cos(a2), np.sin(a2)
-        # d/dtheta_j of -(cos^11)/4 is (11 pi / 2) sin cos^10
-        d1 = 5.5 * np.pi * s1 * _cos_pow(c1, 10)
-        d2 = 5.5 * np.pi * s2 * _cos_pow(c2, 10)
-        # second derivative: 11 pi^2 (cos^11 - 10 sin^2 cos^9)
-        pi2 = np.pi * np.pi
-        dd1 = 11.0 * pi2 * (_cos_pow(c1, 11) - 10.0 * s1 * s1 * _cos_pow(c1, 9))
-        dd2 = 11.0 * pi2 * (_cos_pow(c2, 11) - 10.0 * s2 * s2 * _cos_pow(c2, 9))
-        w1 = v[0] * d1 + v[1] * d2
-        w2 = v[0] * v[0] * dd1 + v[1] * v[1] * dd2
-        return w1, w2
-
-    def value(self, beta, theta, x):
-        return -x * x + self.b - beta * self._w(theta)
-
-    def dx(self, beta, theta, x):
-        return -2.0 * x
-
-    def dxx(self, beta, theta, x):
-        return np.broadcast_to(-2.0, np.shape(x)) if np.ndim(x) else -2.0
-
-    def dtheta(self, beta, theta, x, direction):
-        w1, _ = self._w_dir(theta, direction)
-        return -beta * w1
-
-    def dtheta2(self, beta, theta, x, direction):
-        _, w2 = self._w_dir(theta, direction)
-        return -beta * w2
-
-    def dtheta_dx(self, beta, theta, x, direction):
-        return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
-
-    def dbeta(self, beta, theta, x):
-        return -self._w(theta)
-
-    def section_bounds(self):
-        s = math.sqrt(self.b)
-        return (-s, 1.25 * s)
-
-    def default_escape(self):
-        s = math.sqrt(self.b)
-        return (-2.5 * s, 2.5 * s)
+    def __init__(self, b, beta_range=(0.0, 400.0)):
+        if b <= 0.0:
+            raise ValueError("Cos11 requires b > 0")
+        b = float(b)
+        s = math.sqrt(b)
+        super().__init__(-1.0, 0.0, b, 1.0, Cos11Shape(), (-s, 1.25 * s),
+                         (-2.5 * s, 2.5 * s), beta_range)
+        _name(self, b=b)
 
 
-@dataclass(frozen=True)
 class LogisticHarvest(ForcedField):
     """L_beta(theta, x) = (2/r) b x (r - x) - beta * b/(1 - b^(-1/2)) * h(|theta - center|).
 
@@ -309,63 +296,19 @@ class LogisticHarvest(ForcedField):
     carries the unforced RadialLogistic flow onto this one.
     """
 
-    b: float
-    r: float
-    bump: BumpProfile
-    center: np.ndarray
-    beta_range: tuple = (0.0, 1.0)
-
     def __init__(self, b, r, bump, center, beta_range=(0.0, 1.0)):
         if b <= 1.0:
             raise ValueError("LogisticHarvest requires b > 1")
         if r <= 0.0:
             raise ValueError("carrying capacity r must be positive")
+        b, r = float(b), float(r)
         c = TorusPoint(center).coords
-        object.__setattr__(self, "b", float(b))
-        object.__setattr__(self, "r", float(r))
-        object.__setattr__(self, "bump", bump)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "beta_range", (float(beta_range[0]), float(beta_range[1])))
-        object.__setattr__(self, "D", c.size)
-
-    @property
-    def forcing_coeff(self) -> float:
-        return self.b / (1.0 - self.b ** (-0.5))
-
-    def _radial(self):
-        return RadialLogistic(self.b, self.bump, self.center, self.beta_range)
-
-    def value(self, beta, theta, x):
-        grow = (2.0 * self.b / self.r) * x * (self.r - x)
-        return grow - beta * self.forcing_coeff * self._radial()._g(theta)
-
-    def dx(self, beta, theta, x):
-        return 2.0 * self.b - (4.0 * self.b / self.r) * x
-
-    def dxx(self, beta, theta, x):
-        v = -4.0 * self.b / self.r
-        return np.broadcast_to(v, np.shape(x)) if np.ndim(x) else v
-
-    def dtheta(self, beta, theta, x, direction):
-        return self._radial().dtheta(beta, theta, x, direction)
-
-    def dtheta2(self, beta, theta, x, direction):
-        return self._radial().dtheta2(beta, theta, x, direction)
-
-    def dtheta_dx(self, beta, theta, x, direction):
-        return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
-
-    def dbeta(self, beta, theta, x):
-        return self._radial().dbeta(beta, theta, x)
-
-    def section_bounds(self):
-        return (0.0, 1.125 * self.r)
-
-    def default_escape(self):
-        return (-4.5 * self.r, 5.5 * self.r)
+        super().__init__(-(2.0 * b / r), 2.0 * b, 0.0, b / (1.0 - b ** (-0.5)),
+                         BumpShape(bump, c), (0.0, 1.125 * r), (-4.5 * r, 5.5 * r),
+                         beta_range, D=c.size)
+        _name(self, b=b, r=r, bump=bump, center=c)
 
 
-@dataclass(frozen=True)
 class AutonomousRiccati(ForcedField):
     """F_beta(theta, x) = a2 x^2 + a0 + beta_slope * beta^beta_power, theta-independent.
 
@@ -374,58 +317,36 @@ class AutonomousRiccati(ForcedField):
     admits monotone reparameterisations of the forcing.
     """
 
-    a2: float
-    a0: float
-    beta_slope: float = 0.0
-    beta_power: int = 1
-    beta_range: tuple = (0.0, 1.0)
-    dim: int = 2
-    theta_independent: bool = True
-
-    def __post_init__(self):
-        if self.dim < 2:
+    def __init__(self, a2, a0, beta_slope=0.0, beta_power=1, beta_range=(0.0, 1.0), dim=2):
+        if dim < 2:
             raise ValueError("base dimension D must be >= 2")
-        object.__setattr__(self, "D", int(self.dim))
-        object.__setattr__(self, "beta_range", (float(self.beta_range[0]), float(self.beta_range[1])))
+        # the equilibrium scale sqrt(a0/|a2|) sizes the section and the escape window
+        s = math.sqrt(a0 / abs(a2)) if a2 < 0.0 and a0 > 0.0 else 1.0
+        e = 10.0 * (s + 1.0)
+        super().__init__(a2, 0.0, a0, -beta_slope, FlatShape(), (-s, 1.25 * s), (-e, e),
+                         beta_range, beta_power, int(dim))
+        _name(self, beta_slope=beta_slope, dim=dim)
 
-    def forcing(self, beta: float) -> float:
-        return self.beta_slope * beta**self.beta_power
 
-    def value(self, beta, theta, x):
-        return self.a2 * x * x + self.a0 + self.forcing(beta)
+def unit_direction(direction, D: int, section: bool = False) -> np.ndarray:
+    """Unit vector in R^D along which the theta-derivatives are taken.
 
-    def dx(self, beta, theta, x):
-        return 2.0 * self.a2 * x
-
-    def dxx(self, beta, theta, x):
-        v = 2.0 * self.a2
-        return np.broadcast_to(v, np.shape(x)) if np.ndim(x) else v
-
-    def dtheta(self, beta, theta, x, direction):
-        return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
-
-    def dtheta2(self, beta, theta, x, direction):
-        return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
-
-    def dtheta_dx(self, beta, theta, x, direction):
-        return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
-
-    def dbeta(self, beta, theta, x):
-        v = self.beta_slope * self.beta_power * beta ** (self.beta_power - 1)
-        return np.broadcast_to(v, np.shape(x)) if np.ndim(x) else v
-
-    def _equilibrium_scale(self) -> float:
-        if self.a2 >= 0.0 or self.a0 <= 0.0:
-            return 1.0
-        return math.sqrt(self.a0 / abs(self.a2))
-
-    def section_bounds(self):
-        s = self._equilibrium_scale()
-        return (-s, 1.25 * s)
-
-    def default_escape(self):
-        s = 10.0 * (self._equilibrium_scale() + 1.0)
-        return (-s, s)
+    ``None`` is the first axis. A vector with D - 1 components is a section
+    direction, lifted into T^D with a zero last component; ``section=True``
+    admits only those.
+    """
+    if direction is None:
+        return np.eye(D)[0]
+    v = np.atleast_1d(np.asarray(direction, dtype=float))
+    if section and v.size != D - 1:
+        raise ValueError(f"section direction needs {D - 1} components")
+    if v.size == D - 1:
+        v = np.concatenate([v, [0.0]])
+    if v.size != D:
+        raise ValueError(f"direction needs {D} (or {D - 1}) components")
+    if not math.isclose(float(np.linalg.norm(v)), 1.0, rel_tol=0.0, abs_tol=1e-9):
+        raise ValueError("direction must be a unit vector")
+    return v
 
 
 def eval_field(family: ForcedField, beta: float, theta, x: float, direction=None) -> FieldEval:
@@ -439,9 +360,7 @@ def eval_field(family: ForcedField, beta: float, theta, x: float, direction=None
     th = TorusPoint(theta).coords if not isinstance(theta, TorusPoint) else theta.coords
     if th.size != family.D:
         raise ValueError(f"theta must have {family.D} components")
-    if direction is None:
-        direction = np.eye(family.D)[0]
-    v = _as_direction(direction, family.D)
+    v = unit_direction(direction, family.D)
     t = th[None, :]
     xs = np.asarray([float(x)])
     return FieldEval(

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 MIN_POINTS = 1_000
+LIFT_PHASES = 256   # quantized flow phases of a lifted cloud
 
 
 @dataclass
@@ -105,18 +106,18 @@ def _ls_slope(x, y):
 
 def graph_point_cloud(family: ForcedField, beta: float, rho, graph, n_points: int,
                       cfg: IntegratorConfig, seed: int = 0, n_orbits: int = 256,
-                      burn_in: int = 32, lift_phases: int = 16) -> np.ndarray:
+                      burn_in: int = 32) -> np.ndarray:
     """Sample (theta, x) along ergodic orbits on an invariant graph.
 
     For a section graph the orbit theta -> theta + omega is iterated with the
     true fibre maps (reversed maps for a repeller), seeded on the graph, so the
     points reach structure finer than the grid. For a LiftedGraph the section
-    cloud is flowed to ``lift_phases`` stratified phases, yielding points in
+    cloud is flowed to LIFT_PHASES stratified phases, yielding points in
     T^D x R. Returns an (n_points, dim) array.
     """
     if isinstance(graph, LiftedGraph):
         return _lift_cloud(family, beta, rho, graph, n_points, cfg, seed,
-                           n_orbits, burn_in, lift_phases)
+                           n_orbits, burn_in)
     return _section_cloud(family, beta, rho, graph, n_points, cfg, seed,
                           n_orbits, burn_in)
 
@@ -152,7 +153,7 @@ def _section_cloud(family, beta, rho, graph: GraphSample, n_points, cfg, seed,
 
 
 def _lift_cloud(family, beta, rho, lifted: LiftedGraph, n_points, cfg, seed,
-                n_orbits, burn_in, lift_phases):
+                n_orbits, burn_in):
     """Flow a section cloud to per-point stratified phases in [0, T).
 
     Each point carries its own flow time on a fine quantized phase grid
@@ -172,10 +173,9 @@ def _lift_cloud(family, beta, rho, lifted: LiftedGraph, n_points, cfg, seed,
                                 seed, n_orbits, burn_in)
     n = len(base_cloud)
     T = 1.0 / rho_v.rho_D
-    n_q = max(int(lift_phases), 256)
     rng = np.random.default_rng(seed + 1)
-    buckets = rng.permutation(np.arange(n) % n_q)
-    u = (buckets + 0.5) / n_q * T
+    buckets = rng.permutation(np.arange(n) % LIFT_PHASES)
+    u = (buckets + 0.5) / LIFT_PHASES * T
     backward = lifted.role == "repeller"
     durations = (T - u) if backward else u
     order = np.argsort(durations, kind="stable")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import ForcedField
 from .flow import FlowEscape, IntegratorConfig, flow_batch
-from .section import SectionMap, _grid_nodes
+from .section import SectionMap, _grid_nodes, graph_defect
 from .torus import RotationVector, wrap_unit
 
 __all__ = [
@@ -98,32 +98,17 @@ class LyapunovEstimate:
     map_scale: float
 
 
-def _shift_decomposition(shift: np.ndarray, n: int):
+def _roll_shift(v: np.ndarray, shift: np.ndarray, sign: int) -> np.ndarray:
+    """Multilinear roll of periodic grid values by a uniform shift.
+
+    sign = -1 gathers the values at theta_i + shift; sign = +1 scatters
+    values attached at theta_i + shift back onto the nodes.
+    """
+    n = v.shape[0]
+    shift = np.asarray(shift, dtype=float)
     steps = np.floor(shift * n).astype(int)
     fracs = shift * n - steps
-    return steps, fracs
-
-
-def resample_shifted_values(w: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Values w_i attached at theta_i + shift, resampled onto the grid nodes."""
-    n = w.shape[0]
-    steps, fracs = _shift_decomposition(np.asarray(shift, dtype=float), n)
-    out = np.zeros_like(w)
-    for corner in itertools.product((0, 1), repeat=w.ndim):
-        weight = 1.0
-        for a, c in enumerate(corner):
-            weight *= fracs[a] if c else (1.0 - fracs[a])
-        if weight == 0.0:
-            continue
-        out += weight * np.roll(w, shift=tuple(steps[a] + corner[a] for a in range(w.ndim)),
-                                axis=tuple(range(w.ndim)))
-    return out
-
-
-def interp_at_shift(v: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of grid values v at the nodes theta_i + shift."""
-    n = v.shape[0]
-    steps, fracs = _shift_decomposition(np.asarray(shift, dtype=float), n)
+    axes = tuple(range(v.ndim))
     out = np.zeros_like(v)
     for corner in itertools.product((0, 1), repeat=v.ndim):
         weight = 1.0
@@ -131,9 +116,19 @@ def interp_at_shift(v: np.ndarray, shift: np.ndarray) -> np.ndarray:
             weight *= fracs[a] if c else (1.0 - fracs[a])
         if weight == 0.0:
             continue
-        out += weight * np.roll(v, shift=tuple(-(steps[a] + corner[a]) for a in range(v.ndim)),
-                                axis=tuple(range(v.ndim)))
+        roll = tuple(sign * (steps[a] + corner[a]) for a in axes)
+        out += weight * np.roll(v, shift=roll, axis=axes)
     return out
+
+
+def resample_shifted_values(w: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Values w_i attached at theta_i + shift, resampled onto the grid nodes."""
+    return _roll_shift(w, shift, 1)
+
+
+def interp_at_shift(v: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of grid values v at the nodes theta_i + shift."""
+    return _roll_shift(v, shift, -1)
 
 
 @dataclass
@@ -163,6 +158,11 @@ class _SweepState:
     def stalled(self) -> bool:
         return self.best < self.noise_floor and self.count - self.best_at >= 25
 
+    def done(self, stop_tol: float, projection_tol: float | None) -> bool:
+        """Last change below stop_tol, stalled at the noise floor, or a certified tail."""
+        return (self.deltas[-1] < stop_tol or self.stalled()
+                or (projection_tol is not None and self.projected_tail() < projection_tol))
+
     def projected_tail(self) -> float:
         """Geometric-tail bound on the remaining change, inf when uncertified."""
         if len(self.deltas) < 6:
@@ -184,6 +184,10 @@ def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
               cfg: IntegratorConfig, role: str, stop_tol: float,
               projection_tol: float | None, x_start,
               section_offset: float = 0.0) -> GraphSample | Escaped:
+    if grid_n < 16:
+        raise ValueError("grid_n must be at least 16")
+    if n_iter < 1:
+        raise ValueError("n_iter must be positive")
     reverse = role == "repeller"
     rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
     d = rho_v.D - 1
@@ -201,8 +205,6 @@ def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
     nodes = _grid_nodes(shape, d)
     v = np.broadcast_to(np.asarray(x_start, dtype=float), shape).copy()
     sweep = _SweepState()
-    delta = math.inf
-    used = 0
     for k in range(1, n_iter + 1):
         res = smap.step(nodes, v.ravel(), channels="x")
         if res.escaped.any():
@@ -212,19 +214,12 @@ def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
         v_new = resample_shifted_values(w, smap.shift)
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
-        used = k
         sweep.record(delta)
-        if delta < stop_tol or sweep.stalled():
+        if sweep.done(stop_tol, projection_tol):
             break
-        if projection_tol is not None and sweep.projected_tail() < projection_tol:
-            break
-    converged = (
-        delta < stop_tol
-        or sweep.stalled()
-        or (projection_tol is not None and sweep.projected_tail() < projection_tol)
-    )
-    defect = _defect(smap, nodes, v)
-    return GraphSample(v, role, defect, used, converged, grid_n, beta, delta)
+    converged = sweep.done(stop_tol, projection_tol)
+    defect = graph_defect(smap, v)
+    return GraphSample(v, role, defect, sweep.count, converged, grid_n, beta, delta)
 
 
 def _pullback_scalar(family, beta, smap, grid_n, n_iter, role, stop_tol,
@@ -236,37 +231,20 @@ def _pullback_scalar(family, beta, smap, grid_n, n_iter, role, stop_tol,
     driver = _rk4_scalar if smap.cfg.method == "rk4" else _rk45_scalar
     x = x_start
     sweep = _SweepState()
-    delta = math.inf
-    used = 0
     for k in range(1, n_iter + 1):
         y, ok, t_esc, _, _ = driver(rhs, 0.0, [x], smap.return_time, smap.cfg)
         if not ok:
             return Escaped(role, beta, k, grid_n**d, np.zeros(d))
         delta = abs(y[0] - x)
         x = y[0]
-        used = k
         sweep.record(delta)
-        if delta < stop_tol or sweep.stalled():
+        if sweep.done(stop_tol, projection_tol):
             break
-        if projection_tol is not None and sweep.projected_tail() < projection_tol:
-            break
-    converged = (
-        delta < stop_tol
-        or sweep.stalled()
-        or (projection_tol is not None and sweep.projected_tail() < projection_tol)
-    )
+    converged = sweep.done(stop_tol, projection_tol)
     y, ok, _, _, _ = driver(rhs, 0.0, [x], smap.return_time, smap.cfg)
     defect = abs(y[0] - x) if ok else math.inf
     values = np.full((grid_n,) * d, x)
-    return GraphSample(values, role, defect, used, converged, grid_n, beta, delta)
-
-
-def _defect(smap: SectionMap, nodes: np.ndarray, v: np.ndarray) -> float:
-    res = smap.step(nodes, v.ravel(), channels="x")
-    if res.escaped.any():
-        return math.inf
-    target = interp_at_shift(v, smap.shift)
-    return float(np.max(np.abs(res.y[0].reshape(v.shape) - target)))
+    return GraphSample(values, role, defect, sweep.count, converged, grid_n, beta, delta)
 
 
 def pullback_attractor(family: ForcedField, beta: float, rho, grid_n: int,
@@ -280,10 +258,6 @@ def pullback_attractor(family: ForcedField, beta: float, rho, grid_n: int,
     certified geometric-tail projection before the sup-change drops below
     ``stop_tol``; the default requires the full 1e-12 sweep change.
     """
-    if grid_n < 16:
-        raise ValueError("grid_n must be at least 16")
-    if n_iter < 1:
-        raise ValueError("n_iter must be positive")
     return _pullback(family, beta, rho, grid_n, n_iter, cfg, "attractor",
                      stop_tol, projection_tol, x_start, section_offset)
 
@@ -293,10 +267,6 @@ def pushforward_repeller(family: ForcedField, beta: float, rho, grid_n: int,
                          projection_tol: float | None = None, x_start=None,
                          section_offset: float = 0.0) -> GraphSample | Escaped:
     """Repelling graph: pullback of the reversed flow from the lower boundary."""
-    if grid_n < 16:
-        raise ValueError("grid_n must be at least 16")
-    if n_iter < 1:
-        raise ValueError("n_iter must be positive")
     return _pullback(family, beta, rho, grid_n, n_iter, cfg, "repeller",
                      stop_tol, projection_tol, x_start, section_offset)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ForcedField
+from .fields import ForcedField, unit_direction
 from .flow import FlowBatchResult, FlowEscape, IntegratorConfig, flow_batch
 from .torus import RotationVector, induce_frequency, wrap_unit
 
@@ -99,19 +99,22 @@ class SectionMap:
         return res
 
 
-def _eval_from_batch(res: FlowBatchResult, i: int = 0) -> ReturnMapEval:
-    m = res.y.shape[0]
-    get = lambda j: float(res.y[j, i]) if j < m else 0.0
-    esc = bool(res.escaped[i])
+def _one_return(smap: SectionMap, theta_sec, x: float, direction) -> ReturnMapEval:
+    """One return of ``smap`` from (theta_sec, x) with all derivative channels."""
+    th = np.atleast_1d(np.asarray(theta_sec, dtype=float))[None, :]
+    res = smap.step(th, [float(x)], channels="full", reuse_h=False,
+                    direction=unit_direction(direction, smap.family.D, section=True))
+    y = [float(v) for v in res.y[:, 0]]
+    esc = bool(res.escaped[0])
     return ReturnMapEval(
-        x_next=get(0),
-        log_dx=get(1),
-        dtheta=get(2),
-        dxx_ratio=get(3),
-        dtheta_dx_ratio=get(4),
-        dtheta2=get(5),
+        x_next=y[0],
+        log_dx=y[1],
+        dtheta=y[2],
+        dxx_ratio=y[3],
+        dtheta_dx_ratio=y[4],
+        dtheta2=y[5],
         escaped=esc,
-        escape_time=float(res.escape_times[i]) if esc else None,
+        escape_time=float(res.escape_times[0]) if esc else None,
     )
 
 
@@ -122,32 +125,13 @@ def return_map(family: ForcedField, beta: float, rho, theta_sec, x: float,
     ``theta_sec`` lives on the d-dimensional section; ``direction`` is a unit
     section vector (defaults to the first axis).
     """
-    smap = SectionMap(family, beta, rho, cfg)
-    th = np.atleast_1d(np.asarray(theta_sec, dtype=float))[None, :]
-    res = smap.step(th, [float(x)], channels="full",
-                    direction=_section_direction(direction, smap.d), reuse_h=False)
-    return _eval_from_batch(res)
+    return _one_return(SectionMap(family, beta, rho, cfg), theta_sec, x, direction)
 
 
 def inverse_return_map(family: ForcedField, beta: float, rho, theta_sec, x: float,
                        cfg: IntegratorConfig, direction=None) -> ReturnMapEval:
     """Inverse fibre map via the reversed field: xi~^-1(xi~(x)) = x."""
-    smap = SectionMap(family, beta, rho, cfg, reverse=True)
-    th = np.atleast_1d(np.asarray(theta_sec, dtype=float))[None, :]
-    res = smap.step(th, [float(x)], channels="full",
-                    direction=_section_direction(direction, smap.d), reuse_h=False)
-    return _eval_from_batch(res)
-
-
-def _section_direction(direction, d: int):
-    if direction is None:
-        v = np.zeros(d)
-        v[0] = 1.0
-        return v
-    v = np.atleast_1d(np.asarray(direction, dtype=float))
-    if v.size != d:
-        raise ValueError(f"section direction needs {d} components")
-    return v
+    return _one_return(SectionMap(family, beta, rho, cfg, reverse=True), theta_sec, x, direction)
 
 
 def _grid_nodes(grid_shape, d: int) -> np.ndarray:
@@ -217,11 +201,15 @@ def lyapunov_relation_check(family: ForcedField, beta: float, rho, graph,
 
 
 def graph_defect(smap: SectionMap, values: np.ndarray) -> float:
-    """sup over nodes of |xi~(theta, v(theta)) - v(theta + shift)| by interpolation."""
+    """sup over nodes of |xi~(theta, v(theta)) - v(theta + shift)| by interpolation.
+
+    The return starts from the map's last step size, as each pullback sweep
+    does, so the pullback measures its defect with this function.
+    """
     from .graphs import interp_at_shift  # local import: graphs builds on section
 
     nodes = _grid_nodes(values.shape, values.ndim)
-    res = smap.step(nodes, values.ravel(), channels="x", reuse_h=False)
+    res = smap.step(nodes, values.ravel(), channels="x")
     if res.escaped.any():
         return math.inf
     target = interp_at_shift(values, smap.shift)

@@ -21,8 +21,6 @@ from snaflow.graphs import Escaped, lyapunov_of_graph, pullback_attractor, pushf
 from snaflow.section import lyapunov_relation_check, return_map
 from snaflow.torus import RotationVector
 
-pytestmark = pytest.mark.slow
-
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 RHO_PI = RotationVector([GOLDEN, math.pi])
 CFG = IntegratorConfig()
@@ -187,6 +185,7 @@ def test_criterion_4_unforced_fixed_points():
     report(4, f"graphs within {max(a_dev, r_dev):.1e}; lambda = {la:.6f}/{lr:.6f}")
 
 
+@pytest.mark.slow
 def test_criterion_5_lyapunov_relation():
     fam = radial(4.0)
     worst = 0.0
@@ -213,6 +212,7 @@ def test_criterion_6_oracle_bifurcation():
     report(6, f"beta_c = {trace.beta_c:.8f}, Smooth, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7a_figure_regime_graphs(fig_family, fig_graphs):
     att, rep = fig_graphs
     assert att.converged and rep.converged
@@ -235,12 +235,14 @@ def test_criterion_7a_figure_regime_graphs(fig_family, fig_graphs):
                  f"gap_median = {gap_median:.3f} on the 256^2 section-lift grid")
 
 
+@pytest.mark.slow
 def test_criterion_7b_figure_regime_bracket(fig_trace):
     assert 175.5 <= fig_trace.beta_c <= 176.5
     assert fig_trace.predicate_monotone
     report("7b", f"beta_c = {fig_trace.beta_c:.5f} within [175.5, 176.5]")
 
 
+@pytest.mark.slow
 def test_criterion_7c_figure_regime_classification(fig_classification):
     assert fig_classification.verdict == "NonSmoothSignature"
     fin = fig_classification.rungs[-1]
@@ -249,6 +251,7 @@ def test_criterion_7c_figure_regime_classification(fig_classification):
                  f"lambda {fin.lambda_attractor:.2f})")
 
 
+@pytest.mark.slow
 def test_criterion_8_fractal_calibration(fig_classification):
     rng = np.random.default_rng(80)
     seg = np.stack([rng.random(100_000), np.zeros(100_000)], axis=1)
@@ -278,6 +281,7 @@ B6_RHO = RotationVector([GOLDEN * 0.25, 0.25])
 B6_CENTER = [0.3, 0.65]
 
 
+@pytest.mark.slow
 def test_criterion_9_audit_suite():
     constants = compute_constants(6.0, 0.2, 0.05, 0.012, 0.28, B6_RHO, B6_CENTER)
     fam = RadialLogistic(6.0, BumpProfile(0.28), B6_CENTER)
@@ -328,6 +332,7 @@ def test_criterion_9_audit_suite():
     report(9, f"16 entries, {checked} witnesses reproduced, gate margins finite")
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism(tmp_path):
     cfg = {
         "seed": 0,

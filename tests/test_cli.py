@@ -104,6 +104,31 @@ class TestConfigValidation:
         assert main([subcommand, "--config", path]) == 2
         assert "top-level config must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, block, path", [
+        ("boxdim", {"boxdim": {"n_points": 500}}, "boxdim.n_points"),
+        ("boxdim", {"boxdim": {"epsilons_pow": [3]}}, "boxdim.epsilons_pow"),
+        ("simulate", {"simulate": {"n_samples": "ten"}}, "simulate.n_samples"),
+        ("audit", {"audit": {"delta1": "x", "delta2": 0.012}}, "audit.delta1"),
+        ("classify", {"classify": {"thresholds": {"nope": 1}}}, "classify.thresholds.nope"),
+    ])
+    def test_malformed_block_is_a_config_error(self, tmp_path, capsys, subcommand, block,
+                                               path):
+        cfg = radial_cfg(tmp_path, **block)
+        assert main([subcommand, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}" in err
+        assert "Traceback" not in err
+
+    def test_threads_hint_leaves_config_hash(self, tmp_path):
+        path = oracle_cfg(tmp_path)
+        assert main(["bifurcate", "--config", path]) == 0
+        assert main(["bifurcate", "--config", path, "--threads", "4",
+                     "--out", str(tmp_path / "out4")]) == 0
+        plain = json.load(open(tmp_path / "out" / "trace.json"))
+        hinted = json.load(open(tmp_path / "out4" / "trace.json"))
+        assert (plain["threads_hint"], hinted["threads_hint"]) == (1, 4)
+        assert plain["config_sha256"] == hinted["config_sha256"]
+
 
 class TestSubcommands:
     def test_bifurcate_oracle(self, tmp_path, capsys):

@@ -7,11 +7,13 @@ from snaflow.fields import (
     AutonomousRiccati,
     BumpProfile,
     Cos11,
+    ForcedField,
     LogisticHarvest,
     RadialLogistic,
     bump_value,
     eval_field,
     radial_to_harvest,
+    unit_direction,
 )
 
 
@@ -68,6 +70,10 @@ class TestEvalField:
     def test_b_must_exceed_one(self):
         with pytest.raises(ValueError):
             RadialLogistic(1.0, BumpProfile(0.3), [0.5, 0.5])
+
+    def test_cos11_b_must_be_positive(self):
+        with pytest.raises(ValueError, match="b > 0"):
+            Cos11(b=-1.0)
 
     def test_concavity_is_exact(self):
         # d^2_x F = -2b everywhere, asserted exactly
@@ -177,3 +183,66 @@ class TestHarvestConjugacy:
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             radial_to_harvest(make_radial(), -1.0)
+
+
+class TestOneFamily:
+    PARTIALS = {"value", "dx", "dxx", "dtheta", "dtheta2", "dtheta_dx", "dbeta",
+                "section_bounds", "default_escape"}
+
+    @pytest.mark.parametrize("family, section, escape", [
+        (RadialLogistic(4.0, BumpProfile(0.3), [0.5, 0.8]), (-1.0, 1.25), (-10.0, 10.0)),
+        (RadialLogistic(100.0, BumpProfile(0.45), [0.5, 0.5]), (-1.0, 1.25), (-10.0, 10.0)),
+        (Cos11(b=100.0), (-10.0, 12.5), (-25.0, 25.0)),
+        (Cos11(b=2.0), (-math.sqrt(2.0), 1.25 * math.sqrt(2.0)),
+         (-2.5 * math.sqrt(2.0), 2.5 * math.sqrt(2.0))),
+        (LogisticHarvest(4.0, 2.0, BumpProfile(0.3), [0.5, 0.8]), (0.0, 2.25), (-9.0, 11.0)),
+        (LogisticHarvest(4.0, 0.5, BumpProfile(0.3), [0.5, 0.8]), (0.0, 0.5625), (-2.25, 2.75)),
+        (AutonomousRiccati(a2=-1.0, a0=4.0), (-2.0, 2.5), (-30.0, 30.0)),
+        (AutonomousRiccati(a2=-1.0, a0=-1.0), (-1.0, 1.25), (-20.0, 20.0)),
+        (AutonomousRiccati(a2=1.0, a0=1.0), (-1.0, 1.25), (-20.0, 20.0)),
+    ])
+    def test_section_and_escape_windows(self, family, section, escape):
+        assert family.section_bounds() == section
+        assert family.default_escape() == escape
+
+    @pytest.mark.parametrize("cls", [RadialLogistic, Cos11, LogisticHarvest, AutonomousRiccati])
+    def test_named_families_are_constructors(self, cls):
+        assert issubclass(cls, ForcedField)
+        assert not self.PARTIALS & set(vars(cls))
+
+    def test_full_rhs_computes_bump_offsets_once(self, monkeypatch):
+        import snaflow.fields as fields_module
+        from snaflow.flow import _batch_rhs
+
+        calls = []
+        real = fields_module.nearest_lift_offset
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(fields_module, "nearest_lift_offset", counted)
+        theta0 = np.random.default_rng(0).random((8, 2))
+        rhs = _batch_rhs(make_radial(), 0.5, theta0, np.array([0.618, 3.14]), "full",
+                         np.array([1.0, 0.0]), False)
+        rhs(0.1, np.zeros((6, 8)))
+        assert len(calls) == 1
+
+
+class TestUnitDirection:
+    def test_default_is_first_axis(self):
+        assert unit_direction(None, 3).tolist() == [1.0, 0.0, 0.0]
+
+    def test_section_direction_is_lifted(self):
+        assert unit_direction([0.0, 1.0], 3).tolist() == [0.0, 1.0, 0.0]
+        assert unit_direction([1.0], 2, section=True).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("direction, D, section", [
+        ([1.0, 0.0, 0.0, 0.0], 3, False),    # too many components
+        ([1.0, 0.0], 2, True),               # a section direction has D - 1
+        ([0.6, 0.6], 2, False),              # not a unit vector
+        ([2.0], 2, True),
+    ])
+    def test_rejections(self, direction, D, section):
+        with pytest.raises(ValueError):
+            unit_direction(direction, D, section=section)

@@ -104,8 +104,7 @@ class TestGraphClouds:
         fam = RadialLogistic(4.0, BumpProfile(0.3), [0.5, 0.8])
         att = pullback_attractor(fam, 0.0, RHO, 64, 200, CFG)
         lifted = lift_graph(fam, 0.0, RHO, att, 32, CFG)
-        cloud = graph_point_cloud(fam, 0.0, RHO, lifted, 120_000, CFG, seed=1,
-                                  lift_phases=64)
+        cloud = graph_point_cloud(fam, 0.0, RHO, lifted, 120_000, CFG, seed=1)
         assert cloud.shape == (120_000, 3)
         lad = box_count(cloud, epsilons=default_epsilons(9))
         assert lad.slope == pytest.approx(2.0, abs=0.05)
