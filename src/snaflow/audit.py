@@ -94,12 +94,23 @@ class AuditConstants:
         return (-1.0, 1.0 + self.c)
 
 
+def delta1_max(rho_D: float) -> float:
+    """Upper end of the admissible delta1 interval (0, min(1/18, 1/(36 rho_D)))."""
+    return min(1.0 / 18.0, 1.0 / (36.0 * rho_D))
+
+
+def gate_exponent(K: int, p: float) -> float:
+    """2q^2/p - 5(1-q^2)p with q = 1 - 1/K; the gate needs it positive."""
+    q = 1.0 - 1.0 / K
+    return 2.0 * q * q / p - 5.0 * (1.0 - q * q) * p
+
+
 def compute_constants(b: float, c: float, delta1: float, delta2: float,
                       R_support: float, rho, theta_bar) -> AuditConstants:
     """Derive the log-scale derivative bounds and the transit times.
 
-    A bump ball that touches the section theta_D = 0 is rejected (shift the
-    section instead). The finer standing-geometry margins, bump entry after
+    A bump ball that touches the section theta_D = 0 is rejected (move the
+    bump centre instead). The finer standing-geometry margins, bump entry after
     1 - delta1*rho_D and exit before 1 - delta2*rho_D in theta_D, hold only
     for very small bumps; they are measured and carried as ``entry_margin``
     and ``exit_margin`` so downstream entries can report against them.
@@ -110,7 +121,7 @@ def compute_constants(b: float, c: float, delta1: float, delta2: float,
         raise AuditError("b must exceed 1")
     if not 0.0 < c < 0.25:
         raise AuditError("c must lie in (0, 1/4)")
-    dmax = min(1.0 / 18.0, 1.0 / (36.0 * rho_D))
+    dmax = delta1_max(rho_D)
     if not 0.0 < delta1 < dmax:
         raise AuditError(f"delta1 must lie in (0, {dmax:.6g})")
     if not 0.0 < delta2 < delta1:
@@ -124,8 +135,8 @@ def compute_constants(b: float, c: float, delta1: float, delta2: float,
 
     if not (tb[-1] - R_support > 0.0 and tb[-1] + R_support < 1.0):
         raise AuditError(
-            "bump straddles the section theta_D = 0: need theta_bar_D within "
-            f"({R_support:.6g}, {1.0 - R_support:.6g}); use a section_offset"
+            "bump straddles the section theta_D = 0: choose a bump centre whose last "
+            f"coordinate lies in ({R_support:.6g}, {1.0 - R_support:.6g})"
         )
 
     tau_bar = tb[-1] / rho_D
@@ -355,22 +366,21 @@ def audit_A1_A3(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     ex3_lo = _Extreme("min")
     ex3_hi = _Extreme("max")
     for k, beta in enumerate(beta_grid):
-        smap = SectionMap(family, beta, rho_v, cfg)
         # A1: T^d x C
         th, xs = _region_samples(constants, sample_n, seed + 11 * k, C_int)
-        res = smap.step(th, xs, channels="xl", reuse_h=False)
+        res = SectionMap(family, beta, rho_v, cfg).step(th, xs, channels="xl")
         ok = ~res.escaped
         ex1.offer(res.y[1][ok], th[ok], xs[ok], beta, "log_dx")
         # A2: (T^d minus I_0) x E, image still in E
         th, xs = _region_samples(constants, sample_n, seed + 11 * k + 1, E_int,
                                  exclude_critical=True, log_toward_lower=True)
-        res = smap.step(th, xs, channels="xl", reuse_h=False)
+        res = SectionMap(family, beta, rho_v, cfg).step(th, xs, channels="xl")
         img = res.y[0]
         keep = (~res.escaped) & (img >= E_int[0]) & (img <= E_int[1])
         ex2.offer(res.y[1][keep], th[keep], xs[keep], beta, "log_dx")
         # A3: Gamma with image in Gamma
         th, xs = _region_samples(constants, sample_n, seed + 11 * k + 2, G_int)
-        res = smap.step(th, xs, channels="xl", reuse_h=False)
+        res = SectionMap(family, beta, rho_v, cfg).step(th, xs, channels="xl")
         img = res.y[0]
         keep = (~res.escaped) & (img >= G_int[0]) & (img <= G_int[1])
         ex3_lo.offer(res.y[1][keep], th[keep], xs[keep], beta, "log_dx")
@@ -427,13 +437,12 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     worst_top = _Extreme("max")
     worst_bot = _Extreme("max")
     for beta in beta_grid:
-        smap = SectionMap(family, beta, rho_v, cfg)
-        res = smap.step(grid_nodes, np.full(len(grid_nodes), 1.0 + c), channels="x",
-                        reuse_h=False)
+        res = SectionMap(family, beta, rho_v, cfg).step(
+            grid_nodes, np.full(len(grid_nodes), 1.0 + c), channels="x")
         vals = np.where(res.escaped, -np.inf, res.y[0]) - (1.0 + c)
         worst_top.offer(vals, grid_nodes, np.full(len(grid_nodes), 1.0 + c), beta, "x_next-(1+c)")
-        res = smap.step(grid_nodes, np.full(len(grid_nodes), -1.0), channels="x",
-                        reuse_h=False)
+        res = SectionMap(family, beta, rho_v, cfg).step(
+            grid_nodes, np.full(len(grid_nodes), -1.0), channels="x")
         vals = np.where(res.escaped, -np.inf, res.y[0]) - (-1.0)
         worst_bot.offer(vals, grid_nodes, np.full(len(grid_nodes), -1.0), beta, "x_next+1")
     a4_ok = worst_top.value <= 0.0 and worst_bot.value <= 0.0
@@ -450,7 +459,7 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
         smap = SectionMap(family, beta, rho_v, cfg)
         th, xs = _region_samples(constants, sample_n, seed + 13 * k + 3,
                                  (constants.e_top, 1.0 + c), exclude_critical=True)
-        res = smap.step(th, xs, channels="x", reuse_h=False)
+        res = smap.step(th, xs, channels="x")
         img = np.where(res.escaped, np.inf, res.y[0])
         dist = np.maximum(img - (1.0 + c), (1.0 - c) - img)  # <= 0 iff inside C
         ex5.offer(dist, th, xs, beta, "distance_outside_C")
@@ -463,8 +472,7 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
 
     # A7 (first part): unforced maps hold the line 1-c
     smap0 = SectionMap(family, 0.0, rho_v, cfg)
-    res = smap0.step(grid_nodes, np.full(len(grid_nodes), 1.0 - c), channels="x",
-                     reuse_h=False)
+    res = smap0.step(grid_nodes, np.full(len(grid_nodes), 1.0 - c), channels="x")
     i7 = int(np.argmin(res.y[0]))
     short = float(res.y[0][i7]) - (1.0 - c)
     e7 = AuditEntry(
@@ -482,7 +490,7 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     wit8 = None
     for beta in betas:
         smap = SectionMap(family, beta, rho_v, cfg)
-        res = smap.step(th, xs, channels="x", reuse_h=False)
+        res = smap.step(th, xs, channels="x")
         cur = np.where(res.escaped, -np.inf, res.y[0])
         if prev is not None:
             inc = cur - prev
@@ -506,8 +514,7 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     # A10: beyond the admissible window some fibre map crosses 1+c below -1
     beta_top = betas[-1] if crossing_beta is None else float(crossing_beta)
     smap = SectionMap(family, beta_top, rho_v, cfg)
-    res = smap.step(grid_nodes, np.full(len(grid_nodes), 1.0 + c), channels="x",
-                    reuse_h=False)
+    res = smap.step(grid_nodes, np.full(len(grid_nodes), 1.0 + c), channels="x")
     below = res.escaped & (res.y[0] <= cfg.escape_low + 1e-9)
     img = np.where(below, cfg.escape_low, res.y[0])  # escape-below certainly crossed
     i10 = int(np.argmin(img))
@@ -536,8 +543,7 @@ def j0_region(family: RadialLogistic, beta: float, rho, constants: AuditConstant
     d = constants.rho.size - 1
     nodes = _grid_nodes((grid_n,) * d, d)
     smap = SectionMap(family, beta, rho_v, cfg)
-    res = smap.step(nodes, np.full(len(nodes), 1.0 - constants.c), channels="x",
-                    reuse_h=False)
+    res = smap.step(nodes, np.full(len(nodes), 1.0 - constants.c), channels="x")
     img = np.where(res.escaped & (res.y[0] <= cfg.escape_low + 1e-9), -np.inf, res.y[0])
     mask = (img <= constants.e_top).reshape((grid_n,) * d)
     for _ in range(dilate):
@@ -588,7 +594,7 @@ def audit_bump_convexity(family: RadialLogistic, beta: float, rho,
     xs_levels = lo + (hi - lo) * (np.arange(sample_x) + 0.5) / sample_x
     th = np.tile(nodes, (sample_x, 1))
     xs = np.repeat(xs_levels, len(nodes))
-    res = SectionMap(family, beta, rho_v, cfg).step(th, xs, channels="full", reuse_h=False)
+    res = SectionMap(family, beta, rho_v, cfg).step(th, xs, channels="full")
     ok = ~res.escaped
     n_escaped = int(res.escaped.sum())
     ex_min = _Extreme("min")
@@ -652,7 +658,7 @@ def audit_A11_A16(family: RadialLogistic, rho, beta_grid, constants: AuditConsta
         n_G = len(xs_G)
         smap = SectionMap(family, beta, rho_v, cfg)
         res = smap.step(np.concatenate([th_G, th_C]), np.concatenate([xs_G, xs_C]),
-                        channels="full", reuse_h=False)
+                        channels="full")
         ch = _channels(res)
         ch_G = {name: v[:n_G] for name, v in ch.items()}
         ch_C = {name: v[n_G:] for name, v in ch.items()}
@@ -674,7 +680,7 @@ def audit_A11_A16(family: RadialLogistic, rho, beta_grid, constants: AuditConsta
         inv = SectionMap(family, beta, rho_v, cfg, reverse=True)
         th, xs = _region_samples(constants, sample_n, seed + 17 * k + 7, E_int,
                                  exclude_critical=True, shift=omega)
-        res = inv.step(th, xs, channels="full", reuse_h=False)
+        res = inv.step(th, xs, channels="full")
         ch = _channels(res)
         ok = ~res.escaped
         ex_inv_dxx.offer(np.abs(ch["dxx"][ok]), th[ok], xs[ok], beta, "dxx_inverse")
@@ -749,7 +755,7 @@ def gate_report(constants: AuditConstants, i0_measure: float, K: int, M: int,
     if K < 1 or int(K) != K:
         raise AuditError("K must be a positive integer")
     q = 1.0 - 1.0 / K
-    exponent_q = 2.0 * q * q / p - 5.0 * (1.0 - q * q) * p
+    exponent_q = gate_exponent(K, p)
     if exponent_q <= 0.0:
         raise AuditError(
             f"K = {K} gives q = {q}: the exponent 2q^2/p - 5(1-q^2)p = "

@@ -1,11 +1,12 @@
 """Saddle-node location by bisection, boundary parameters, and classification.
 
-The bisection predicate is existence of the invariant-graph pair: both
-pullbacks converge inside the section and the attractor dominates the
-repeller. Escape of either pullback certifies the no-graph alternative, so
-the predicate matches the dichotomy the collision theorem provides. Near the
-critical parameter convergence slows like exp(-|lambda| k), so per-beta
-iteration caps scale with the most recent attractor exponent.
+The bisection predicate is existence of the invariant-graph pair
+(graphs.graph_pair): both pullbacks stay inside the section, with no ordering
+gate, since near the collision the measured graphs may interlace. Escape of
+either pullback certifies the no-graph alternative, so the predicate matches
+the dichotomy the collision theorem provides. Near the critical parameter
+convergence slows like exp(-|lambda| k), so per-beta iteration caps scale
+with the most recent attractor exponent.
 """
 from __future__ import annotations
 
@@ -17,14 +18,7 @@ import numpy as np
 from .fields import ForcedField, RadialLogistic
 from .flow import FlowEscape, IntegratorConfig
 from .fractal import box_count, default_epsilons, graph_point_cloud
-from .graphs import (
-    Escaped,
-    GraphSample,
-    lift_graph,
-    lyapunov_of_graph,
-    pullback_attractor,
-    pushforward_repeller,
-)
+from .graphs import Escaped, GraphSample, graph_pair, lift_graph, lyapunov_of_graph
 from .section import SectionMap, _grid_nodes
 from .torus import RotationVector
 
@@ -68,12 +62,6 @@ class BisectionTrace:
     tol: float
     predicate_monotone: bool
 
-    def record_for(self, beta: float) -> BetaRecord:
-        for r in self.records:
-            if r.beta == beta:
-                return r
-        raise KeyError(beta)
-
 
 @dataclass
 class BetaBounds:
@@ -103,28 +91,19 @@ def _predicate(family, beta, rho_v, grid_n, n_iter, cfg,
     the monotone bounded sweep converges even when its tail cannot be
     certified within the iteration budget.
     """
-    att = pullback_attractor(family, beta, rho_v, grid_n, n_iter, cfg,
-                             projection_tol=projection_tol)
-    if isinstance(att, Escaped):
-        return BetaRecord(beta, False, escaped_role="attractor")
-    rep = pushforward_repeller(family, beta, rho_v, grid_n, n_iter, cfg,
-                               projection_tol=projection_tol)
-    if isinstance(rep, Escaped):
-        return BetaRecord(beta, False, escaped_role="repeller")
-    # near the collision the measured graphs may interlace within their
-    # resolution, so the gap statistics are recorded without an ordering gate
-    gap = att.values - rep.values
-    lam_a = _graph_lambda(family, beta, rho_v, att, cfg)
-    lam_r = _graph_lambda(family, beta, rho_v, rep, cfg)
+    pair = graph_pair(family, beta, rho_v, grid_n, n_iter, cfg, projection_tol)
+    if isinstance(pair, Escaped):
+        return BetaRecord(beta, False, escaped_role=pair.role)
+    att, rep = pair.attractor, pair.repeller
     return BetaRecord(
         beta, True,
-        gap_min=float(gap.min()),
-        gap_median=float(np.median(gap)),
-        lambda_attractor=lam_a,
-        lambda_repeller=lam_r,
+        gap_min=pair.gap_min,
+        gap_median=pair.gap_median,
+        lambda_attractor=_graph_lambda(family, beta, rho_v, att, cfg),
+        lambda_repeller=_graph_lambda(family, beta, rho_v, rep, cfg),
         attractor_iterations=att.iterations_used,
         repeller_iterations=rep.iterations_used,
-        marginal=not (att.converged and rep.converged),
+        marginal=not pair.converged,
     )
 
 
@@ -148,7 +127,7 @@ def locate_beta_c(family: ForcedField, rho, beta_range, grid_n: int, tol_beta: f
     records = []
     n_iter = n_iter_base
 
-    def run(beta):
+    def exists(beta):
         nonlocal n_iter
         rec = _predicate(family, beta, rho_v, grid_n, n_iter, cfg, projection_tol)
         records.append(rec)
@@ -156,41 +135,22 @@ def locate_beta_c(family: ForcedField, rho, beta_range, grid_n: int, tol_beta: f
             lam_map = abs(rec.lambda_attractor) / rho_v.rho_D
             if lam_map > 0.0:
                 n_iter = int(min(n_iter_cap, max(n_iter_base, 60.0 / lam_map)))
-        return rec
+        return rec.graphs_exist
 
-    rec_lo = run(lo)
-    if not rec_lo.graphs_exist:
+    if not exists(lo):
         raise BifurcationError(f"no invariant graphs at the low end beta={lo}")
-    rec_hi = run(hi)
-    if rec_hi.graphs_exist:
+    if exists(hi):
         raise BifurcationError(f"invariant graphs persist at the high end beta={hi}")
+    brackets = _bisect(exists, lo, hi, tol_beta)
 
-    brackets = [(lo, hi)]
-    while hi - lo > tol_beta:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float exhaustion
-            break
-        rec = run(mid)
-        if rec.graphs_exist:
-            lo = mid
-        else:
-            hi = mid
-        brackets.append((lo, hi))
-
-    ordered = sorted(records, key=lambda r: r.beta)
-    monotone = True
-    seen_fail = False
-    for r in ordered:
-        if not r.graphs_exist:
-            seen_fail = True
-        elif seen_fail:
-            monotone = False
+    # monotone: in beta order, no existing record follows a non-existing one
+    exist = [r.graphs_exist for r in sorted(records, key=lambda r: r.beta)]
     return BisectionTrace(
         brackets=brackets,
         records=records,
-        beta_c=0.5 * (lo + hi),
+        beta_c=0.5 * sum(brackets[-1]),
         tol=tol_beta,
-        predicate_monotone=monotone,
+        predicate_monotone=exist == sorted(exist, reverse=True),
     )
 
 
@@ -199,8 +159,7 @@ def _section_min_image(family, beta, rho_v, grid_n, x_start, cfg):
     smap = SectionMap(family, beta, rho_v, cfg)
     d = rho_v.D - 1
     nodes = _grid_nodes((grid_n,) * d, d)
-    res = smap.step(nodes, np.full(len(nodes), float(x_start)), channels="x",
-                    reuse_h=False)
+    res = smap.step(nodes, np.full(len(nodes), float(x_start)), channels="x")
     vals = res.y[0].copy()
     if res.escaped.any():
         esc = res.escaped
@@ -241,20 +200,32 @@ def estimate_beta_bounds(family: RadialLogistic, rho, grid_n: int,
     return BetaBounds(beta_minus, beta_plus, minus_fired, plus_fired, c, tol_beta)
 
 
+def _bisect(holds, lo, hi, tol):
+    """Halve [lo, hi], where holds(lo) and not holds(hi), to width tol.
+
+    Returns every bracket from (lo, hi) on; the last one straddles the switch.
+    Stops early once the midpoint no longer splits the bracket in floats.
+    """
+    brackets = [(lo, hi)]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+        brackets.append((lo, hi))
+    return brackets
+
+
 def _first_true(pred, lo, hi, tol):
     """Smallest beta with pred true, assuming monotone [false..., true...]."""
     if pred(lo):
         return lo, True
     if not pred(hi):
         return hi, False
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if pred(mid):
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b), True
+    return 0.5 * sum(_bisect(lambda beta: not pred(beta), lo, hi, tol)[-1]), True
 
 
 def _last_true(pred, lo, hi, tol):
@@ -263,14 +234,7 @@ def _last_true(pred, lo, hi, tol):
         return lo, False
     if pred(hi):
         return hi, False  # never stops holding inside the range
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if pred(mid):
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b), True
+    return 0.5 * sum(_bisect(pred, lo, hi, tol)[-1]), True
 
 
 def _normalize_fibre(points: np.ndarray) -> np.ndarray:
@@ -348,20 +312,15 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
     attractor_finest = None
     for eps in epsilons_ladder:
         beta = beta_c - eps
-        att = pullback_attractor(family, beta, rho_v, grid_n, n_iter, cfg,
-                                 projection_tol=projection_tol)
-        rep = pushforward_repeller(family, beta, rho_v, grid_n, n_iter, cfg,
-                                   projection_tol=projection_tol)
-        if isinstance(att, Escaped) or isinstance(rep, Escaped):
+        pair = graph_pair(family, beta, rho_v, grid_n, n_iter, cfg, projection_tol)
+        if isinstance(pair, Escaped):
             raise BifurcationError(f"graphs do not exist at ladder point beta={beta}")
-        if not (att.converged and rep.converged):
+        if not pair.converged:
             raise BifurcationError(f"unconverged graphs at ladder point beta={beta}")
-        gap = att.values - rep.values
-        gap_min, gap_median = float(gap.min()), float(np.median(gap))
-        lam = _graph_lambda(family, beta, rho_v, att, cfg)
-        ratio = gap_median / max(gap_min, 1e-15)
-        rungs.append(ClassifyRung(eps, beta, gap_min, gap_median, ratio, lam))
-        attractor_finest = att
+        lam = _graph_lambda(family, beta, rho_v, pair.attractor, cfg)
+        ratio = pair.gap_median / max(pair.gap_min, 1e-15)
+        rungs.append(ClassifyRung(eps, beta, pair.gap_min, pair.gap_median, ratio, lam))
+        attractor_finest = pair.attractor
 
     # dimension evidence on the flow-lifted attractor (the object whose box
     # dimension tends to D + 1 at the collision): a section graph below the

@@ -38,14 +38,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .fields import Cos11
 from .flow import FlowBlowUp, FlowEscape, integrate
 from .fractal import box_count, default_epsilons, graph_point_cloud
-from .graphs import (
-    Escaped,
-    gap_stats,
-    lift_graph,
-    make_pair,
-    pullback_attractor,
-    pushforward_repeller,
-)
+from .graphs import Escaped, GraphPair, gap_stats, graph_pair, lift_graph
 from .section import lyapunov_relation_check
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -122,23 +115,17 @@ def write_json(path: str, cfg: ExperimentConfig, command: str, payload: dict) ->
 # ------------------------------------------------------------ helpers
 
 
-def _graphs_or_fail(cfg: ExperimentConfig, beta: float):
-    att = pullback_attractor(cfg.family, beta, cfg.rho, cfg.grid_n, cfg.n_iter,
-                             cfg.integrator, projection_tol=cfg.projection_tol,
-                             section_offset=cfg.section_offset)
-    if isinstance(att, Escaped):
-        raise NumericalFailure(f"attractor escaped at beta={beta}")
-    rep = pushforward_repeller(cfg.family, beta, cfg.rho, cfg.grid_n, cfg.n_iter,
-                               cfg.integrator, projection_tol=cfg.projection_tol,
-                               section_offset=cfg.section_offset)
-    if isinstance(rep, Escaped):
-        raise NumericalFailure(f"repeller escaped at beta={beta}")
-    if not (att.converged and rep.converged):
+def _graphs_or_fail(cfg: ExperimentConfig, beta: float) -> GraphPair:
+    pair = graph_pair(cfg.family, beta, cfg.rho, cfg.grid_n, cfg.n_iter, cfg.integrator,
+                      cfg.projection_tol)
+    if isinstance(pair, Escaped):
+        raise NumericalFailure(f"{pair.role} escaped at beta={beta}")
+    if not pair.converged:
         raise NumericalFailure(
-            f"graphs did not converge at beta={beta} "
-            f"(sup-changes {att.sup_change:.3g}, {rep.sup_change:.3g})"
+            f"graphs did not converge at beta={beta} (sup-changes "
+            f"{pair.attractor.sup_change:.3g}, {pair.repeller.sup_change:.3g})"
         )
-    return att, rep
+    return pair
 
 
 def _beta_or_fail(cfg: ExperimentConfig) -> float:
@@ -177,14 +164,12 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> None:
 
 def cmd_graphs(cfg: ExperimentConfig, out: str) -> None:
     beta = _beta_or_fail(cfg)
-    att, rep = _graphs_or_fail(cfg, beta)
-    try:
-        # near a collision the measured graphs may interlace within their
-        # own defects; beyond that the pair is inconsistent
-        pair = make_pair(att, rep,
-                         order_tol=max(1e-9, 2.0 * (att.defect + rep.defect)))
-    except ValueError as exc:
-        raise NumericalFailure(str(exc)) from exc
+    pair = _graphs_or_fail(cfg, beta)
+    att, rep = pair.attractor, pair.repeller
+    # near a collision the measured graphs may interlace within their own
+    # defects; beyond that the pair is inconsistent
+    if pair.gap_min < -max(1e-9, 2.0 * (att.defect + rep.defect)):
+        raise NumericalFailure(f"ordering violated by {-pair.gap_min}")
     axes = _grid_axes(att.values)
     d = att.d
     theta_headers = [f"theta_{i + 1}" for i in range(d)]
@@ -246,9 +231,9 @@ def cmd_classify(cfg: ExperimentConfig, out: str) -> None:
 
 def cmd_lyapunov(cfg: ExperimentConfig, out: str) -> None:
     beta = _beta_or_fail(cfg)
-    att, rep = _graphs_or_fail(cfg, beta)
+    pair = _graphs_or_fail(cfg, beta)
     payload = {"beta": beta}
-    for name, graph in (("attractor", att), ("repeller", rep)):
+    for name, graph in (("attractor", pair.attractor), ("repeller", pair.repeller)):
         flow_l, map_l, resid = lyapunov_relation_check(
             cfg.family, beta, cfg.rho, graph, cfg.integrator,
             defect_tol=max(1e-6, 4.0 * graph.defect),
@@ -267,11 +252,12 @@ def cmd_boxdim(cfg: ExperimentConfig, out: str) -> None:
     opts = cfg.extras.get("boxdim", {})
     target = opts.get("target", "attractor")
     n_points = opts.get("n_points", 100_000)
-    att, rep = _graphs_or_fail(cfg, beta)
+    pair = _graphs_or_fail(cfg, beta)
     if target == "lift":
-        graph = lift_graph(cfg.family, beta, cfg.rho, att, cfg.lift_grid, cfg.integrator)
+        graph = lift_graph(cfg.family, beta, cfg.rho, pair.attractor, cfg.lift_grid,
+                           cfg.integrator)
     else:
-        graph = att if target == "attractor" else rep
+        graph = pair.attractor if target == "attractor" else pair.repeller
     pows = opts.get("epsilons_pow")
     if pows is None:
         eps = default_epsilons() if target != "lift" else default_epsilons(9)
@@ -344,10 +330,10 @@ def cmd_figure1(cfg: ExperimentConfig, out: str) -> None:
     if not isinstance(cfg.family, Cos11):
         raise ConfigError("family.kind: figure1 requires the cos11 family")
     beta = cfg.beta if cfg.beta is not None else FIGURE1["beta"]
-    att, rep = _graphs_or_fail(cfg, beta)
+    pair = _graphs_or_fail(cfg, beta)
     lifts = {
-        "attractor": lift_graph(cfg.family, beta, cfg.rho, att, cfg.lift_grid, cfg.integrator),
-        "repeller": lift_graph(cfg.family, beta, cfg.rho, rep, cfg.lift_grid, cfg.integrator),
+        name: lift_graph(cfg.family, beta, cfg.rho, graph, cfg.lift_grid, cfg.integrator)
+        for name, graph in (("attractor", pair.attractor), ("repeller", pair.repeller))
     }
     n = cfg.lift_grid
     th1 = np.repeat(np.arange(n) / n, n)

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
+from .audit import delta1_max, gate_exponent
 from .bifurcation import ClassifyThresholds
 from .fields import (
     AutonomousRiccati,
@@ -69,8 +70,32 @@ def _vec(v, path: str, length=None):
     return [float(x) for x in v]
 
 
+def _known(d: dict, path: str, keys) -> None:
+    """Reject keys outside ``keys``: a misspelt key would silently fall back to its default."""
+    for key in d:
+        if key not in keys:
+            raise ConfigError(f"{path}{key}: unknown key (known: {', '.join(sorted(keys))})")
+
+
+FAMILY_KEYS = {
+    "radial_logistic": ("b", "bump_radius", "center"),
+    "cos11": ("b",),
+    "logistic_harvest": ("b", "r", "bump_radius", "center"),
+    "autonomous_riccati": ("a2", "a0", "beta_slope", "beta_power", "dim"),
+}
+INTEGRATOR_KEYS = ("method", "rel_tol", "abs_tol", "max_step", "escape", "rk4_step")
+TOP_KEYS = ("seed", "rho", "family", "integrator", "grid_n", "n_iter", "projection_tol",
+            "lift_grid", "beta", "beta_range", "tol_beta", "out_dir", "threads",
+            "simulate", "boxdim", "audit", "classify")
+
+
 def build_family(d: dict, path: str = "family") -> ForcedField:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object")
     kind = _need(d, "kind", path)
+    if not isinstance(kind, str) or kind not in FAMILY_KEYS:
+        raise ConfigError(f"{path}.kind: unknown family {kind!r}")
+    _known(d, f"{path}.", ("kind", "beta_range") + FAMILY_KEYS[kind])
     beta_range = tuple(_vec(d.get("beta_range", [0.0, 1.0]), f"{path}.beta_range", 2))
     try:
         if kind == "radial_logistic":
@@ -102,10 +127,12 @@ def build_family(d: dict, path: str = "family") -> ForcedField:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown family {kind!r}")
 
 
 def build_integrator(d: dict, family: ForcedField, path: str = "integrator") -> IntegratorConfig:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object")
+    _known(d, f"{path}.", INTEGRATOR_KEYS)
     escape = d.get("escape")
     if escape is None:
         escape = list(family.default_escape())
@@ -164,8 +191,25 @@ def _thresholds(v, path: str) -> dict:
     return {key: _num(x, f"{path}.{key}") for key, x in v.items()}
 
 
-def _extras(d: dict, family: ForcedField) -> dict:
-    """Validate the subcommand blocks; keys not listed here pass through unchecked."""
+def _inside(v, path: str, lo: float, hi: float) -> float:
+    v = _num(v, path)
+    if not lo < v < hi:
+        raise ConfigError(f"{path}: must lie in ({lo:.6g}, {hi:.6g}), got {v}")
+    return v
+
+
+def _audit_bounds(block: dict) -> None:
+    """The audit block's cross-field bounds, so they fail before any integration."""
+    if "delta1" in block and "delta2" in block and block["delta2"] >= block["delta1"]:
+        raise ConfigError(f"audit.delta2: must be below delta1, got {block['delta2']}")
+    K, p = block.get("K", 50), block.get("p", 2.0)  # run_audit's defaults
+    if gate_exponent(K, p) <= 0.0:
+        raise ConfigError(f"audit.{'K' if 'K' in block else 'p'}: K = {K} and p = {p} make "
+                          "the gate exponent 2q^2/p - 5(1-q^2)p, q = 1 - 1/K, not positive")
+
+
+def _extras(d: dict, family: ForcedField, rho_D: float) -> dict:
+    """Validate the subcommand blocks, which take only the keys listed here."""
     schema = {
         "simulate": {
             "theta0": lambda v, p: _vec(v, p, family.D),
@@ -180,14 +224,14 @@ def _extras(d: dict, family: ForcedField) -> dict:
             "normalize_fibre": _bool,
         },
         "audit": {
-            "c": _num,
-            "delta1": _num,
-            "delta2": _num,
+            "c": lambda v, p: _inside(v, p, 0.0, 0.25),
+            "delta1": lambda v, p: _inside(v, p, 0.0, delta1_max(rho_D)),
+            "delta2": lambda v, p: _num(v, p, positive=True),
             "beta_grid": _vec,
             "sample_n": lambda v, p: _int(v, p, lo=1),
             "K": lambda v, p: _int(v, p, lo=1),
-            "M": lambda v, p: _int(v, p, lo=1),
-            "p": _num,
+            "M": lambda v, p: _int(v, p, lo=2),
+            "p": lambda v, p: _num(v, p, lo=math.sqrt(2.0)),
             "eta": _num,
             "C_prime": lambda v, p: None if v is None else _num(v, p),
         },
@@ -200,8 +244,10 @@ def _extras(d: dict, family: ForcedField) -> dict:
         block = d[name]
         if not isinstance(block, dict):
             raise ConfigError(f"{name}: expected an object")
-        extras[name] = {key: checks[key](v, f"{name}.{key}") if key in checks else v
-                        for key, v in block.items()}
+        _known(block, f"{name}.", checks)
+        extras[name] = {key: checks[key](v, f"{name}.{key}") for key, v in block.items()}
+    if "audit" in extras:
+        _audit_bounds(extras["audit"])
     return extras
 
 
@@ -221,7 +267,6 @@ class ExperimentConfig:
     tol_beta: float = 1e-3
     out_dir: str = "out"
     threads: int = 1
-    section_offset: float = 0.0
     extras: dict = field(default_factory=dict)
 
     @property
@@ -237,10 +282,15 @@ def canonical_hash(raw: dict) -> str:
 def load_config(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ConfigError(": top-level config must be a JSON object")
+    _known(d, "", TOP_KEYS)
     family = build_family(_need(d, "family", ""), "family")
     rho = _vec(_need(d, "rho", ""), "rho")
     if len(rho) != family.D:
         raise ConfigError(f"rho: needs {family.D} components for this family")
+    # the section return time is 1/rho_D, and the section shift needs rho_D dominant
+    if not (0.0 < rho[-1] < math.inf and all(abs(r) <= rho[-1] for r in rho)):
+        raise ConfigError(f"rho: the last component must be positive and at least as "
+                          f"large in magnitude as every other, got {rho}")
     integrator = build_integrator(d.get("integrator", {}), family)
     beta = d.get("beta")
     beta_range = d.get("beta_range")
@@ -260,11 +310,16 @@ def load_config(d: dict) -> ExperimentConfig:
         tol_beta=_num(d.get("tol_beta", 1e-3), "tol_beta", positive=True),
         out_dir=str(d.get("out_dir", "out")),
         threads=_int(d.get("threads", 1), "threads", lo=1),
-        section_offset=_num(d.get("section_offset", 0.0), "section_offset"),
-        extras=_extras(d, family),
+        extras=_extras(d, family, rho[-1]),
     )
-    if cfg.beta is not None:
-        lo, hi = family.beta_range
-        if not lo <= cfg.beta <= hi:
-            raise ConfigError(f"beta: {cfg.beta} outside the family's range [{lo}, {hi}]")
+    lo, hi = family.beta_range
+    if cfg.beta is not None and not lo <= cfg.beta <= hi:
+        raise ConfigError(f"beta: {cfg.beta} outside the family's range [{lo}, {hi}]")
+    if cfg.beta_range is not None:
+        b_lo, b_hi = cfg.beta_range
+        if not b_lo < b_hi:
+            raise ConfigError(f"beta_range: must be increasing, got [{b_lo}, {b_hi}]")
+        if not (lo <= b_lo and b_hi <= hi):
+            raise ConfigError(f"beta_range: [{b_lo}, {b_hi}] outside the family's "
+                              f"range [{lo}, {hi}]")
     return cfg

@@ -110,8 +110,10 @@ def graph_point_cloud(family: ForcedField, beta: float, rho, graph, n_points: in
     """Sample (theta, x) along ergodic orbits on an invariant graph.
 
     For a section graph the orbit theta -> theta + omega is iterated with the
-    true fibre maps (reversed maps for a repeller), seeded on the graph, so the
-    points reach structure finer than the grid. For a LiftedGraph the section
+    true fibre maps (reversed maps for a repeller), seeded on the trapping
+    boundary; burn-in contracts the orbits onto the graph, so the points reach
+    structure finer than the grid. Of the graph only ``role``, ``d`` and
+    ``converged`` are read, not its values. For a LiftedGraph the section
     cloud is flowed to LIFT_PHASES stratified phases, yielding points in
     T^D x R. Returns an (n_points, dim) array.
     """

@@ -32,6 +32,7 @@ __all__ = [
     "LyapunovEstimate",
     "pullback_attractor",
     "pushforward_repeller",
+    "graph_pair",
     "make_pair",
     "gap_stats",
     "lyapunov_of_graph",
@@ -80,6 +81,10 @@ class GraphPair:
     gap_median: float
     gap_max: float
     argmin_theta: np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        return self.attractor.converged and self.repeller.converged
 
 
 @dataclass
@@ -182,8 +187,7 @@ class _SweepState:
 
 def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
               cfg: IntegratorConfig, role: str, stop_tol: float,
-              projection_tol: float | None, x_start,
-              section_offset: float = 0.0) -> GraphSample | Escaped:
+              projection_tol: float | None, x_start) -> GraphSample | Escaped:
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
     if n_iter < 1:
@@ -191,8 +195,7 @@ def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
     reverse = role == "repeller"
     rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
     d = rho_v.D - 1
-    smap = SectionMap(family, beta, rho_v, cfg, reverse=reverse,
-                      section_offset=section_offset)
+    smap = SectionMap(family, beta, rho_v, cfg, reverse=reverse)
     lo, hi = family.section_bounds()
     if x_start is None:
         x_start = lo if reverse else hi
@@ -249,8 +252,8 @@ def _pullback_scalar(family, beta, smap, grid_n, n_iter, role, stop_tol,
 
 def pullback_attractor(family: ForcedField, beta: float, rho, grid_n: int,
                        n_iter: int, cfg: IntegratorConfig, stop_tol: float = STOP_TOL,
-                       projection_tol: float | None = None, x_start=None,
-                       section_offset: float = 0.0) -> GraphSample | Escaped:
+                       projection_tol: float | None = None,
+                       x_start=None) -> GraphSample | Escaped:
     """Attracting graph as the pullback limit from the upper section boundary.
 
     Returns Escaped as soon as any node leaves the escape window (no invariant
@@ -259,16 +262,36 @@ def pullback_attractor(family: ForcedField, beta: float, rho, grid_n: int,
     ``stop_tol``; the default requires the full 1e-12 sweep change.
     """
     return _pullback(family, beta, rho, grid_n, n_iter, cfg, "attractor",
-                     stop_tol, projection_tol, x_start, section_offset)
+                     stop_tol, projection_tol, x_start)
 
 
 def pushforward_repeller(family: ForcedField, beta: float, rho, grid_n: int,
                          n_iter: int, cfg: IntegratorConfig, stop_tol: float = STOP_TOL,
-                         projection_tol: float | None = None, x_start=None,
-                         section_offset: float = 0.0) -> GraphSample | Escaped:
+                         projection_tol: float | None = None,
+                         x_start=None) -> GraphSample | Escaped:
     """Repelling graph: pullback of the reversed flow from the lower boundary."""
     return _pullback(family, beta, rho, grid_n, n_iter, cfg, "repeller",
-                     stop_tol, projection_tol, x_start, section_offset)
+                     stop_tol, projection_tol, x_start)
+
+
+def graph_pair(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
+               cfg: IntegratorConfig,
+               projection_tol: float | None = None) -> GraphPair | Escaped:
+    """Both invariant graphs at one parameter, or the first pullback that escaped.
+
+    The repeller runs only when the attractor stayed in the section. No
+    ordering gate is applied: near the collision the measured graphs may
+    interlace within their resolution, so callers judge the gap themselves.
+    """
+    att = pullback_attractor(family, beta, rho, grid_n, n_iter, cfg,
+                             projection_tol=projection_tol)
+    if isinstance(att, Escaped):
+        return att
+    rep = pushforward_repeller(family, beta, rho, grid_n, n_iter, cfg,
+                               projection_tol=projection_tol)
+    if isinstance(rep, Escaped):
+        return rep
+    return make_pair(att, rep, order_tol=math.inf)
 
 
 def make_pair(attractor: GraphSample, repeller: GraphSample,
@@ -315,7 +338,7 @@ def lyapunov_of_graph(family: ForcedField, beta: float, rho, graph: GraphSample,
     rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
     smap = SectionMap(family, beta, rho_v, cfg)
     nodes = _grid_nodes(graph.values.shape, graph.d)
-    res = smap.step(nodes, graph.values.ravel(), channels="xl", reuse_h=False)
+    res = smap.step(nodes, graph.values.ravel(), channels="xl")
     if res.escaped.any():
         raise FlowEscape("graph escaped while measuring its exponent")
     lam_map = float(np.mean(res.y[1]))

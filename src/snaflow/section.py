@@ -1,7 +1,7 @@
 """First return map to the section theta_D = 0 and the flow/map exponent relation.
 
 The return map evaluates the flow for one return time 1/rho_D from a base
-point (theta, section_offset) on T^D; the section coordinate advances by
+point (theta, 0) on T^D; the section coordinate advances by
 omega = (rho_1, ..., rho_d)/rho_D. Its inverse integrates the reversed field
 along -rho for the same duration. Derivative channels are exactly the
 variational-flow channels at t = 1/rho_D (same code path).
@@ -60,7 +60,7 @@ class SectionMap:
     """
 
     def __init__(self, family: ForcedField, beta: float, rho, cfg: IntegratorConfig,
-                 reverse: bool = False, section_offset: float = 0.0):
+                 reverse: bool = False):
         family.check_beta(beta)
         self.family = family
         self.beta = float(beta)
@@ -69,7 +69,6 @@ class SectionMap:
             raise ValueError(f"rho has {self.rho.D} components but the family lives on T^{family.D}")
         self.cfg = cfg
         self.reverse = bool(reverse)
-        self.section_offset = float(section_offset)
         freq = induce_frequency(self.rho)
         self.return_time = freq.return_time
         self.omega = freq.omega
@@ -80,13 +79,10 @@ class SectionMap:
 
     def base_points(self, theta_sec: np.ndarray) -> np.ndarray:
         theta_sec = np.atleast_2d(np.asarray(theta_sec, dtype=float))
-        n = theta_sec.shape[0]
-        col = np.full((n, 1), self.section_offset)
-        return np.concatenate([theta_sec, col], axis=1)
+        return np.concatenate([theta_sec, np.zeros((theta_sec.shape[0], 1))], axis=1)
 
-    def step(self, theta_sec, x, channels: str = "x", direction=None,
-             reuse_h: bool = True) -> FlowBatchResult:
-        """Evaluate the fibre maps at (theta_sec, x); batch over rows."""
+    def step(self, theta_sec, x, channels: str = "x", direction=None) -> FlowBatchResult:
+        """Evaluate the fibre maps at (theta_sec, x) from this map's last step size."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         base = self.base_points(theta_sec)
         if base.shape[0] != x.size:
@@ -94,7 +90,7 @@ class SectionMap:
         t = -self.return_time if self.reverse else self.return_time
         res = flow_batch(self.family, self.beta, self.rho, base, x, t, self.cfg,
                          channels=channels, direction=direction,
-                         h0=self._h0 if reuse_h else None)
+                         h0=self._h0)
         self._h0 = res.h_last
         return res
 
@@ -102,7 +98,7 @@ class SectionMap:
 def _one_return(smap: SectionMap, theta_sec, x: float, direction) -> ReturnMapEval:
     """One return of ``smap`` from (theta_sec, x) with all derivative channels."""
     th = np.atleast_1d(np.asarray(theta_sec, dtype=float))[None, :]
-    res = smap.step(th, [float(x)], channels="full", reuse_h=False,
+    res = smap.step(th, [float(x)], channels="full",
                     direction=unit_direction(direction, smap.family.D, section=True))
     y = [float(v) for v in res.y[:, 0]]
     esc = bool(res.escaped[0])
@@ -161,12 +157,12 @@ def lyapunov_relation_check(family: ForcedField, beta: float, rho, graph,
     smap = SectionMap(family, beta, rho_v, cfg)
     nodes = _grid_nodes(values.shape, d)
     flat = values.ravel()
-    if defect is None:
-        defect = graph_defect(smap, values)
+    if defect is None:  # on a map of its own: the exponent return starts afresh
+        defect = graph_defect(SectionMap(family, beta, rho_v, cfg), values)
     if defect > defect_tol:
         raise ValueError(f"input graph defect {defect} exceeds {defect_tol}")
 
-    res = smap.step(nodes, flat, channels="xl", reuse_h=False)
+    res = smap.step(nodes, flat, channels="xl")
     if res.escaped.any():
         raise FlowEscape("graph escaped during the map-exponent evaluation")
     lambda_map = float(np.mean(res.y[1]))

@@ -110,6 +110,20 @@ class TestConfigValidation:
         ("simulate", {"simulate": {"n_samples": "ten"}}, "simulate.n_samples"),
         ("audit", {"audit": {"delta1": "x", "delta2": 0.012}}, "audit.delta1"),
         ("classify", {"classify": {"thresholds": {"nope": 1}}}, "classify.thresholds.nope"),
+        ("graphs", {"rho": [3.14159, 0.618]}, "rho"),
+        ("simulate", {"rho": [0.618, -3.14159]}, "rho"),
+        ("lyapunov", {"rho": [0.618, 0]}, "rho"),
+        ("bifurcate", {"beta_range": [180, 170]}, "beta_range"),
+        ("bifurcate", {"family": {"kind": "cos11", "b": 100.0}, "beta_range": [170, 500]},
+         "beta_range"),
+        ("audit", {"audit": {"delta1": 0.5, "delta2": 0.012}}, "audit.delta1"),
+        ("audit", {"audit": {"M": 1}}, "audit.M"),
+        ("audit", {"audit": {"p": 1.0}}, "audit.p"),
+        ("audit", {"audit": {"K": 2}}, "audit.K"),
+        ("graphs", {"grid": 64}, "grid"),
+        ("boxdim", {"boxdim": {"n_point": 500}}, "boxdim.n_point"),
+        ("graphs", {"integrator": {"reltol": 1e-9}}, "integrator.reltol"),
+        ("graphs", {"section_offset": 0.3}, "section_offset"),
     ])
     def test_malformed_block_is_a_config_error(self, tmp_path, capsys, subcommand, block,
                                                path):

@@ -7,9 +7,11 @@ from snaflow.fields import BumpProfile, RadialLogistic
 from snaflow.flow import IntegratorConfig
 from snaflow.graphs import (
     Escaped,
+    GraphPair,
     GraphSample,
     _regrid,
     gap_stats,
+    graph_pair,
     interp_at_shift,
     lift_graph,
     lyapunov_of_graph,
@@ -91,6 +93,33 @@ class TestUnforcedGraphs:
                            att.iterations_used, True, att.grid_n, 0.0, 0.0)
         gmin, gmed, gmax, _ = gap_stats(make_pair(att, twin))
         assert (gmin, gmed, gmax) == (0.0, 0.0, 0.0)
+
+
+class TestGraphPair:
+    def test_unforced_pair_converges_with_gap_two(self):
+        pair = graph_pair(make_radial(), 0.0, RHO, 64, 200, CFG)
+        assert isinstance(pair, GraphPair)
+        assert pair.converged
+        assert pair.gap_min == pytest.approx(2.0, abs=1e-6)
+        assert pair.gap_median == pytest.approx(2.0, abs=1e-6)
+        assert pair.gap_max == pytest.approx(2.0, abs=1e-6)
+
+    def test_attractor_escape_skips_the_repeller(self, monkeypatch):
+        import snaflow.graphs as graphs
+
+        calls = []
+        original = graphs.pushforward_repeller
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "pushforward_repeller", counting)
+        fam, rho = crossing_family()
+        out = graph_pair(fam, 1.0, rho, 64, 2000, CFG)
+        assert isinstance(out, Escaped)
+        assert out.role == "attractor"
+        assert calls == []
 
 
 class TestForcedGraphs:
