@@ -303,6 +303,8 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> None:
         raise ConfigError(f"audit.{exc.args[0]}: required field missing") from exc
     except AttributeError as exc:
         raise ConfigError("audit: family must be radial_logistic") from exc
+    except AuditError as exc:  # the constants are checked before any integration
+        raise ConfigError(f"audit: {exc}") from exc
     report = run_audit(
         fam, cfg.rho, constants,
         beta_grid=opts.get("beta_grid", [0.0, 0.25, 0.5, 0.75]),

@@ -144,7 +144,7 @@ def build_integrator(d: dict, family: ForcedField, path: str = "integrator") -> 
         return IntegratorConfig(
             rel_tol=_num(d.get("rel_tol", 1e-10), f"{path}.rel_tol", lo=0.0),
             abs_tol=_num(d.get("abs_tol", 1e-12), f"{path}.abs_tol", lo=0.0),
-            max_step=_num(d.get("max_step", math.inf), f"{path}.max_step", lo=0.0)
+            max_step=_num(d.get("max_step", math.inf), f"{path}.max_step", positive=True)
             if d.get("max_step") is not None else math.inf,
             escape_low=escape[0],
             escape_high=escape[1],

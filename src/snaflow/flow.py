@@ -15,6 +15,15 @@ like exp(+-2b(1+c)/rho_D); the two second derivatives involving d_x are stored
 as ratios to dx_xi for the same reason. Reversed flow (negative t_final)
 integrates the negated field along -rho, which is the exact inverse flow.
 
+A fourth channel set, ``"mobius"``, integrates the fundamental matrix P of the
+trace-free linear system whose projective action is the Riccati field,
+
+    (p, q)' = [[a1/2, c(t)], [-a2, -a1/2]] (p, q),  c(t) = a0 - beta^p scale g,
+    y = (P11, P12, P21, P22),  P(0) = I,
+
+so x = p/q flows to (P11 x + P12)/(P21 x + P22) and det P = 1. Its escape
+window is unbounded: the window bounds x, not p or q.
+
 Two drivers share the Dormand-Prince 5(4) tableau: a numpy driver over a
 batch of trajectories with one shared adaptive step (the error norm is taken
 over the whole batch), and a plain-float driver used for theta-independent
@@ -98,6 +107,8 @@ class IntegratorConfig:
             raise ValueError("escape window must satisfy escape_low < escape_high")
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
+        if not self.max_step > 0.0:
+            raise ValueError("max_step must be positive")
         if self.method == "rk4" and not self.rk4_step > 0.0:
             raise ValueError("rk4_step must be positive")
 
@@ -142,7 +153,7 @@ class FlowBatchResult:
     n_steps: int
 
 
-_CHANNEL_COUNT = {"x": 1, "xl": 2, "full": 6}
+_CHANNEL_COUNT = {"x": 1, "xl": 2, "full": 6, "mobius": 4}
 
 
 def _batch_rhs(family: ForcedField, beta: float, theta0: np.ndarray, rho: np.ndarray,
@@ -156,6 +167,17 @@ def _batch_rhs(family: ForcedField, beta: float, theta0: np.ndarray, rho: np.nda
     """
     sgn = -1.0 if reverse else 1.0
     rho_eff = sgn * rho
+    if channels == "mobius":
+        half_a1, minus_a2 = 0.5 * sgn * family.a1, -sgn * family.a2
+        a0, s = sgn * family.a0, sgn * family.forcing_scale(beta)
+        shape_g = family.shape.g
+
+        def rhs(t, y):
+            c = a0 - s * shape_g(theta0 + t * rho_eff)
+            p1, p2, q1, q2 = y
+            return np.stack([half_a1 * p1 + c * q1, half_a1 * p2 + c * q2,
+                             minus_a2 * p1 - half_a1 * q1, minus_a2 * p2 - half_a1 * q2])
+        return rhs
     poly, dpoly = family.polynomial(sgn)
     two_a2 = 2.0 * sgn * family.a2
     c = sgn * family.forcing_scale(beta)
@@ -450,7 +472,9 @@ def flow_batch(family: ForcedField, beta: float, rho, theta0, x0, t_final: float
     """Integrate a batch of fibres from t = 0 to t_final (may be negative).
 
     ``theta0`` is (n, D) on T^D, ``x0`` is (n,). Channel values of escaped
-    trajectories are frozen at the step where the window was left.
+    trajectories are frozen at the step where the window was left. The
+    ``"mobius"`` channels start from the identity matrix and never escape;
+    ``x0`` then only sizes the batch.
     """
     family.check_beta(beta)
     rho_v = _as_rho(rho)
@@ -461,7 +485,11 @@ def flow_batch(family: ForcedField, beta: float, rho, theta0, x0, t_final: float
         raise ValueError("theta0 must have shape (n, D) matching x0 and rho")
     m = _CHANNEL_COUNT[channels]
     y0 = np.zeros((m, n))
-    y0[0] = x0
+    if channels == "mobius":
+        y0[0] = y0[3] = 1.0
+        cfg = cfg.with_escape(-math.inf, math.inf)
+    else:
+        y0[0] = x0
     reverse = t_final < 0.0
     span = abs(t_final)
     if span == 0.0:

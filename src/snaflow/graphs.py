@@ -10,6 +10,17 @@ for the reversed flow started on the lower boundary.
 Values live on a regular d-dimensional grid; the irrational shift never lands
 on nodes, so each sweep ends with a multilinear resample (fixed roll weights,
 since the shift is uniform across the grid).
+
+The fibre maps do not change from sweep to sweep. Each is the projective
+action x -> (P11 x + P12)/(P21 x + P22), det P = 1, of the trace-free linear
+system behind the Riccati field (see ``flow``), so a pullback integrates the
+ODE once: ``SectionMap.mobius_table`` tabulates P at every node over
+S = ceil(T max ||A||_F / pi) + 1 sub-returns (``SectionMap.sub_returns``), and
+every sweep applies those S Möbius maps in sequence. A lane escapes when
+q = P21 x + P22 <= 0 in some sub-return (its orbit passed through x = infinity;
+with (p, q) turning by less than pi per sub-return, at most once) or when x
+lies outside the escape window at a sub-return end. theta-independent
+families keep the plain-float ODE path.
 """
 from __future__ import annotations
 
@@ -21,7 +32,7 @@ import numpy as np
 
 from .fields import ForcedField
 from .flow import FlowEscape, IntegratorConfig, flow_batch
-from .section import SectionMap, _grid_nodes, graph_defect
+from .section import SectionMap, _grid_nodes
 from .torus import RotationVector, wrap_unit
 
 __all__ = [
@@ -185,9 +196,31 @@ class _SweepState:
         return self.deltas[-1] * r / (1.0 - r)
 
 
+def _mobius_sweep(table: np.ndarray, x: np.ndarray, cfg: IntegratorConfig):
+    """Apply the (S, 4, n) Möbius table to x: (image, escaped) per lane.
+
+    A lane escapes when q = P21 x + P22 <= 0 in some sub-return, or when x
+    lies outside [escape_low, escape_high] at a sub-return end.
+    """
+    escaped = np.zeros(x.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p11, p12, p21, p22 in table:
+            q = p21 * x + p22
+            x = (p11 * x + p12) / q
+            escaped |= (q <= 0.0) | (x < cfg.escape_low) | (x > cfg.escape_high)
+    return x, escaped
+
+
 def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
               cfg: IntegratorConfig, role: str, stop_tol: float,
               projection_tol: float | None, x_start) -> GraphSample | Escaped:
+    """Sweep the grid with the node Möbius table until the sweep change settles.
+
+    The table is integrated once (one ``flow_batch`` call); sweeps and the
+    defect, the return at the nodes against ``interp_at_shift``, run on it.
+    Escape rule (see the module docstring): q <= 0 in a sub-return, or x
+    outside the escape window at a sub-return end.
+    """
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
     if n_iter < 1:
@@ -206,22 +239,24 @@ def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
 
     shape = (grid_n,) * d
     nodes = _grid_nodes(shape, d)
+    table = smap.mobius_table(nodes)
     v = np.broadcast_to(np.asarray(x_start, dtype=float), shape).copy()
     sweep = _SweepState()
     for k in range(1, n_iter + 1):
-        res = smap.step(nodes, v.ravel(), channels="x")
-        if res.escaped.any():
-            bad = int(np.argmax(res.escaped))
-            return Escaped(role, beta, k, int(res.escaped.sum()), nodes[bad])
-        w = res.y[0].reshape(shape)
-        v_new = resample_shifted_values(w, smap.shift)
+        w, escaped = _mobius_sweep(table, v.ravel(), cfg)
+        if escaped.any():
+            bad = int(np.argmax(escaped))
+            return Escaped(role, beta, k, int(escaped.sum()), nodes[bad])
+        v_new = resample_shifted_values(w.reshape(shape), smap.shift)
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         sweep.record(delta)
         if sweep.done(stop_tol, projection_tol):
             break
     converged = sweep.done(stop_tol, projection_tol)
-    defect = graph_defect(smap, v)
+    w, escaped = _mobius_sweep(table, v.ravel(), cfg)
+    defect = (math.inf if escaped.any() else
+              float(np.max(np.abs(w.reshape(shape) - interp_at_shift(v, smap.shift)))))
     return GraphSample(v, role, defect, sweep.count, converged, grid_n, beta, delta)
 
 

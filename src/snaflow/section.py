@@ -94,6 +94,40 @@ class SectionMap:
         self._h0 = res.h_last
         return res
 
+    def sub_returns(self) -> int:
+        """S = ceil(T max_theta ||A||_F / pi) + 1 sub-returns per Möbius table.
+
+        A = [[a1/2, c], [-a2, -a1/2]] with |c| <= max(|a0|, |a0 - beta^p scale|),
+        since every forcing shape has g in [0, 1]. (p, q) then turns by less
+        than pi in each sub-return, and every sub-return matrix entry stays
+        below e^pi.
+        """
+        fam = self.family
+        c_max = max(abs(fam.a0), abs(fam.a0 - fam.forcing_scale(self.beta)))
+        norm = math.sqrt(0.5 * fam.a1 * fam.a1 + c_max * c_max + fam.a2 * fam.a2)
+        return math.ceil(self.return_time * norm / math.pi) + 1
+
+    def mobius_table(self, theta_sec) -> np.ndarray:
+        """Transfer matrices of the fibre maps at ``theta_sec``, shape (S, 4, n).
+
+        Row s holds (P11, P12, P21, P22) of sub-return s, the flow's
+        ``"mobius"`` channels over [s T/S, (s+1) T/S]; this map's fibre map
+        at theta is x -> (P11 x + P12)/(P21 x + P22) applied for s = 0..S-1.
+        The flow is autonomous on T^D x R, so sub-return s starts at the base
+        point moved along rho by s T/S, and all S x n lanes integrate in one
+        batch over T/S: one step sequence, no restarts.
+        """
+        S = self.sub_returns()
+        seg = self.return_time / S
+        sgn = -1.0 if self.reverse else 1.0
+        base = self.base_points(theta_sec)
+        n = base.shape[0]
+        offsets = (sgn * seg * np.arange(S))[:, None, None] * self.rho.rho
+        starts = (base[None, :, :] + offsets).reshape(S * n, -1)
+        res = flow_batch(self.family, self.beta, self.rho, starts, np.ones(S * n),
+                         sgn * seg, self.cfg, channels="mobius")
+        return res.y.reshape(4, S, n).transpose(1, 0, 2)
+
 
 def _one_return(smap: SectionMap, theta_sec, x: float, direction) -> ReturnMapEval:
     """One return of ``smap`` from (theta_sec, x) with all derivative channels."""
@@ -199,8 +233,8 @@ def lyapunov_relation_check(family: ForcedField, beta: float, rho, graph,
 def graph_defect(smap: SectionMap, values: np.ndarray) -> float:
     """sup over nodes of |xi~(theta, v(theta)) - v(theta + shift)| by interpolation.
 
-    The return starts from the map's last step size, as each pullback sweep
-    does, so the pullback measures its defect with this function.
+    The return is one ODE integration from the map's last step size; the
+    pullback measures the same defect on its Möbius table.
     """
     from .graphs import interp_at_shift  # local import: graphs builds on section
 

@@ -124,6 +124,11 @@ class TestConfigValidation:
         ("boxdim", {"boxdim": {"n_point": 500}}, "boxdim.n_point"),
         ("graphs", {"integrator": {"reltol": 1e-9}}, "integrator.reltol"),
         ("graphs", {"section_offset": 0.3}, "section_offset"),
+        ("graphs", {"integrator": {"max_step": 0}}, "integrator.max_step"),
+        ("audit", {"family": {"kind": "radial_logistic", "b": 4.0, "bump_radius": 0.28,
+                              "center": [0.3, 0.1]},
+                   "audit": {"delta1": 0.008, "delta2": 0.004}},
+         "audit: bump straddles the section"),
     ])
     def test_malformed_block_is_a_config_error(self, tmp_path, capsys, subcommand, block,
                                                path):

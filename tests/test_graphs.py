@@ -7,6 +7,7 @@ from snaflow.fields import BumpProfile, RadialLogistic
 from snaflow.flow import IntegratorConfig
 from snaflow.graphs import (
     Escaped,
+    _mobius_sweep,
     GraphPair,
     GraphSample,
     _regrid,
@@ -186,6 +187,63 @@ class TestForcedGraphs:
         fam, rho = crossing_family()
         out = pullback_attractor(fam, 1.0, rho, 64, 2000, CFG)
         assert isinstance(out, Escaped)
+
+
+class TestMobiusSweeps:
+    def test_crossing_escapes_at_the_ode_sweep(self):
+        # the pullback that re-integrated the ODE every sweep escaped in
+        # sweep 1, at 8 nodes, first at theta = 0.1875
+        fam, rho = crossing_family()
+        out = pullback_attractor(fam, 1.0, rho, 64, 2000, CFG)
+        assert (out.iteration, out.n_escaped) == (1, 8)
+        assert out.theta_example[0] == 0.1875
+
+    def test_pole_crossing_inside_the_window_escapes(self):
+        # one sub-return turning (0, 1) clockwise by 3 pi / 4 to (1, -1)/sqrt 2:
+        # x passes through infinity and lands on -1, inside the window
+        phi = 0.75 * math.pi
+        table = np.array([[[math.cos(phi)], [math.sin(phi)],
+                           [-math.sin(phi)], [math.cos(phi)]]])
+        image, escaped = _mobius_sweep(table, np.array([0.0]), CFG)
+        assert image[0] == pytest.approx(-1.0)
+        assert CFG.escape_low < image[0] < CFG.escape_high
+        assert escaped[0]
+
+    def test_window_is_checked_at_sub_return_ends(self):
+        # two sub-returns: x -> x + 20, then x -> x - 20; x = 0 ends at 0 but
+        # sits at 20 > 10 in between
+        table = np.array([[[1.0], [20.0], [0.0], [1.0]], [[1.0], [-20.0], [0.0], [1.0]]])
+        image, escaped = _mobius_sweep(table, np.array([0.0]), CFG)
+        assert image[0] == 0.0 and escaped[0]
+
+    def test_no_ode_work_per_sweep(self, monkeypatch):
+        import snaflow.graphs as graphs
+        import snaflow.section as section
+
+        flow_calls, step_calls = [], []
+        original_flow, original_step = section.flow_batch, section.SectionMap.step
+
+        def counting_flow(*args, **kwargs):
+            flow_calls.append(kwargs.get("channels"))
+            return original_flow(*args, **kwargs)
+
+        def counting_step(self, *args, **kwargs):
+            step_calls.append(1)
+            return original_step(self, *args, **kwargs)
+
+        monkeypatch.setattr(section, "flow_batch", counting_flow)
+        monkeypatch.setattr(graphs, "flow_batch", counting_flow)
+        monkeypatch.setattr(section.SectionMap, "step", counting_step)
+        # never done: every pullback runs its full n_iter sweeps
+        monkeypatch.setattr(graphs._SweepState, "done", lambda self, *args: False)
+        counts = {}
+        for n_iter in (200, 400):
+            flow_calls.clear()
+            att = pullback_attractor(make_radial(), 0.2, RHO, 64, n_iter, CFG)
+            assert att.iterations_used == n_iter
+            counts[n_iter] = list(flow_calls)
+        assert counts[200] == counts[400] == ["mobius"]
+        assert step_calls == []
 
 
 class TestLyapunov:

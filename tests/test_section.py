@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from snaflow.fields import AutonomousRiccati, BumpProfile, RadialLogistic
+from snaflow.fields import AutonomousRiccati, BumpProfile, Cos11, LogisticHarvest, RadialLogistic
 from snaflow.flow import IntegratorConfig
-from snaflow.graphs import pullback_attractor
-from snaflow.section import inverse_return_map, lyapunov_relation_check, return_map
+from snaflow.graphs import _mobius_sweep, pullback_attractor
+from snaflow.section import (
+    SectionMap,
+    inverse_return_map,
+    lyapunov_relation_check,
+    return_map,
+)
 from snaflow.torus import RotationVector, induce_frequency
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -67,6 +72,35 @@ class TestReturnMap:
         assert ev.log_dx == res.y[1, 0]
         assert ev.dtheta == res.y[2, 0]
         assert ev.dtheta2 == res.y[5, 0]
+
+
+class TestMobiusTable:
+    # a1 != 0 for LogisticHarvest exercises the a1/2 terms of the linear system
+    @pytest.mark.parametrize("family, beta, cfg, x_range", [
+        (make_radial(), 0.3, CFG, (-1.0, 1.25)),
+        (Cos11(100.0), 176.01538, CFG.with_escape(-25.0, 25.0), (-10.0, 12.5)),
+        (LogisticHarvest(4.0, 2.0, BumpProfile(0.3), [0.5, 0.8]), 0.3, CFG, (0.0, 2.25)),
+    ])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_the_ode_return(self, family, beta, cfg, x_range, reverse):
+        rng = np.random.default_rng(11)
+        theta = rng.random((64, 1))
+        x = rng.uniform(*x_range, 64)
+        table = SectionMap(family, beta, RHO, cfg, reverse=reverse).mobius_table(theta)
+        det = table[:, 0] * table[:, 3] - table[:, 1] * table[:, 2]
+        assert np.max(np.abs(det - 1.0)) <= 1e-9
+        ode = SectionMap(family, beta, RHO, cfg, reverse=reverse).step(theta, x)
+        image, escaped = _mobius_sweep(table, x, cfg)
+        assert np.array_equal(escaped, ode.escaped)
+        ok = ~ode.escaped
+        assert ok.sum() >= 32
+        want = ode.y[0][ok]
+        assert np.all(np.abs(image[ok] - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
+
+    def test_sub_returns_of_the_figure_regime(self):
+        # T max||A||_F / pi = sqrt(100^2 + 1) / pi^2 = 10.13
+        smap = SectionMap(Cos11(100.0), 176.01538, RHO, CFG)
+        assert smap.sub_returns() == 12
 
 
 class TestInverseReturnMap:
