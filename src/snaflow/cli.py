@@ -153,8 +153,9 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> None:
     rows = []
     t_grid = np.linspace(0.0, t_final, n_samples + 1)
     state = None
-    for t in t_grid:
-        state = integrate(cfg.family, beta, cfg.rho, theta0, x0, float(t), cfg.integrator)
+    for t in t_grid:   # each sample continues the trajectory from the one before
+        state = integrate(cfg.family, beta, cfg.rho, theta0, x0, float(t), cfg.integrator,
+                          start=state)
         if state.escaped:
             raise NumericalFailure(f"trajectory escaped at t={state.escape_time}")
         rows.append((t, state.x, state.log_dx, state.dtheta, state.dtheta2))

@@ -474,22 +474,31 @@ def flow_batch(family: ForcedField, beta: float, rho, theta0, x0, t_final: float
     ``theta0`` is (n, D) on T^D, ``x0`` is (n,). Channel values of escaped
     trajectories are frozen at the step where the window was left. The
     ``"mobius"`` channels start from the identity matrix and never escape;
-    ``x0`` then only sizes the batch.
+    ``x0`` then only sizes the batch. A (channels, n) ``x0`` holds the start
+    values of every channel instead: a trajectory continues from a carried
+    state (its base point then belongs to ``theta0``).
     """
     family.check_beta(beta)
+    if channels not in _CHANNEL_COUNT:
+        raise ValueError(f"unknown channel set {channels!r}")
     rho_v = _as_rho(rho)
     theta0 = np.asarray(theta0, dtype=float)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    n = x0.size
-    if theta0.shape != (n, rho_v.size):
-        raise ValueError("theta0 must have shape (n, D) matching x0 and rho")
     m = _CHANNEL_COUNT[channels]
-    y0 = np.zeros((m, n))
+    x0 = np.asarray(x0, dtype=float)
+    carried = x0.ndim == 2
+    n = x0.shape[-1] if carried else np.atleast_1d(x0).size
+    if theta0.shape != (n, rho_v.size) or (carried and x0.shape[0] != m):
+        raise ValueError("theta0 must have shape (n, D) matching x0 and rho")
     if channels == "mobius":
-        y0[0] = y0[3] = 1.0
         cfg = cfg.with_escape(-math.inf, math.inf)
+    if carried:
+        y0 = x0.copy()
     else:
-        y0[0] = x0
+        y0 = np.zeros((m, n))
+        if channels == "mobius":
+            y0[0] = y0[3] = 1.0
+        else:
+            y0[0] = np.atleast_1d(x0)
     reverse = t_final < 0.0
     span = abs(t_final)
     if span == 0.0:
@@ -506,37 +515,46 @@ def flow_batch(family: ForcedField, beta: float, rho, theta0, x0, t_final: float
 
 
 def integrate(family: ForcedField, beta: float, rho, theta0, x0: float, t_final: float,
-              cfg: IntegratorConfig, direction=None) -> AugmentedFlowState:
+              cfg: IntegratorConfig, direction=None,
+              start: AugmentedFlowState | None = None) -> AugmentedFlowState:
     """Flow one fibre with all six augmented channels to t_final.
 
     Negative t_final integrates the reversed flow. On escape the returned
     state carries the first time x left [escape_low, escape_high]; for
     theta-independent families that time is refined by bisection.
+
+    ``start``, a state this function returned for the same (theta0, x0),
+    continues that integration from ``start.t`` instead of from t = 0. Each
+    channel obeys an ODE along the trajectory (the variational ones are
+    linear in their own values), so carrying all six is exact.
     """
     family.check_beta(beta)
-    reverse = t_final < 0.0
-    span = abs(t_final)
+    t0 = 0.0 if start is None else start.t
+    state0 = ([float(x0), 0.0, 0.0, 0.0, 0.0, 0.0] if start is None else
+              [start.x, start.log_dx, start.dtheta, start.dxx_ratio,
+               start.dtheta_dx_ratio, start.dtheta2])
+    reverse = t_final < t0
+    span = abs(t_final - t0)
     if span == 0.0:
-        return AugmentedFlowState(float(x0), 0.0, 0.0, 0.0, 0.0, 0.0, t=0.0)
+        return AugmentedFlowState(*state0, t=t_final)
     if family.theta_independent:
         rhs = _scalar_rhs(family, beta, "full", reverse)
-        y0 = [float(x0), 0.0, 0.0, 0.0, 0.0, 0.0]
         if cfg.method == "rk4":
-            y, ok, t_esc, _, _ = _rk4_scalar(rhs, 0.0, y0, span, cfg)
+            y, ok, t_esc, _, _ = _rk4_scalar(rhs, 0.0, state0, span, cfg)
         else:
-            y, ok, t_esc, _, _ = _rk45_scalar(rhs, 0.0, y0, span, cfg)
-        t_esc_signed = None if ok else (-t_esc if reverse else t_esc)
+            y, ok, t_esc, _, _ = _rk45_scalar(rhs, 0.0, state0, span, cfg)
+        t_esc_signed = None if ok else t0 + (-t_esc if reverse else t_esc)
         return AugmentedFlowState(*y, t=t_final, escaped=not ok, escape_time=t_esc_signed)
     rho_v = _as_rho(rho)
-    base = _as_base(theta0, rho_v.size)
-    res = flow_batch(family, beta, rho_v, base, [float(x0)], t_final, cfg,
+    base = _as_base(theta0, rho_v.size) + t0 * rho_v
+    res = flow_batch(family, beta, rho_v, base, np.array(state0)[:, None], t_final - t0, cfg,
                      channels="full", direction=direction)
     esc = bool(res.escaped[0])
     return AugmentedFlowState(
         *(float(res.y[j, 0]) for j in range(6)),
         t=t_final,
         escaped=esc,
-        escape_time=float(res.escape_times[0]) if esc else None,
+        escape_time=t0 + float(res.escape_times[0]) if esc else None,
     )
 
 

@@ -1,10 +1,21 @@
-"""Box-counting dimension estimation for graph point clouds.
+"""Graph point clouds and their box-counting dimension.
 
-Counts occupied boxes of side eps in the max-metric on a dyadic ladder and
-fits log N against -log eps by least squares over an interior scale window.
-Dyadic epsilons divide the torus evenly, so periodic axes need no seam
-handling. Hausdorff dimension is deliberately not estimated (no reliable
-estimator at these sample sizes); box counting is the only exponent reported.
+A section cloud samples an invariant graph along ergodic orbits
+theta -> theta + omega: orbits seeded on the trapping boundary are carried by
+the fibre maps, and a burn-in contracts them onto the graph, so the points
+reach structure finer than any grid. On a one-dimensional section each return
+applies the Möbius matrices of its S sub-returns (the escape rule of the
+pullback), read along the orbit from the certified Fourier table of
+``cocycle``, so no trajectory is integrated per return; for d >= 2, or when
+no table is certified, each return is one ODE return. A lifted cloud then
+flows each section point to its own phase in the return.
+
+Box counting counts occupied boxes of side eps in the max-metric on a dyadic
+ladder and fits log N against -log eps by least squares over an interior
+scale window. Dyadic epsilons divide the torus evenly, so periodic axes need
+no seam handling. Hausdorff dimension is deliberately not estimated (no
+reliable estimator at these sample sizes); box counting is the only exponent
+reported.
 """
 from __future__ import annotations
 
@@ -13,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cocycle import tabulate
 from .fields import ForcedField
 from .flow import FlowEscape, IntegratorConfig, flow_batch
-from .graphs import GraphSample, LiftedGraph
+from .graphs import GraphSample, LiftedGraph, _mobius_sweep
 from .section import SectionMap
 from .torus import RotationVector, wrap_unit
 
@@ -109,13 +121,15 @@ def graph_point_cloud(family: ForcedField, beta: float, rho, graph, n_points: in
                       burn_in: int = 32) -> np.ndarray:
     """Sample (theta, x) along ergodic orbits on an invariant graph.
 
-    For a section graph the orbit theta -> theta + omega is iterated with the
-    true fibre maps (reversed maps for a repeller), seeded on the trapping
-    boundary; burn-in contracts the orbits onto the graph, so the points reach
-    structure finer than the grid. Of the graph only ``role``, ``d`` and
-    ``converged`` are read, not its values. For a LiftedGraph the section
-    cloud is flowed to LIFT_PHASES stratified phases, yielding points in
-    T^D x R. Returns an (n_points, dim) array.
+    For a section graph, ``n_orbits`` orbits theta -> theta + omega (-omega
+    for a repeller, whose fibre maps are the reversed ones) start on the
+    trapping boundary and are carried by the Möbius matrices of each return,
+    from ``cocycle.tabulate`` (by ODE returns where it has no table); burn-in contracts them onto the graph, so the
+    points reach structure finer than the grid. Of the graph only ``role``,
+    ``d`` and ``converged`` are read, not its values. For a LiftedGraph the
+    section cloud is flowed to LIFT_PHASES stratified phases, yielding points
+    in T^D x R. Returns an (n_points, dim) array; an orbit that escapes raises
+    FlowEscape.
     """
     if isinstance(graph, LiftedGraph):
         return _lift_cloud(family, beta, rho, graph, n_points, cfg, seed,
@@ -140,12 +154,17 @@ def _section_cloud(family, beta, rho, graph: GraphSample, n_points, cfg, seed,
     x = np.full(n_orbits, lo if reverse else hi)
     n_steps = burn_in + math.ceil(n_points / n_orbits)
     pts = np.empty((n_orbits * (n_steps - burn_in), graph.d + 1))
+    table = tabulate(smap, smap.sub_returns())
+    orbit = [None] * n_steps if table is None else table.along_orbit(theta, smap.shift, n_steps)
     k = 0
-    for step in range(n_steps):
-        res = smap.step(theta, x, channels="x")
-        if res.escaped.any():
+    for step, pieces in enumerate(orbit):
+        if pieces is None:
+            res = smap.step(theta, x, channels="x")
+            x, escaped = res.y[0], res.escaped
+        else:
+            x, escaped = _mobius_sweep(pieces, x, cfg)
+        if escaped.any():
             raise FlowEscape("orbit escaped while sampling the graph cloud")
-        x = res.y[0]
         theta = wrap_unit(theta + smap.shift)
         if step >= burn_in:
             pts[k: k + n_orbits, : graph.d] = theta

@@ -1,4 +1,4 @@
-"""Pullback computation of attracting/repelling invariant graphs on the section.
+"""Invariant graphs on the section: pullbacks, their exponents and their lifts.
 
 The attractor is the pointwise limit of iterating the upper section boundary
 backward in base time: x_{k+1}(theta + omega) = xi~(theta, x_k(theta)) from
@@ -7,20 +7,27 @@ so it either converges or some node escapes, in which case no invariant graph
 exists in the section at this parameter. The repeller is the same construction
 for the reversed flow started on the lower boundary.
 
-Values live on a regular d-dimensional grid; the irrational shift never lands
-on nodes, so each sweep ends with a multilinear resample (fixed roll weights,
-since the shift is uniform across the grid).
-
-The fibre maps do not change from sweep to sweep. Each is the projective
-action x -> (P11 x + P12)/(P21 x + P22), det P = 1, of the trace-free linear
-system behind the Riccati field (see ``flow``), so a pullback integrates the
-ODE once: ``SectionMap.mobius_table`` tabulates P at every node over
+Every fibre map is the projective action x -> (P11 x + P12)/(P21 x + P22),
+det P = 1, of the trace-free linear system behind the Riccati field (see
+``flow``). A pullback therefore integrates the ODE once:
+``SectionMap.mobius_table`` tabulates P at every node over
 S = ceil(T max ||A||_F / pi) + 1 sub-returns (``SectionMap.sub_returns``), and
-every sweep applies those S Möbius maps in sequence. A lane escapes when
-q = P21 x + P22 <= 0 in some sub-return (its orbit passed through x = infinity;
-with (p, q) turning by less than pi per sub-return, at most once) or when x
-lies outside the escape window at a sub-return end. theta-independent
-families keep the plain-float ODE path.
+every sweep applies those S Möbius maps in sequence (``_mobius_sweep``). A lane
+escapes when q = P21 x + P22 <= 0 in some sub-return (its orbit passed through
+x = infinity; with (p, q) turning by less than pi per sub-return, at most
+once) or when x lies outside the escape window at a sub-return end. Values
+live on a regular d-dimensional grid; the irrational shift never lands on
+nodes, so each sweep ends with a multilinear resample (fixed roll weights,
+since the shift is uniform across the grid). theta-independent families keep
+the plain-float ODE path.
+
+A lift carries a section graph over one return onto a T^D grid. It needs the
+pieces of the return at points off the section grid. On a one-dimensional
+section it reads them from the certified Fourier table of ``cocycle`` instead
+of the node table and integrates no trajectory of its own; for d >= 2, or
+when no table is certified, it flows the levels by the ODE. The graph
+exponent (``lyapunov_of_graph``) is one ODE return with the log-derivative
+channel.
 """
 from __future__ import annotations
 
@@ -30,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cocycle import tabulate
 from .fields import ForcedField
 from .flow import FlowEscape, IntegratorConfig, flow_batch
 from .section import SectionMap, _grid_nodes
@@ -382,61 +390,70 @@ def lyapunov_of_graph(family: ForcedField, beta: float, rho, graph: GraphSample,
 
 def lift_graph(family: ForcedField, beta: float, rho, graph: GraphSample,
                grid_D: int, cfg: IntegratorConfig) -> LiftedGraph:
-    """Flow the section graph over one full return onto a T^D grid.
+    """Carry the section graph over one full return onto a T^D grid.
 
-    Level k of the last axis holds the graph at phase theta_D = k/grid_D. An
-    attractor is flowed forward from the previous section crossing, a repeller
-    backward from the next one (each lift then runs with the stable direction
-    of its graph). All levels integrate in one batch; finished levels peel off
-    as the shared time passes their phase.
+    Level k of the last axis holds the graph at phase theta_D = k/grid_D; level
+    0 is the section graph itself. An attractor is carried forward from the
+    previous section crossing, a repeller backward from the next one, so each
+    lift runs with the stable direction of its graph: the level u pieces of
+    T/grid_D away from that crossing (u = k forward, grid_D - k backward)
+    starts from the linearly interpolated section graph at theta moved back
+    along its orbit by u T/grid_D.
+
+    On a one-dimensional section the return is split into m = r grid_D
+    pieces, r = ceil(S / grid_D), whose Möbius matrices ``cocycle.tabulate``
+    tabulates once; piece j is then applied to every level still short of its
+    phase, evaluated on that level's shifted grid. Escape rule as in the
+    pullback: q <= 0 in a piece, or x outside the window at a piece end.
+    Without a table (d >= 2, or no certified N) all levels flow by the ODE in
+    one batch, from which finished levels peel off as the shared time passes
+    their phase.
     """
     if not graph.converged:
         raise ValueError("lift requires a converged section graph")
     rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
     d = graph.d
-    T = 1.0 / rho_v.rho_D
-    seg = T / grid_D
+    backward = graph.role == "repeller"
+    smap = SectionMap(family, beta, rho_v, cfg, reverse=backward)
+    r = -(-smap.sub_returns() // grid_D)
+    seg = smap.return_time / grid_D
     sec_shape = (grid_D,) * d
     n_sec = grid_D**d
-    backward = graph.role == "repeller"
     base_vals = graph.values if graph.values.shape == sec_shape else _regrid(graph.values, grid_D)
-    nodes = _grid_nodes(sec_shape, d)
     out = np.empty(sec_shape + (grid_D,))
     out_flat = out.reshape(n_sec, grid_D)
     out_flat[:, 0] = base_vals.ravel()
 
-    # peel order: level at phase k/grid_D finishes after duration
-    # k*seg (forward lift) or (grid_D - k)*seg (backward lift)
-    order = list(range(1, grid_D))
-    if backward:
-        order = order[::-1]
-
-    theta0 = np.empty((len(order), n_sec, d))
-    x0 = np.empty((len(order), n_sec))
-    for row, k in enumerate(order):
-        t_k = k * seg
-        off = (T - t_k) if backward else -t_k
-        shift = wrap_unit(off * rho_v.rho[:-1])
-        theta0[row] = nodes + off * rho_v.rho[:-1]
-        x0[row] = interp_at_shift(base_vals, shift).ravel()
-
-    base = np.concatenate(
-        [theta0.reshape(-1, d), np.zeros((len(order) * n_sec, 1))], axis=1
-    )
-    x_all = x0.reshape(-1)
+    # row u - 1 holds the level u lift steps away from the crossing it starts at
+    steps = np.arange(1, grid_D)
     sgn = -1.0 if backward else 1.0
-    h0 = None
-    t_acc = 0.0
-    for row, k in enumerate(order):
-        live = slice(row * n_sec, None)  # rows at and past this one still flow
-        res = flow_batch(family, beta, rho_v, base[live] + sgn * t_acc * rho_v.rho,
-                         x_all[live], sgn * seg, cfg, channels="x", h0=h0)
-        if res.escaped.any():
+    shifts = wrap_unit(-sgn * (steps * seg)[:, None] * rho_v.rho[:-1])
+    x = np.stack([interp_at_shift(base_vals, s).ravel() for s in shifts])
+    table = tabulate(smap, r * grid_D)
+    if table is None:
+        nodes = _grid_nodes(sec_shape, d)
+        theta = (nodes[None, :, :] + shifts[:, None, :]).reshape(-1, d)
+        base = np.concatenate([theta, np.zeros((theta.shape[0], 1))], axis=1)
+        x = x.reshape(-1)
+        h0 = None
+        for u in steps:
+            live = slice((u - 1) * n_sec, None)   # rows at and past this one still flow
+            res = flow_batch(family, beta, rho_v, base[live] + sgn * (u - 1) * seg * rho_v.rho,
+                             x[live], sgn * seg, cfg, channels="x", h0=h0)
+            if res.escaped.any():
+                raise FlowEscape("graph escaped during the lift")
+            x[live], h0 = res.y[0], res.h_last
+            out_flat[:, grid_D - u if backward else u] = x[(u - 1) * n_sec: u * n_sec]
+        return LiftedGraph(values=out, grid_D=grid_D, role=graph.role, beta=beta)
+    for j in range(r * (grid_D - 1)):
+        first = j // r          # rows first.. are still short of their phase
+        piece = table.on_grid(j, grid_D, shifts[first:, 0])
+        x[first:], escaped = _mobius_sweep(piece.transpose(1, 0, 2)[None], x[first:], cfg)
+        if escaped.any():
             raise FlowEscape("graph escaped during the lift")
-        x_all[live] = res.y[0]
-        h0 = res.h_last
-        t_acc += seg
-        out_flat[:, k] = x_all[row * n_sec: (row + 1) * n_sec]
+        if (j + 1) % r == 0:
+            u = (j + 1) // r
+            out_flat[:, grid_D - u if backward else u] = x[u - 1]
     return LiftedGraph(values=out, grid_D=grid_D, role=graph.role, beta=beta)
 
 

@@ -107,7 +107,7 @@ class SectionMap:
         norm = math.sqrt(0.5 * fam.a1 * fam.a1 + c_max * c_max + fam.a2 * fam.a2)
         return math.ceil(self.return_time * norm / math.pi) + 1
 
-    def mobius_table(self, theta_sec) -> np.ndarray:
+    def mobius_table(self, theta_sec, m: int | None = None) -> np.ndarray:
         """Transfer matrices of the fibre maps at ``theta_sec``, shape (S, 4, n).
 
         Row s holds (P11, P12, P21, P22) of sub-return s, the flow's
@@ -116,17 +116,20 @@ class SectionMap:
         The flow is autonomous on T^D x R, so sub-return s starts at the base
         point moved along rho by s T/S, and all S x n lanes integrate in one
         batch over T/S: one step sequence, no restarts.
+
+        ``m`` splits the return into m pieces instead of S (m >= S keeps the
+        entries below e^pi); the result then has m rows.
         """
-        S = self.sub_returns()
-        seg = self.return_time / S
+        m = self.sub_returns() if m is None else m
+        seg = self.return_time / m
         sgn = -1.0 if self.reverse else 1.0
         base = self.base_points(theta_sec)
         n = base.shape[0]
-        offsets = (sgn * seg * np.arange(S))[:, None, None] * self.rho.rho
-        starts = (base[None, :, :] + offsets).reshape(S * n, -1)
-        res = flow_batch(self.family, self.beta, self.rho, starts, np.ones(S * n),
+        offsets = (sgn * seg * np.arange(m))[:, None, None] * self.rho.rho
+        starts = (base[None, :, :] + offsets).reshape(m * n, -1)
+        res = flow_batch(self.family, self.beta, self.rho, starts, np.ones(m * n),
                          sgn * seg, self.cfg, channels="mobius")
-        return res.y.reshape(4, S, n).transpose(1, 0, 2)
+        return res.y.reshape(4, m, n).transpose(1, 0, 2)
 
 
 def _one_return(smap: SectionMap, theta_sec, x: float, direction) -> ReturnMapEval:

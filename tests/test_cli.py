@@ -169,6 +169,35 @@ class TestSubcommands:
         assert rows[0].strip() == "t,x,log_dx,dtheta,dtheta2"
         assert len(rows) == 18  # header + 17 samples
 
+    @pytest.mark.parametrize("make_cfg, beta", [(radial_cfg, 0.05), (oracle_cfg, 0.25)])
+    def test_simulate_integrates_once_through_the_samples(self, tmp_path, monkeypatch,
+                                                         make_cfg, beta):
+        import snaflow.flow as flow
+
+        calls = []
+        for name in ("_rk45_batch", "_rk45_scalar"):
+            original = getattr(flow, name)
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(flow, name, counting)
+        sim = {"theta0": [0.1, 0.2], "x0": 0.5, "t_final": 0.8, "n_samples": 10}
+        path = make_cfg(tmp_path, beta=beta, simulate=sim)
+        assert main(["simulate", "--config", path]) == 0
+        assert len(calls) == 10
+        monkeypatch.undo()
+        cfg = load_config(json.loads(open(path).read()))
+        with open(tmp_path / "out" / "trajectory.csv") as fh:
+            rows = [[float(v) for v in line.split(",")] for line in fh
+                    if not line.startswith(("#", "t,"))]
+        for t, x, log_dx, dtheta, dtheta2 in rows:
+            state = flow.integrate(cfg.family, beta, cfg.rho, sim["theta0"], sim["x0"], t,
+                                   cfg.integrator)
+            want = (state.x, state.log_dx, state.dtheta, state.dtheta2)
+            assert max(abs(a - b) for a, b in zip((x, log_dx, dtheta, dtheta2), want)) <= 1e-8
+
     def test_graphs_and_artifacts(self, tmp_path):
         path = radial_cfg(tmp_path)
         assert main(["graphs", "--config", path]) == 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from snaflow.fields import AutonomousRiccati, BumpProfile, RadialLogistic
+from snaflow.fields import AutonomousRiccati, BumpProfile, Cos11, RadialLogistic
 from snaflow.flow import (
     FlowBlowUp,
     IntegratorConfig,
@@ -162,6 +162,11 @@ class TestDrivers:
         st = integrate(fam, 0.0, RHO, [0.1, 0.2], 0.0, 1.0, CFG)
         assert res.y[0, 0] == pytest.approx(st.x, abs=1e-12)
         assert res.y[1, 0] == pytest.approx(st.log_dx, abs=1e-11)
+
+    def test_unknown_channel_set_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown channel set 'bogus'"):
+            flow_batch(Cos11(100.0), 1.0, [0.6, 3.1], np.zeros((1, 2)), [0.0], 0.1, CFG,
+                       channels="bogus")
 
     def test_batch_escape_freezes_nodes(self):
         fam = make_radial(b=4.0)
