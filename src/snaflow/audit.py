@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import RadialLogistic, eval_field
 from .flow import IntegratorConfig
-from .section import SectionMap, _grid_nodes
+from .section import SectionMap, _grid_nodes, _merged_returns
 from .torus import RotationVector, certify_diophantine, induce_frequency, wrap_unit
 
 __all__ = [
@@ -309,9 +309,8 @@ class _Extreme:
             self.witness = _witness(thetas[i], xs[i], beta, channel, v)
 
 
-def _channels(res):
-    """Derived per-sample quantities from a full-channel section batch."""
-    y = res.y
+def _channels(y):
+    """Derived per-sample quantities from the (6, n) values of a full-channel return."""
     log_dx = y[1]
     return {
         "x_next": y[0],
@@ -365,26 +364,32 @@ def audit_A1_A3(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     ex2 = _Extreme("min")
     ex3_lo = _Extreme("min")
     ex3_hi = _Extreme("max")
+    # A1: T^d x C; A2: (T^d minus I_0) x E, image still in E; A3: Gamma with
+    # image in Gamma. A1 and A3 at every beta share one return, the A2 lanes
+    # another. Some A2 lanes start a few ulps above the repeller x = -1: in a
+    # batch whose other lanes force small steps their drift per step rounds
+    # away, and they would stall in E while their own return leaves it. The
+    # A2 lanes never see the bump, so their field is the same at every beta.
+    groups13, groups2 = [], []
     for k, beta in enumerate(beta_grid):
-        # A1: T^d x C
-        th, xs = _region_samples(constants, sample_n, seed + 11 * k, C_int)
-        res = SectionMap(family, beta, rho_v, cfg).step(th, xs, channels="xl")
-        ok = ~res.escaped
-        ex1.offer(res.y[1][ok], th[ok], xs[ok], beta, "log_dx")
-        # A2: (T^d minus I_0) x E, image still in E
-        th, xs = _region_samples(constants, sample_n, seed + 11 * k + 1, E_int,
-                                 exclude_critical=True, log_toward_lower=True)
-        res = SectionMap(family, beta, rho_v, cfg).step(th, xs, channels="xl")
-        img = res.y[0]
-        keep = (~res.escaped) & (img >= E_int[0]) & (img <= E_int[1])
-        ex2.offer(res.y[1][keep], th[keep], xs[keep], beta, "log_dx")
-        # A3: Gamma with image in Gamma
-        th, xs = _region_samples(constants, sample_n, seed + 11 * k + 2, G_int)
-        res = SectionMap(family, beta, rho_v, cfg).step(th, xs, channels="xl")
-        img = res.y[0]
-        keep = (~res.escaped) & (img >= G_int[0]) & (img <= G_int[1])
-        ex3_lo.offer(res.y[1][keep], th[keep], xs[keep], beta, "log_dx")
-        ex3_hi.offer(res.y[1][keep], th[keep], xs[keep], beta, "log_dx")
+        groups13 += [(beta, *_region_samples(constants, sample_n, seed + 11 * k, C_int)),
+                     (beta, *_region_samples(constants, sample_n, seed + 11 * k + 2, G_int))]
+        groups2.append((beta, *_region_samples(constants, sample_n, seed + 11 * k + 1, E_int,
+                                               exclude_critical=True,
+                                               log_toward_lower=True)))
+    res13 = _merged_returns(family, rho_v, cfg, groups13, "xl")
+    res2 = _merged_returns(family, rho_v, cfg, groups2, "xl")
+    for k in range(len(groups2)):
+        (beta, th, xs), (y, esc) = groups13[2 * k], res13[2 * k]
+        ok = ~esc
+        ex1.offer(y[1][ok], th[ok], xs[ok], beta, "log_dx")
+        (beta, th, xs), (y, esc) = groups2[k], res2[k]
+        keep = (~esc) & (y[0] >= E_int[0]) & (y[0] <= E_int[1])
+        ex2.offer(y[1][keep], th[keep], xs[keep], beta, "log_dx")
+        (beta, th, xs), (y, esc) = groups13[2 * k + 1], res13[2 * k + 1]
+        keep = (~esc) & (y[0] >= G_int[0]) & (y[0] <= G_int[1])
+        ex3_lo.offer(y[1][keep], th[keep], xs[keep], beta, "log_dx")
+        ex3_hi.offer(y[1][keep], th[keep], xs[keep], beta, "log_dx")
 
     e1 = AuditEntry(
         "A1", "log dx of the fibre map stays below log_alpha_c on T^d x C",
@@ -432,19 +437,35 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     c = constants.c
     d = constants.rho.size - 1
     grid_nodes = kronecker_sequence(sample_n, d, seed + 101)
+    n_nodes = len(grid_nodes)
+    top, bottom, floor = (np.full(n_nodes, v) for v in (1.0 + c, -1.0, 1.0 - c))
+    betas = sorted(beta_grid)
+    th8, xs8 = _region_samples(constants, sample_n, seed + 7, constants.section_interval)
+    beta_top = betas[-1] if crossing_beta is None else float(crossing_beta)
+
+    samples5 = [_region_samples(constants, sample_n, seed + 13 * k + 3,
+                                (constants.e_top, 1.0 + c), exclude_critical=True)
+                for k in range(len(beta_grid))]
+
+    # every x-channel sample set of A4, A5, A7, A8 and A10 shares one return
+    groups = ([(beta, grid_nodes, x) for beta in beta_grid for x in (top, bottom)]
+              + [(beta, th, xs) for beta, (th, xs) in zip(beta_grid, samples5)]
+              + [(0.0, grid_nodes, floor)]
+              + [(beta, th8, xs8) for beta in betas]
+              + [(beta_top, grid_nodes, top)])
+    res = _merged_returns(family, rho_v, cfg, groups, "x")
+    nb = len(beta_grid)
+    res4, res5, res7, res8, res10 = (res[:2 * nb], res[2 * nb:3 * nb], res[3 * nb],
+                                     res[3 * nb + 1:-1], res[-1])
 
     # A4 over the whole beta grid
     worst_top = _Extreme("max")
     worst_bot = _Extreme("max")
-    for beta in beta_grid:
-        res = SectionMap(family, beta, rho_v, cfg).step(
-            grid_nodes, np.full(len(grid_nodes), 1.0 + c), channels="x")
-        vals = np.where(res.escaped, -np.inf, res.y[0]) - (1.0 + c)
-        worst_top.offer(vals, grid_nodes, np.full(len(grid_nodes), 1.0 + c), beta, "x_next-(1+c)")
-        res = SectionMap(family, beta, rho_v, cfg).step(
-            grid_nodes, np.full(len(grid_nodes), -1.0), channels="x")
-        vals = np.where(res.escaped, -np.inf, res.y[0]) - (-1.0)
-        worst_bot.offer(vals, grid_nodes, np.full(len(grid_nodes), -1.0), beta, "x_next+1")
+    for beta, (y_top, esc_top), (y_bot, esc_bot) in zip(beta_grid, res4[0::2], res4[1::2]):
+        vals = np.where(esc_top, -np.inf, y_top[0]) - (1.0 + c)
+        worst_top.offer(vals, grid_nodes, top, beta, "x_next-(1+c)")
+        vals = np.where(esc_bot, -np.inf, y_bot[0]) - (-1.0)
+        worst_bot.offer(vals, grid_nodes, bottom, beta, "x_next+1")
     a4_ok = worst_top.value <= 0.0 and worst_bot.value <= 0.0
     e4 = AuditEntry(
         "A4", "the section boundaries map below themselves: xi~(1+c) <= 1+c and xi~(-1) <= -1",
@@ -455,12 +476,8 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
 
     # A5: theta outside I_0, x in [e_top, 1+c] lands in C
     ex5 = _Extreme("max")
-    for k, beta in enumerate(beta_grid):
-        smap = SectionMap(family, beta, rho_v, cfg)
-        th, xs = _region_samples(constants, sample_n, seed + 13 * k + 3,
-                                 (constants.e_top, 1.0 + c), exclude_critical=True)
-        res = smap.step(th, xs, channels="x")
-        img = np.where(res.escaped, np.inf, res.y[0])
+    for beta, (th, xs), (y, esc) in zip(beta_grid, samples5, res5):
+        img = np.where(esc, np.inf, y[0])
         dist = np.maximum(img - (1.0 + c), (1.0 - c) - img)  # <= 0 iff inside C
         ex5.offer(dist, th, xs, beta, "distance_outside_C")
     e5 = AuditEntry(
@@ -471,10 +488,9 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     )
 
     # A7 (first part): unforced maps hold the line 1-c
-    smap0 = SectionMap(family, 0.0, rho_v, cfg)
-    res = smap0.step(grid_nodes, np.full(len(grid_nodes), 1.0 - c), channels="x")
-    i7 = int(np.argmin(res.y[0]))
-    short = float(res.y[0][i7]) - (1.0 - c)
+    y, _ = res7
+    i7 = int(np.argmin(y[0]))
+    short = float(y[0][i7]) - (1.0 - c)
     e7 = AuditEntry(
         "A7", "at beta = 0 every fibre map keeps 1-c at or above itself",
         "pass" if short >= 0.0 else "fail",
@@ -483,25 +499,21 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     )
 
     # A8: beta-monotonicity of the fibre maps plus the forcing sign
-    betas = sorted(beta_grid)
-    th, xs = _region_samples(constants, sample_n, seed + 7, constants.section_interval)
     prev = None
     max_increase = -math.inf
     wit8 = None
-    for beta in betas:
-        smap = SectionMap(family, beta, rho_v, cfg)
-        res = smap.step(th, xs, channels="x")
-        cur = np.where(res.escaped, -np.inf, res.y[0])
+    for beta, (y, esc) in zip(betas, res8):
+        cur = np.where(esc, -np.inf, y[0])
         if prev is not None:
             inc = cur - prev
             i = int(np.argmax(inc))
             if inc[i] > max_increase:
                 max_increase = float(inc[i])
-                wit8 = _witness(th[i], xs[i], beta, "x_next_increase", float(inc[i]))
+                wit8 = _witness(th8[i], xs8[i], beta, "x_next_increase", float(inc[i]))
         prev = cur
     dbeta_max = -math.inf
-    for i in range(0, len(th), max(1, len(th) // 100)):
-        fe = eval_field(family, betas[-1], np.concatenate([th[i], [0.0]]), xs[i])
+    for i in range(0, len(th8), max(1, len(th8) // 100)):
+        fe = eval_field(family, betas[-1], np.concatenate([th8[i], [0.0]]), xs8[i])
         dbeta_max = max(dbeta_max, fe.dbeta)
     e8 = AuditEntry(
         "A8", "fibre maps are non-increasing in beta (and the forcing term is <= 0)",
@@ -512,11 +524,9 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     )
 
     # A10: beyond the admissible window some fibre map crosses 1+c below -1
-    beta_top = betas[-1] if crossing_beta is None else float(crossing_beta)
-    smap = SectionMap(family, beta_top, rho_v, cfg)
-    res = smap.step(grid_nodes, np.full(len(grid_nodes), 1.0 + c), channels="x")
-    below = res.escaped & (res.y[0] <= cfg.escape_low + 1e-9)
-    img = np.where(below, cfg.escape_low, res.y[0])  # escape-below certainly crossed
+    y, esc = res10
+    below = esc & (y[0] <= cfg.escape_low + 1e-9)
+    img = np.where(below, cfg.escape_low, y[0])  # escape-below certainly crossed
     i10 = int(np.argmin(img))
     crossed = img[i10] <= -1.0
     e10 = AuditEntry(
@@ -533,25 +543,33 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
 # ------------------------------------------------------------ A6, A9
 
 
-def j0_region(family: RadialLogistic, beta: float, rho, constants: AuditConstants,
+_A9 = "second base derivative of the fibre maps exceeds s on the pinch set x C"
+
+
+def j0_region(family: RadialLogistic, beta, rho, constants: AuditConstants,
               grid_n: int, cfg: IntegratorConfig, dilate: int = 1) -> np.ndarray:
     """Grid mask of the pinch set: fibres sending 1-c into the expanding strip.
 
-    Dilated by one node so the set is closed at grid resolution.
+    Dilated by one node so the set is closed at grid resolution. An array
+    ``beta`` of k values gives k masks, shape (k, grid_n, ...), from one return.
     """
     rho_v = _rho_of(rho)
     d = constants.rho.size - 1
-    nodes = _grid_nodes((grid_n,) * d, d)
-    smap = SectionMap(family, beta, rho_v, cfg)
-    res = smap.step(nodes, np.full(len(nodes), 1.0 - constants.c), channels="x")
-    img = np.where(res.escaped & (res.y[0] <= cfg.escape_low + 1e-9), -np.inf, res.y[0])
-    mask = (img <= constants.e_top).reshape((grid_n,) * d)
-    for _ in range(dilate):
-        grown = mask.copy()
-        for axis in range(d):
-            grown |= np.roll(mask, 1, axis=axis) | np.roll(mask, -1, axis=axis)
-        mask = grown
-    return mask
+    grid = (grid_n,) * d
+    nodes = _grid_nodes(grid, d)
+    start = np.full(len(nodes), 1.0 - constants.c)
+    betas = np.ravel(np.asarray(beta, dtype=float))
+    masks = []
+    for y, esc in _merged_returns(family, rho_v, cfg, [(b, nodes, start) for b in betas], "x"):
+        img = np.where(esc & (y[0] <= cfg.escape_low + 1e-9), -np.inf, y[0])
+        mask = (img <= constants.e_top).reshape(grid)
+        for _ in range(dilate):
+            grown = mask.copy()
+            for axis in range(d):
+                grown |= np.roll(mask, 1, axis=axis) | np.roll(mask, -1, axis=axis)
+            mask = grown
+        masks.append(mask)
+    return np.array(masks).reshape(np.shape(beta) + grid)
 
 
 def _mask_convex_circle(mask: np.ndarray) -> bool:
@@ -570,62 +588,65 @@ def audit_bump_convexity(family: RadialLogistic, beta: float, rho,
                          cfg: IntegratorConfig, sample_x: int = 16):
     """A9 at one beta: the second base derivative on the pinch set exceeds s.
 
-    Every (x-level, pinch node) pair is one lane of a single full-channel
-    return, so the adaptive step is paid once per beta rather than once per
-    x-level. The lanes run with the x-level outermost, so an exact tie
-    resolves to the lowest x-level, as in a level-by-level scan.
-
-    Returns (entry, j0_mask). Positivity is reported separately from the
+    Returns (entry, j0_mask); see ``_pinch_entries``, of which this is the
+    one-beta case. Positivity is reported separately from the
     exp(b delta2 / 4) margin, which the theory only guarantees for large b.
     Empty pinch set (beta below the lower boundary parameter): not-applicable.
     """
     _require_radial(family)
     rho_v = _rho_of(rho)
     mask = j0_region(family, beta, rho_v, constants, grid_n, cfg)
-    if not mask.any():
-        entry = AuditEntry(
-            "A9", "second base derivative of the fibre maps exceeds s on the pinch set x C",
-            "not-applicable", {"j0_empty": True, "beta": float(beta)}, None,
-        )
-        return entry, mask
-    d = mask.ndim
-    nodes = _grid_nodes(mask.shape, d)[mask.ravel()]
+    return _pinch_entries(family, [beta], [mask], rho_v, constants, cfg, sample_x)[0], mask
+
+
+def _pinch_entries(family, betas, masks, rho_v: RotationVector, constants: AuditConstants,
+                   cfg: IntegratorConfig, sample_x: int) -> list:
+    """One A9 entry per (beta, pinch mask) pair, from one full-channel return.
+
+    Every (beta, x-level, pinch node) triple is one lane, so the adaptive step
+    is paid once for all beta rather than once per beta and x-level. Within a
+    beta the lanes run with the x-level outermost, so an exact tie resolves to
+    the lowest x-level, as in a level-by-level scan.
+    """
     lo, hi = constants.contraction_interval
     xs_levels = lo + (hi - lo) * (np.arange(sample_x) + 0.5) / sample_x
-    th = np.tile(nodes, (sample_x, 1))
-    xs = np.repeat(xs_levels, len(nodes))
-    res = SectionMap(family, beta, rho_v, cfg).step(th, xs, channels="full")
-    ok = ~res.escaped
-    n_escaped = int(res.escaped.sum())
-    ex_min = _Extreme("min")
-    ex_min.offer(res.y[5][ok], th[ok], xs[ok], beta, "dtheta2")
-    if ex_min.witness is None:
-        entry = AuditEntry(
-            "A9", "second base derivative of the fibre maps exceeds s on the pinch set x C",
-            "not-applicable",
-            {"all_samples_escaped": True, "n_escaped": n_escaped, "beta": float(beta)},
-            None,
-        )
-        return entry, mask
-    positive = ex_min.value > 0.0
-    margin_ok = positive and math.log(ex_min.value) > constants.log_s
-    measured = {
-        "min_dtheta2": ex_min.value,
-        "log_abs_min_dtheta2": _log_abs(ex_min.value),
-        "positive_everywhere": positive,
-        "log_bound": constants.log_s,
-        "n_escaped": n_escaped,
-        "beta": float(beta),
-    }
-    if positive:
-        measured["margin_log"] = math.log(ex_min.value) - constants.log_s
-    entry = AuditEntry(
-        "A9", "second base derivative of the fibre maps exceeds s on the pinch set x C",
-        "pass" if margin_ok else "fail",
-        measured,
-        ex_min.witness,
-    )
-    return entry, mask
+    groups = []
+    for beta, mask in zip(betas, masks):
+        nodes = _grid_nodes(mask.shape, mask.ndim)[mask.ravel()]
+        groups.append((beta, np.tile(nodes, (sample_x, 1)), np.repeat(xs_levels, len(nodes))))
+    results = (_merged_returns(family, rho_v, cfg, groups, "full")
+               if any(mask.any() for mask in masks) else [(None, None)] * len(groups))
+    entries = []
+    for (beta, th, xs), mask, (y, esc) in zip(groups, masks, results):
+        if not mask.any():
+            entries.append(AuditEntry("A9", _A9, "not-applicable",
+                                      {"j0_empty": True, "beta": float(beta)}, None))
+            continue
+        n_escaped = int(esc.sum())
+        ex_min = _Extreme("min")
+        ex_min.offer(y[5][~esc], th[~esc], xs[~esc], beta, "dtheta2")
+        if ex_min.witness is None:
+            entries.append(AuditEntry(
+                "A9", _A9, "not-applicable",
+                {"all_samples_escaped": True, "n_escaped": n_escaped, "beta": float(beta)},
+                None,
+            ))
+            continue
+        positive = ex_min.value > 0.0
+        margin_ok = positive and math.log(ex_min.value) > constants.log_s
+        measured = {
+            "min_dtheta2": ex_min.value,
+            "log_abs_min_dtheta2": _log_abs(ex_min.value),
+            "positive_everywhere": positive,
+            "log_bound": constants.log_s,
+            "n_escaped": n_escaped,
+            "beta": float(beta),
+        }
+        if positive:
+            measured["margin_log"] = math.log(ex_min.value) - constants.log_s
+        entries.append(AuditEntry("A9", _A9, "pass" if margin_ok else "fail",
+                                  measured, ex_min.witness))
+    return entries
 
 
 # ------------------------------------------------------------ A11..A16
@@ -659,7 +680,7 @@ def audit_A11_A16(family: RadialLogistic, rho, beta_grid, constants: AuditConsta
         smap = SectionMap(family, beta, rho_v, cfg)
         res = smap.step(np.concatenate([th_G, th_C]), np.concatenate([xs_G, xs_C]),
                         channels="full")
-        ch = _channels(res)
+        ch = _channels(res.y)
         ch_G = {name: v[:n_G] for name, v in ch.items()}
         ch_C = {name: v[n_G:] for name, v in ch.items()}
 
@@ -676,13 +697,16 @@ def audit_A11_A16(family: RadialLogistic, rho, beta_grid, constants: AuditConsta
         ex_mix_C.offer(np.abs(ch_C["dtheta_dx"][ok]), th, xs, beta, "dtheta_dx")
         ex_dxx_C.offer(np.abs(ch_C["dxx"][ok]), th, xs, beta, "dxx")
 
-        # reversed map on the bump-blind strip: theta - omega outside I_0
-        inv = SectionMap(family, beta, rho_v, cfg, reverse=True)
-        th, xs = _region_samples(constants, sample_n, seed + 17 * k + 7, E_int,
-                                 exclude_critical=True, shift=omega)
-        res = inv.step(th, xs, channels="full")
-        ch = _channels(res)
-        ok = ~res.escaped
+    # reversed map on the bump-blind strip: theta - omega outside I_0. The
+    # reversed returns of every beta share one batch; the forward ones above
+    # stay per beta, where a merged batch measured slower.
+    groups = [(beta, *_region_samples(constants, sample_n, seed + 17 * k + 7, E_int,
+                                      exclude_critical=True, shift=omega))
+              for k, beta in enumerate(beta_grid)]
+    for (beta, th, xs), (y, esc) in zip(
+            groups, _merged_returns(family, rho_v, cfg, groups, "full", reverse=True)):
+        ch = _channels(y)
+        ok = ~esc
         ex_inv_dxx.offer(np.abs(ch["dxx"][ok]), th[ok], xs[ok], beta, "dxx_inverse")
         ex_inv_mix.offer(np.abs(ch["dtheta_dx"][ok]), th[ok], xs[ok], beta,
                          "dtheta_dx_inverse")
@@ -788,6 +812,13 @@ def gate_report(constants: AuditConstants, i0_measure: float, K: int, M: int,
 # ------------------------------------------------------------ orchestration
 
 
+# probes in the first pinch-set return of the upward search from beta_minus;
+# each later return takes twice as many. Lanes at several beta share the step
+# sequence, so a batch reaching far past the first hit costs more steps than
+# one more return.
+_PROBE_BATCH = 4
+
+
 def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
               grid_n: int, sample_n: int, cfg: IntegratorConfig, seed: int = 0,
               K: int = 50, M: int = 2, p: float = 2.0, eta: float = 2.0,
@@ -802,6 +833,15 @@ def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
     empirical Diophantine constant of the induced section frequency at
     ``cert_radius`` is used (the exact constant of the reduction is stated
     only up to proportionality).
+
+    Each phase carries all its beta on per-lane parameters, so the audit pays
+    about the largest step count of a phase rather than the sum over its beta:
+    the bounds make one return per bisection round for both boundaries; the
+    pinch probes batches of ``_PROBE_BATCH``, then twice as many, and so on,
+    one return each, until one probe registers a pinch set; the pinch masks one
+    x-channel return and the pinch sets one full-channel return; A1-A3 two
+    returns and A4-A8 one; A11-A16 one forward return per beta and one
+    reversed return.
     """
     from .bifurcation import estimate_beta_bounds  # no import cycle: one-way
 
@@ -811,25 +851,37 @@ def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
     bounds = estimate_beta_bounds(family, rho_v, max(grid_n, 128), cfg,
                                   c=constants.c, tol_beta=1e-5)
     crossing_beta = None
-    j0_betas = sorted(beta_grid)
+    mask_of = {}  # beta -> pinch mask, each computed once
+    extra = []
     if bounds.minus_fired:
         lo_r, hi_r = family.beta_range
         crossing_beta = min(bounds.beta_plus + 4.0 * bounds.tol, hi_r)
         # at moderate b the admissible window [beta_minus, beta_plus] can be a
         # hairline: probe upward from beta_minus until the pinch set registers
         # at grid resolution, then audit there and at two points just above
-        probe = bounds.beta_minus
-        step = max(2.0 * bounds.tol, 1e-6)
-        extra = []
-        for _ in range(60):
-            if probe > hi_r:
-                break
-            if j0_region(family, probe, rho_v, constants, grid_n, cfg).any():
-                extra = [probe, min(probe + 2.0 * step, hi_r), min(probe + 8.0 * step, hi_r)]
-                break
+        probes = []
+        probe, step = bounds.beta_minus, max(2.0 * bounds.tol, 1e-6)
+        while len(probes) < 60 and probe <= hi_r:
+            probes.append((probe, step))
             probe += step
             step *= 1.5
-        j0_betas = sorted(set(float(b) for b in j0_betas) | set(float(w) for w in extra))
+        start, size = 0, _PROBE_BATCH
+        while start < len(probes) and not extra:
+            batch = probes[start:start + size]
+            found = j0_region(family, np.array([b for b, _ in batch]), rho_v, constants,
+                              grid_n, cfg)
+            hits = [k for k, mask in enumerate(found) if mask.any()]
+            if hits:
+                probe, step = batch[hits[0]]
+                mask_of[probe] = found[hits[0]]
+                extra = [probe, min(probe + 2.0 * step, hi_r), min(probe + 8.0 * step, hi_r)]
+            start += size
+            size *= 2
+    j0_betas = sorted(set(float(b) for b in beta_grid) | set(extra))
+    todo = [b for b in j0_betas if b not in mask_of]
+    if todo:
+        mask_of.update(zip(todo, j0_region(family, np.array(todo), rho_v, constants,
+                                           grid_n, cfg)))
 
     entries = []
     entries += audit_A1_A3(family, rho_v, beta_grid, constants, sample_n, cfg, seed)
@@ -837,13 +889,10 @@ def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
                        crossing_beta=crossing_beta)
 
     # A6 and A9 from per-beta pinch sets
-    masks = []
-    a9_entries = []
-    for beta in j0_betas:
-        entry, mask = audit_bump_convexity(family, beta, rho_v, constants, grid_n, cfg)
-        masks.append((beta, mask))
-        if entry.status != "not-applicable":
-            a9_entries.append(entry)
+    masks = [(beta, mask_of[beta]) for beta in j0_betas]
+    a9_entries = [e for e in _pinch_entries(family, j0_betas, [m for _, m in masks], rho_v,
+                                            constants, cfg, sample_x=16)
+                  if e.status != "not-applicable"]
     nested = all(
         bool(np.all(~m1 | m2))  # m1 subset of m2
         for (_, m1), (_, m2) in zip(masks, masks[1:])
@@ -863,8 +912,7 @@ def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
         e9 = worst
     else:
         e9 = AuditEntry(
-            "A9", "second base derivative of the fibre maps exceeds s on the pinch set x C",
-            "not-applicable", {"j0_empty_for_all_sampled_beta": True}, None,
+            "A9", _A9, "not-applicable", {"j0_empty_for_all_sampled_beta": True}, None,
         )
 
     entries += [a4a8[0], a4a8[1], e6, a4a8[2], a4a8[3], e9, a4a8[4]]

@@ -19,7 +19,7 @@ from .fields import ForcedField, RadialLogistic
 from .flow import FlowEscape, IntegratorConfig
 from .fractal import box_count, default_epsilons, graph_point_cloud
 from .graphs import Escaped, GraphSample, graph_pair, lift_graph, lyapunov_of_graph
-from .section import SectionMap, _grid_nodes
+from .section import _grid_nodes, _merged_returns
 from .torus import RotationVector
 
 __all__ = [
@@ -141,7 +141,8 @@ def locate_beta_c(family: ForcedField, rho, beta_range, grid_n: int, tol_beta: f
         raise BifurcationError(f"no invariant graphs at the low end beta={lo}")
     if exists(hi):
         raise BifurcationError(f"invariant graphs persist at the high end beta={hi}")
-    brackets = _bisect(exists, lo, hi, tol_beta)
+    history = _bisect(lambda mids, _: [exists(float(mids[0]))], [lo], [hi], tol_beta)
+    brackets = [(float(a), float(b)) for a, b in history[:, 0]]
 
     # monotone: in beta order, no existing record follows a non-existing one
     exist = [r.graphs_exist for r in sorted(records, key=lambda r: r.beta)]
@@ -154,18 +155,21 @@ def locate_beta_c(family: ForcedField, rho, beta_range, grid_n: int, tol_beta: f
     )
 
 
-def _section_min_image(family, beta, rho_v, grid_n, x_start, cfg):
-    """min over grid nodes theta of xi~_beta,theta(x_start); -inf on escape-below."""
-    smap = SectionMap(family, beta, rho_v, cfg)
+def _section_min_images(family, betas, x_starts, rho_v, grid_n, cfg) -> np.ndarray:
+    """min over grid nodes theta of xi~_beta,theta(x_start), one per (beta, x_start) pair.
+
+    All pairs share one return, each on its own grid_n^d lanes at its own
+    beta. An escape below the window counts as -inf, one above as +inf.
+    """
     d = rho_v.D - 1
     nodes = _grid_nodes((grid_n,) * d, d)
-    res = smap.step(nodes, np.full(len(nodes), float(x_start)), channels="x")
-    vals = res.y[0].copy()
-    if res.escaped.any():
-        esc = res.escaped
-        below = vals[esc] <= cfg.escape_low + 1e-9
-        vals[esc] = np.where(below, -math.inf, math.inf)
-    return float(np.min(vals))
+    groups = [(beta, nodes, np.full(len(nodes), x)) for beta, x in zip(betas, x_starts)]
+    mins = []
+    for y, esc in _merged_returns(family, rho_v, cfg, groups, "x"):
+        vals = y[0].copy()
+        vals[esc] = np.where(vals[esc] <= cfg.escape_low + 1e-9, -math.inf, math.inf)
+        mins.append(vals.min())
+    return np.array(mins)
 
 
 def estimate_beta_bounds(family: RadialLogistic, rho, grid_n: int,
@@ -178,63 +182,69 @@ def estimate_beta_bounds(family: RadialLogistic, rho, grid_n: int,
     beta_plus: largest beta at which every fibre map keeps 1+c above -1.
     When a predicate never fires inside the family's beta range the matching
     endpoint is returned with its fired flag cleared.
+
+    The two bisections run in lockstep on per-lane beta: one return holds
+    both predicates at both ends of the range, then each round is one return
+    holding both midpoints. That is at most 1 + ceil(log2(range / tol_beta))
+    returns, where two separate bisections would make about twice as many.
     """
     if not isinstance(family, RadialLogistic):
         raise TypeError("beta bounds are defined for the radial-bump quadratic family")
     if not 0.0 < c < 0.25:
         raise ValueError("c must lie in (0, 1/4)")
     rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
-    b = family.b
-    rho_D = rho_v.rho_D
-    e_top = -1.0 + math.exp(-b / (2.0 * rho_D))
-    lo_range, hi_range = family.beta_range
+    e_top = -1.0 + math.exp(-family.b / (2.0 * rho_v.rho_D))
+    lo, hi = family.beta_range
+    # bisection 0 (beta_minus) holds while no map sends 1-c into E; bisection 1
+    # (beta_plus) holds while every map keeps 1+c above -1
+    starts = np.array([1.0 - c, 1.0 + c])
 
-    def minus_pred(beta):
-        return _section_min_image(family, beta, rho_v, grid_n, 1.0 - c, cfg) <= e_top
+    def holds(betas, which):
+        img = _section_min_images(family, betas, starts[which], rho_v, grid_n, cfg)
+        return np.where(which == 0, img > e_top, img >= -1.0)
 
-    def plus_pred(beta):
-        return _section_min_image(family, beta, rho_v, grid_n, 1.0 + c, cfg) >= -1.0
+    ends = holds(np.array([lo, lo, hi, hi]), np.array([0, 1, 0, 1]))
+    holds_lo, holds_hi = ends[:2], ends[2:]
+    # the switch lies inside the range only where the predicate flips across it
+    inside = np.flatnonzero(holds_lo & ~holds_hi)
+    history = _bisect(lambda mids, idx: holds(mids, inside[idx]),
+                      np.full(inside.size, lo), np.full(inside.size, hi), tol_beta)
+    found = dict(zip(inside.tolist(), 0.5 * history[-1].sum(axis=1)))
 
-    beta_minus, minus_fired = _first_true(minus_pred, lo_range, hi_range, tol_beta)
-    beta_plus, plus_fired = _last_true(plus_pred, lo_range, hi_range, tol_beta)
+    def bound(which, fired_below):
+        if which in found:
+            return float(found[which]), True
+        if not holds_lo[which]:
+            return lo, fired_below   # already switched at the low end
+        return hi, False             # never switches inside the range
+
+    beta_minus, minus_fired = bound(0, True)
+    beta_plus, plus_fired = bound(1, False)
     return BetaBounds(beta_minus, beta_plus, minus_fired, plus_fired, c, tol_beta)
 
 
-def _bisect(holds, lo, hi, tol):
-    """Halve [lo, hi], where holds(lo) and not holds(hi), to width tol.
+def _bisect(holds, lo, hi, tol) -> np.ndarray:
+    """Halve brackets [lo_i, hi_i], where holds at lo_i and not at hi_i, to width tol.
 
-    Returns every bracket from (lo, hi) on; the last one straddles the switch.
-    Stops early once the midpoint no longer splits the bracket in floats.
+    The brackets halve in lockstep: each round calls ``holds(mids, idx)`` once
+    for the open brackets ``idx`` at their midpoints ``mids``, so a caller
+    that evaluates several beta in one batch pays one batch per round. A
+    bracket closes at width tol, or early once its midpoint no longer splits
+    it in floats. Returns the brackets after every round, shape
+    (rounds + 1, k, 2); the last ones straddle the switches.
     """
-    brackets = [(lo, hi)]
-    while hi - lo > tol:
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    history = [np.stack([lo, hi], axis=1)]
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-        brackets.append((lo, hi))
-    return brackets
-
-
-def _first_true(pred, lo, hi, tol):
-    """Smallest beta with pred true, assuming monotone [false..., true...]."""
-    if pred(lo):
-        return lo, True
-    if not pred(hi):
-        return hi, False
-    return 0.5 * sum(_bisect(lambda beta: not pred(beta), lo, hi, tol)[-1]), True
-
-
-def _last_true(pred, lo, hi, tol):
-    """Largest beta with pred true, assuming monotone [true..., false...]."""
-    if not pred(lo):
-        return lo, False
-    if pred(hi):
-        return hi, False  # never stops holding inside the range
-    return 0.5 * sum(_bisect(pred, lo, hi, tol)[-1]), True
+        idx = np.flatnonzero((hi - lo > tol) & (mid > lo) & (mid < hi))
+        if idx.size == 0:
+            return np.array(history)
+        ok = np.asarray(holds(mid[idx], idx), dtype=bool)
+        lo[idx] = np.where(ok, mid[idx], lo[idx])
+        hi[idx] = np.where(ok, hi[idx], mid[idx])
+        history.append(np.stack([lo, hi], axis=1))
 
 
 def _normalize_fibre(points: np.ndarray) -> np.ndarray:

@@ -198,6 +198,18 @@ def _inside(v, path: str, lo: float, hi: float) -> float:
     return v
 
 
+def _beta_grid(v, path: str, beta_range) -> list:
+    """A non-empty list of beta inside the family's range."""
+    grid = _vec(v, path)
+    if not grid:
+        raise ConfigError(f"{path}: must hold at least one beta")
+    lo, hi = beta_range
+    for beta in grid:
+        if not lo <= beta <= hi:
+            raise ConfigError(f"{path}: {beta} outside the family's range [{lo}, {hi}]")
+    return grid
+
+
 def _audit_bounds(block: dict) -> None:
     """The audit block's cross-field bounds, so they fail before any integration."""
     if "delta1" in block and "delta2" in block and block["delta2"] >= block["delta1"]:
@@ -227,7 +239,7 @@ def _extras(d: dict, family: ForcedField, rho_D: float) -> dict:
             "c": lambda v, p: _inside(v, p, 0.0, 0.25),
             "delta1": lambda v, p: _inside(v, p, 0.0, delta1_max(rho_D)),
             "delta2": lambda v, p: _num(v, p, positive=True),
-            "beta_grid": _vec,
+            "beta_grid": lambda v, p: _beta_grid(v, p, family.beta_range),
             "sample_n": lambda v, p: _int(v, p, lo=1),
             "K": lambda v, p: _int(v, p, lo=1),
             "M": lambda v, p: _int(v, p, lo=2),

@@ -199,13 +199,16 @@ class ForcedField:
     def theta_independent(self) -> bool:
         return isinstance(self.shape, FlatShape)
 
-    def check_beta(self, beta: float) -> None:
+    def check_beta(self, beta) -> None:
+        """Raise ValueError naming the first beta (a float or an array) outside beta_range."""
         lo, hi = self.beta_range
-        if not (lo <= beta <= hi):
-            raise ValueError(f"beta = {beta} outside beta_range [{lo}, {hi}]")
+        b = np.ravel(np.asarray(beta, dtype=float))
+        bad = ~((lo <= b) & (b <= hi))  # NaN compares false, so it is bad
+        if bad.any():
+            raise ValueError(f"beta = {float(b[np.argmax(bad)])} outside beta_range [{lo}, {hi}]")
 
-    def forcing_scale(self, beta: float) -> float:
-        """beta^p * scale: the coefficient of -g(theta)."""
+    def forcing_scale(self, beta):
+        """beta^p * scale: the coefficient of -g(theta), per lane for an array beta."""
         return self.scale * beta**self.beta_power
 
     def section_bounds(self) -> tuple:

@@ -56,14 +56,17 @@ class SectionMap:
     """Batched access to the first return map of a driven family.
 
     ``reverse=True`` yields the inverse fibre maps (reversed field along
-    -rho); the section shift is then -omega.
+    -rho); the section shift is then -omega. ``beta`` is a float or an (n,)
+    array: the latter gives each of the n lanes of ``step`` its own parameter
+    value, so the maps at several beta share one return (see ``flow_batch``).
+    The Möbius table takes a float beta only.
     """
 
-    def __init__(self, family: ForcedField, beta: float, rho, cfg: IntegratorConfig,
+    def __init__(self, family: ForcedField, beta, rho, cfg: IntegratorConfig,
                  reverse: bool = False):
         family.check_beta(beta)
         self.family = family
-        self.beta = float(beta)
+        self.beta = np.asarray(beta, dtype=float) if np.ndim(beta) else float(beta)
         self.rho = rho if isinstance(rho, RotationVector) else RotationVector(rho)
         if self.rho.D != family.D:
             raise ValueError(f"rho has {self.rho.D} components but the family lives on T^{family.D}")
@@ -94,6 +97,11 @@ class SectionMap:
         self._h0 = res.h_last
         return res
 
+    def _table_beta(self) -> float:
+        if np.ndim(self.beta):
+            raise ValueError("the Möbius table needs a float beta, not one per lane")
+        return self.beta
+
     def sub_returns(self) -> int:
         """S = ceil(T max_theta ||A||_F / pi) + 1 sub-returns per Möbius table.
 
@@ -103,7 +111,7 @@ class SectionMap:
         below e^pi.
         """
         fam = self.family
-        c_max = max(abs(fam.a0), abs(fam.a0 - fam.forcing_scale(self.beta)))
+        c_max = max(abs(fam.a0), abs(fam.a0 - fam.forcing_scale(self._table_beta())))
         norm = math.sqrt(0.5 * fam.a1 * fam.a1 + c_max * c_max + fam.a2 * fam.a2)
         return math.ceil(self.return_time * norm / math.pi) + 1
 
@@ -120,6 +128,7 @@ class SectionMap:
         ``m`` splits the return into m pieces instead of S (m >= S keeps the
         entries below e^pi); the result then has m rows.
         """
+        beta = self._table_beta()
         m = self.sub_returns() if m is None else m
         seg = self.return_time / m
         sgn = -1.0 if self.reverse else 1.0
@@ -127,9 +136,26 @@ class SectionMap:
         n = base.shape[0]
         offsets = (sgn * seg * np.arange(m))[:, None, None] * self.rho.rho
         starts = (base[None, :, :] + offsets).reshape(m * n, -1)
-        res = flow_batch(self.family, self.beta, self.rho, starts, np.ones(m * n),
+        res = flow_batch(self.family, beta, self.rho, starts, np.ones(m * n),
                          sgn * seg, self.cfg, channels="mobius")
         return res.y.reshape(4, m, n).transpose(1, 0, 2)
+
+
+def _merged_returns(family: ForcedField, rho, cfg: IntegratorConfig, groups,
+                    channels: str, reverse: bool = False) -> list:
+    """One return over sample groups (beta, theta_sec, x), each at its own beta.
+
+    Returns the (y, escaped) slices of the groups in order. The lanes share
+    one adaptive step sequence, so the return costs about the largest of the
+    groups' step counts rather than their sum.
+    """
+    sizes = [len(xs) for _, _, xs in groups]
+    betas = np.repeat([float(beta) for beta, _, _ in groups], sizes)
+    smap = SectionMap(family, betas, rho, cfg, reverse=reverse)
+    res = smap.step(np.concatenate([th for _, th, _ in groups]),
+                    np.concatenate([xs for _, _, xs in groups]), channels=channels)
+    cuts = np.cumsum(sizes)[:-1]
+    return list(zip(np.split(res.y, cuts, axis=1), np.split(res.escaped, cuts)))
 
 
 def _one_return(smap: SectionMap, theta_sec, x: float, direction) -> ReturnMapEval:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from snaflow import audit
 from snaflow.audit import (
     AuditError,
     audit_bump_convexity,
@@ -35,6 +36,20 @@ def b6_constants():
 
 def b6_family():
     return RadialLogistic(6.0, BumpProfile(0.28), B6_CENTER)
+
+
+def count_returns(monkeypatch):
+    """Record (channels, lanes) of every SectionMap.step from here on."""
+    calls = []
+    step = SectionMap.step
+
+    def counting_step(self, *args, **kwargs):
+        res = step(self, *args, **kwargs)
+        calls.append((kwargs.get("channels", "x"), res.y.shape[1]))
+        return res
+
+    monkeypatch.setattr(SectionMap, "step", counting_step)
+    return calls
 
 
 class TestConstants:
@@ -165,15 +180,7 @@ class TestBumpConvexity:
     SAMPLE_X = 4
 
     def test_one_full_channel_return_per_beta(self, monkeypatch):
-        calls = []
-        step = SectionMap.step
-
-        def counting_step(self, *args, **kwargs):
-            res = step(self, *args, **kwargs)
-            calls.append((kwargs.get("channels", "x"), res.y.shape[1]))
-            return res
-
-        monkeypatch.setattr(SectionMap, "step", counting_step)
+        calls = count_returns(monkeypatch)
         entry, mask = audit_bump_convexity(b6_family(), self.BETA, B6_RHO, b6_constants(),
                                            self.GRID, CFG, sample_x=self.SAMPLE_X)
         full = [lanes for channels, lanes in calls if channels == "full"]
@@ -205,6 +212,34 @@ class TestBumpConvexity:
         assert w["theta"] == ref_theta and w["x"] in levels
         ev = return_map(fam, w["beta"], B6_RHO, w["theta"], w["x"], CFG)
         assert abs(ev.dtheta2 - w["value"]) <= tol
+
+
+class TestAuditCost:
+    def test_merged_returns_and_one_pinch_mask_per_beta(self, monkeypatch):
+        # beta bounds: 1 + 17 returns; pinch probes (4, then 8): 2; pinch
+        # masks and sets: 1 each; A1-A3: 2; A4-A8: 1; A11-A16: 2 forward and
+        # 1 reversed; 28 in all
+        calls = count_returns(monkeypatch)
+        mask_betas = []
+
+        def recording_j0_region(family, beta, *args, **kwargs):
+            mask_betas.extend(np.ravel(beta).tolist())
+            return j0_region(family, beta, *args, **kwargs)
+
+        monkeypatch.setattr(audit, "j0_region", recording_j0_region)
+        report = run_audit(b6_family(), B6_RHO, b6_constants(), beta_grid=[0.0, 0.78],
+                           grid_n=32, sample_n=20, cfg=CFG, seed=1)
+        assert len(calls) <= 30
+        counts = report.entry("A6").measured["node_counts"]
+        assert len(counts) == 5 and report.entry("A6").measured["first_nonempty_beta"]
+        assert len(mask_betas) == len(set(mask_betas))
+
+    def test_array_beta_gives_one_mask_per_value(self):
+        cons = b6_constants()
+        masks = j0_region(b6_family(), np.array([0.1, 0.78, 1.0]), B6_RHO, cons, 16, CFG)
+        assert masks.shape == (3, 16) and masks[2].any() and not masks[0].any()
+        for beta, mask in zip([0.1, 0.78, 1.0], masks):
+            assert np.array_equal(mask, j0_region(b6_family(), beta, B6_RHO, cons, 16, CFG))
 
 
 @pytest.fixture(scope="module")

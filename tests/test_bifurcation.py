@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from snaflow.bifurcation import (
@@ -10,6 +11,7 @@ from snaflow.bifurcation import (
 )
 from snaflow.fields import AutonomousRiccati, BumpProfile, RadialLogistic
 from snaflow.flow import IntegratorConfig
+from snaflow.section import SectionMap
 from snaflow.torus import RotationVector
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -62,13 +64,53 @@ class TestBetaBounds:
         assert bounds.beta_minus > 0.0
         assert bounds.beta_minus <= bounds.beta_plus
 
+    def crossing_family(self):
+        return RadialLogistic(100.0, BumpProfile(0.45), [0.5, 0.5]), RotationVector([GOLDEN, 1.2])
+
     def test_crossing_family_bounds_ordered(self):
-        fam = RadialLogistic(100.0, BumpProfile(0.45), [0.5, 0.5])
-        rho = RotationVector([GOLDEN, 1.2])
+        fam, rho = self.crossing_family()
         bounds = estimate_beta_bounds(fam, rho, 64, CFG, c=0.2, tol_beta=1e-3)
         assert bounds.minus_fired and bounds.plus_fired
         assert bounds.beta_minus <= bounds.beta_plus + 1e-3
         assert bounds.beta_plus < 1.0  # the crossing happens before beta = 1
+
+    @pytest.mark.slow
+    def test_lockstep_matches_sequential_bisection(self, monkeypatch):
+        fam, rho = self.crossing_family()
+        tol, c = 1e-3, 0.2
+        calls = []
+        step = SectionMap.step
+
+        def counting_step(self, *args, **kwargs):
+            calls.append(1)
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(SectionMap, "step", counting_step)
+        bounds = estimate_beta_bounds(fam, rho, 64, CFG, c=c, tol_beta=tol)
+        monkeypatch.undo()
+        lo, hi = fam.beta_range
+        assert len(calls) <= 1 + math.ceil(math.log2((hi - lo) / tol))
+
+        # reference: each predicate bisected on its own, one return per beta
+        nodes = np.arange(64)[:, None] / 64.0
+
+        def min_image(beta, x):
+            res = SectionMap(fam, beta, rho, CFG).step(nodes, np.full(64, x))
+            below = res.y[0] <= CFG.escape_low + 1e-9
+            return np.where(res.escaped, np.where(below, -np.inf, np.inf), res.y[0]).min()
+
+        def bisect(holds):
+            assert holds(lo) and not holds(hi)
+            a, b = lo, hi
+            while b - a > tol:
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if holds(mid) else (a, mid)
+            return 0.5 * (a + b)
+
+        e_top = -1.0 + math.exp(-fam.b / (2.0 * rho.rho_D))
+        assert bounds.minus_fired and bounds.plus_fired
+        assert bounds.beta_minus == bisect(lambda beta: min_image(beta, 1.0 - c) > e_top)
+        assert bounds.beta_plus == bisect(lambda beta: min_image(beta, 1.0 + c) >= -1.0)
 
     def test_requires_radial_family(self):
         with pytest.raises(TypeError):

@@ -46,6 +46,13 @@ def radial_cfg(tmp_path, **extra):
     return write_cfg(tmp_path, payload)
 
 
+# a radial family and drive the audit accepts: only its beta_grid is at fault
+B6_AUDIT = {
+    "family": {"kind": "radial_logistic", "b": 6.0, "bump_radius": 0.28, "center": [0.3, 0.65]},
+    "rho": [GOLDEN * 0.25, 0.25],
+}
+
+
 def read_meta(path):
     meta = {}
     with open(path) as fh:
@@ -129,6 +136,11 @@ class TestConfigValidation:
                               "center": [0.3, 0.1]},
                    "audit": {"delta1": 0.008, "delta2": 0.004}},
          "audit: bump straddles the section"),
+        ("audit", dict(B6_AUDIT, audit={"delta1": 0.05, "delta2": 0.012, "beta_grid": []}),
+         "audit.beta_grid: must hold at least one beta"),
+        ("audit", dict(B6_AUDIT, audit={"delta1": 0.05, "delta2": 0.012,
+                                        "beta_grid": [0.0, 1.5]}),
+         "audit.beta_grid: 1.5 outside the family's range"),
     ])
     def test_malformed_block_is_a_config_error(self, tmp_path, capsys, subcommand, block,
                                                path):

@@ -67,6 +67,18 @@ class TestEvalField:
         with pytest.raises(ValueError):
             eval_field(make_radial(), 2.0, [0.1, 0.2], 0.0)
 
+    def test_array_beta_names_its_first_bad_lane(self):
+        fam = make_radial()
+        fam.check_beta(np.array([0.0, 0.5, 1.0]))
+        with pytest.raises(ValueError, match=r"^beta = 1\.5 outside beta_range \[0\.0, 1\.0\]"):
+            fam.check_beta(np.array([0.2, 1.5, -0.1]))
+        with pytest.raises(ValueError, match=r"^beta = -0\.1 outside"):
+            fam.check_beta(np.array([0.2, -0.1, 1.5]))
+        with pytest.raises(ValueError, match=r"^beta = nan outside"):
+            fam.check_beta(np.array([0.2, np.nan, 2.0]))
+        with pytest.raises(ValueError, match=r"^beta = nan outside"):
+            fam.check_beta(math.nan)
+
     def test_b_must_exceed_one(self):
         with pytest.raises(ValueError):
             RadialLogistic(1.0, BumpProfile(0.3), [0.5, 0.5])

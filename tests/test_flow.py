@@ -7,6 +7,7 @@ from snaflow.fields import AutonomousRiccati, BumpProfile, Cos11, RadialLogistic
 from snaflow.flow import (
     FlowBlowUp,
     IntegratorConfig,
+    _rk45_batch,
     check_cocycle,
     flow_batch,
     integrate,
@@ -181,3 +182,64 @@ class TestDrivers:
         fam = make_radial(b=100.0)
         st = integrate(fam, 0.0, RHO, [0.2, 0.3], 0.5, 1.0 / math.pi, CFG)
         assert st.x == pytest.approx(1.0, abs=1e-4)  # strong contraction to the equilibrium
+
+
+class TestPerLaneBeta:
+    # three beta per family, each on its own 24 lanes, over one return time;
+    # the radial x-range reaches below the repeller so some lanes escape. At
+    # the default rel_tol 1e-10 the radial d^2_theta channel alone is off by
+    # about 2e-8 (its bump is C^2, so g'' has a kink at the support edge), and
+    # two step sequences would differ by twice that: compare at 1e-11.
+    TIGHT = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+    CASES = {
+        "radial": (make_radial(), (0.0, 0.4, 0.9), TIGHT, (-1.6, 1.3)),
+        "cos11": (Cos11(100.0), (150.0, 176.01538, 200.0), TIGHT.with_escape(-25.0, 25.0),
+                  (-12.0, 12.0)),
+    }
+
+    def lanes(self, name):
+        fam, betas, cfg, x_range = self.CASES[name]
+        rng = np.random.default_rng(5)
+        n = 24 * len(betas)
+        return (fam, np.repeat(betas, 24), cfg, rng.random((n, 2)),
+                rng.uniform(*x_range, n))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("channels", ["x", "xl", "full"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_each_lane_matches_its_own_beta(self, name, channels, reverse):
+        fam, beta, cfg, theta, x0 = self.lanes(name)
+        t = (-1.0 if reverse else 1.0) / math.pi
+        mixed = flow_batch(fam, beta, RHO, theta, x0, t, cfg, channels=channels)
+        for b in np.unique(beta):
+            on = beta == b
+            own = flow_batch(fam, float(b), RHO, theta[on], x0[on], t, cfg, channels=channels)
+            assert np.array_equal(mixed.escaped[on], own.escaped)
+            ok = ~own.escaped
+            got, want = mixed.y[:, on][:, ok], own.y[:, ok]
+            assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
+        if name == "radial":
+            assert 0 < mixed.escaped.sum() < beta.size
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_float_beta_keeps_the_scalar_coefficient(self, name):
+        # a float beta runs the rhs  poly(x) - scale beta^p g(theta)  with one
+        # float coefficient: bit for bit _rk45_batch on that rhs written out
+        fam, beta, cfg, theta, x0 = self.lanes(name)
+        b = float(beta[0])
+        res = flow_batch(fam, b, RHO, theta, x0, 1.0 / math.pi, cfg)
+        poly, _ = fam.polynomial()
+        c = fam.scale * b**fam.beta_power
+        y, active, _, _, _ = _rk45_batch(
+            lambda t, y: (poly(y[0]) - c * fam.shape.g(theta + t * RHO.rho))[None, :],
+            0.0, x0[None, :], 1.0 / math.pi, cfg)
+        assert np.array_equal(res.y, y)
+        assert np.array_equal(res.escaped, ~active)
+
+    def test_array_beta_needs_one_value_per_lane(self):
+        with pytest.raises(ValueError, match="one value per lane"):
+            flow_batch(make_radial(), np.array([0.1, 0.2]), RHO, np.zeros((3, 2)),
+                       np.zeros(3), 0.1, CFG)
+        with pytest.raises(ValueError, match="beta = 1.5 outside"):
+            flow_batch(make_radial(), np.array([0.1, 1.5, 0.2]), RHO, np.zeros((3, 2)),
+                       np.zeros(3), 0.1, CFG)

@@ -97,6 +97,13 @@ class TestMobiusTable:
         want = ode.y[0][ok]
         assert np.all(np.abs(image[ok] - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
 
+    def test_table_needs_a_float_beta(self):
+        smap = SectionMap(make_radial(), np.array([0.1, 0.3]), RHO, CFG)
+        with pytest.raises(ValueError, match="float beta"):
+            smap.sub_returns()
+        with pytest.raises(ValueError, match="float beta"):
+            smap.mobius_table(np.array([[0.1], [0.2]]))
+
     def test_sub_returns_of_the_figure_regime(self):
         # T max||A||_F / pi = sqrt(100^2 + 1) / pi^2 = 10.13
         smap = SectionMap(Cos11(100.0), 176.01538, RHO, CFG)
