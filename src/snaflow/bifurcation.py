@@ -18,7 +18,7 @@ import numpy as np
 from .fields import ForcedField, RadialLogistic
 from .flow import FlowEscape, IntegratorConfig
 from .fractal import box_count, default_epsilons, graph_point_cloud
-from .graphs import Escaped, GraphSample, graph_pair, lift_graph, lyapunov_of_graph
+from .graphs import Escaped, GraphSample, graph_pair, lyapunov_of_graph
 from .section import _grid_nodes, _merged_returns
 from .torus import RotationVector
 
@@ -34,6 +34,9 @@ __all__ = [
     "estimate_beta_bounds",
     "classify",
 ]
+
+
+SWEEP_CAP = 5_000_000   # largest per-pullback sweep budget of the bisection
 
 
 class BifurcationError(RuntimeError):
@@ -81,17 +84,16 @@ def _graph_lambda(family, beta, rho_v, graph: GraphSample, cfg) -> float:
         return math.nan
 
 
-def _predicate(family, beta, rho_v, grid_n, n_iter, cfg,
-               projection_tol) -> BetaRecord:
+def _predicate(family, beta, rho_v, grid_n, n_iter, cfg) -> BetaRecord:
     """Existence of the graph pair at one parameter value.
 
     Escape of either pullback certifies non-existence. A pullback that stays
-    bounded without reaching its convergence target (algebraic slowdown at
-    the critical parameter itself) is counted as existing, flagged marginal:
-    the monotone bounded sweep converges even when its tail cannot be
-    certified within the iteration budget.
+    bounded but makes n_iter sweeps without one that changes the graph by
+    less than graphs.STOP_TOL (algebraic slowdown at the critical parameter
+    itself) is counted as existing, flagged marginal: the monotone bounded
+    sweep converges even when it does not settle within the iteration budget.
     """
-    pair = graph_pair(family, beta, rho_v, grid_n, n_iter, cfg, projection_tol)
+    pair = graph_pair(family, beta, rho_v, grid_n, n_iter, cfg)
     if isinstance(pair, Escaped):
         return BetaRecord(beta, False, escaped_role=pair.role)
     att, rep = pair.attractor, pair.repeller
@@ -108,14 +110,14 @@ def _predicate(family, beta, rho_v, grid_n, n_iter, cfg,
 
 
 def locate_beta_c(family: ForcedField, rho, beta_range, grid_n: int, tol_beta: float,
-                  cfg: IntegratorConfig, n_iter_base: int = 2000,
-                  projection_tol: float = 1e-9,
-                  n_iter_cap: int = 5_000_000) -> BisectionTrace:
+                  cfg: IntegratorConfig, n_iter_base: int = 2000) -> BisectionTrace:
     """Bisect the existence predicate down to a bracket of width tol_beta.
 
     Requires graphs at the low end of beta_range and none at the high end.
     The returned trace records every sampled beta with its gap statistics and
-    graph exponents; beta_c is the final bracket midpoint.
+    graph exponents; beta_c is the final bracket midpoint. Each pullback's
+    sweep budget is 60 / |lambda_map| of the latest existing attractor, at
+    least n_iter_base and at most SWEEP_CAP.
     """
     rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
     lo, hi = float(beta_range[0]), float(beta_range[1])
@@ -129,12 +131,12 @@ def locate_beta_c(family: ForcedField, rho, beta_range, grid_n: int, tol_beta: f
 
     def exists(beta):
         nonlocal n_iter
-        rec = _predicate(family, beta, rho_v, grid_n, n_iter, cfg, projection_tol)
+        rec = _predicate(family, beta, rho_v, grid_n, n_iter, cfg)
         records.append(rec)
         if rec.graphs_exist and rec.lambda_attractor is not None:
             lam_map = abs(rec.lambda_attractor) / rho_v.rho_D
             if lam_map > 0.0:
-                n_iter = int(min(n_iter_cap, max(n_iter_base, 60.0 / lam_map)))
+                n_iter = int(min(SWEEP_CAP, max(n_iter_base, 60.0 / lam_map)))
         return rec.graphs_exist
 
     if not exists(lo):
@@ -290,7 +292,7 @@ class BifurcationClassification:
 def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
              cfg: IntegratorConfig, bracket_scale: float, tol_beta: float,
              thresholds: ClassifyThresholds = ClassifyThresholds(),
-             n_iter: int = 200_000, projection_tol: float = 1e-10,
+             n_iter: int = 200_000,
              cloud_points: int = 100_000, seed: int = 0,
              epsilons=None) -> BifurcationClassification:
     """Classify the collision at beta_c as smooth or non-smooth by signature.
@@ -313,7 +315,7 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
         raise BifurcationError("bracket too coarse: every ladder rung is inside it")
 
     lo_range = family.beta_range[0]
-    ref_rec = _predicate(family, lo_range, rho_v, grid_n, n_iter, cfg, projection_tol)
+    ref_rec = _predicate(family, lo_range, rho_v, grid_n, n_iter, cfg)
     if not ref_rec.graphs_exist:
         raise BifurcationError("no reference graphs at the low end of the beta range")
     lambda_ref = abs(ref_rec.lambda_attractor)
@@ -322,7 +324,7 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
     attractor_finest = None
     for eps in epsilons_ladder:
         beta = beta_c - eps
-        pair = graph_pair(family, beta, rho_v, grid_n, n_iter, cfg, projection_tol)
+        pair = graph_pair(family, beta, rho_v, grid_n, n_iter, cfg)
         if isinstance(pair, Escaped):
             raise BifurcationError(f"graphs do not exist at ladder point beta={beta}")
         if not pair.converged:
@@ -342,10 +344,8 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
     # contraction rate so the cloud sits on the graph, not on the transient.
     lam_map = abs(rungs[-1].lambda_attractor) / rho_v.rho_D
     burn = int(min(20_000, max(48, 40.0 / max(lam_map, 1e-3))))
-    lifted = lift_graph(family, rungs[-1].beta, rho_v, attractor_finest,
-                        min(grid_n, 128), cfg)
-    cloud = graph_point_cloud(family, rungs[-1].beta, rho_v, lifted,
-                              cloud_points, cfg, seed=seed, burn_in=burn)
+    cloud = graph_point_cloud(family, rungs[-1].beta, rho_v, attractor_finest,
+                              cloud_points, cfg, seed=seed, burn_in=burn, lift=True)
     ladder = box_count(_normalize_fibre(cloud), epsilons=epsilons
                        if epsilons is not None else default_epsilons(9))
     boxdim_threshold = d + thresholds.boxdim_excess

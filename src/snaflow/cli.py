@@ -35,7 +35,7 @@ from .bifurcation import (
     locate_beta_c,
 )
 from .config import ConfigError, ExperimentConfig, load_config
-from .fields import Cos11
+from .fields import Cos11, RadialLogistic
 from .flow import FlowBlowUp, FlowEscape, integrate
 from .fractal import box_count, default_epsilons, graph_point_cloud
 from .graphs import Escaped, GraphPair, gap_stats, graph_pair, lift_graph
@@ -116,8 +116,7 @@ def write_json(path: str, cfg: ExperimentConfig, command: str, payload: dict) ->
 
 
 def _graphs_or_fail(cfg: ExperimentConfig, beta: float) -> GraphPair:
-    pair = graph_pair(cfg.family, beta, cfg.rho, cfg.grid_n, cfg.n_iter, cfg.integrator,
-                      cfg.projection_tol)
+    pair = graph_pair(cfg.family, beta, cfg.rho, cfg.grid_n, cfg.n_iter, cfg.integrator)
     if isinstance(pair, Escaped):
         raise NumericalFailure(f"{pair.role} escaped at beta={beta}")
     if not pair.converged:
@@ -254,18 +253,14 @@ def cmd_boxdim(cfg: ExperimentConfig, out: str) -> None:
     target = opts.get("target", "attractor")
     n_points = opts.get("n_points", 100_000)
     pair = _graphs_or_fail(cfg, beta)
-    if target == "lift":
-        graph = lift_graph(cfg.family, beta, cfg.rho, pair.attractor, cfg.lift_grid,
-                           cfg.integrator)
-    else:
-        graph = pair.attractor if target == "attractor" else pair.repeller
+    graph = pair.repeller if target == "repeller" else pair.attractor
     pows = opts.get("epsilons_pow")
     if pows is None:
         eps = default_epsilons() if target != "lift" else default_epsilons(9)
     else:
         eps = default_epsilons(pows[1], pows[0])
     cloud = graph_point_cloud(cfg.family, beta, cfg.rho, graph, n_points,
-                              cfg.integrator, seed=cfg.seed)
+                              cfg.integrator, seed=cfg.seed, lift=target == "lift")
     if opts.get("normalize_fibre", False):
         from .bifurcation import _normalize_fibre
 
@@ -290,9 +285,11 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> None:
     if not opts:
         raise ConfigError("audit: block required for the audit subcommand")
     fam = cfg.family
+    if not isinstance(fam, RadialLogistic):
+        raise ConfigError("audit: family must be radial_logistic")
     try:
         constants = compute_constants(
-            b=getattr(fam, "b", None) or 0.0,
+            b=fam.b,
             c=opts.get("c", 0.2),
             delta1=opts["delta1"],
             delta2=opts["delta2"],
@@ -302,8 +299,6 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> None:
         )
     except KeyError as exc:
         raise ConfigError(f"audit.{exc.args[0]}: required field missing") from exc
-    except AttributeError as exc:
-        raise ConfigError("audit: family must be radial_logistic") from exc
     except AuditError as exc:  # the constants are checked before any integration
         raise ConfigError(f"audit: {exc}") from exc
     report = run_audit(

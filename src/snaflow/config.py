@@ -84,8 +84,8 @@ FAMILY_KEYS = {
     "autonomous_riccati": ("a2", "a0", "beta_slope", "beta_power", "dim"),
 }
 INTEGRATOR_KEYS = ("method", "rel_tol", "abs_tol", "max_step", "escape", "rk4_step")
-TOP_KEYS = ("seed", "rho", "family", "integrator", "grid_n", "n_iter", "projection_tol",
-            "lift_grid", "beta", "beta_range", "tol_beta", "out_dir", "threads",
+TOP_KEYS = ("seed", "rho", "family", "integrator", "grid_n", "n_iter", "lift_grid",
+            "beta", "beta_range", "tol_beta", "out_dir", "threads",
             "simulate", "boxdim", "audit", "classify")
 
 
@@ -272,7 +272,6 @@ class ExperimentConfig:
     seed: int = 0
     grid_n: int = 512
     n_iter: int = 20_000
-    projection_tol: float | None = None
     lift_grid: int = 256
     beta: float | None = None
     beta_range: tuple | None = None
@@ -314,8 +313,6 @@ def load_config(d: dict) -> ExperimentConfig:
         seed=_int(d.get("seed", 0), "seed", lo=0),
         grid_n=_int(d.get("grid_n", 512), "grid_n", lo=16),
         n_iter=_int(d.get("n_iter", 20_000), "n_iter", lo=1),
-        projection_tol=None if d.get("projection_tol") is None
-        else _num(d["projection_tol"], "projection_tol", lo=0.0),
         lift_grid=_int(d.get("lift_grid", 256), "lift_grid", lo=8),
         beta=None if beta is None else _num(beta, "beta"),
         beta_range=None if beta_range is None else tuple(_vec(beta_range, "beta_range", 2)),

@@ -26,8 +26,11 @@ window is unbounded: the window bounds x, not p or q.
 
 Two drivers share the Dormand-Prince 5(4) tableau: a numpy driver over a
 batch of trajectories with one shared adaptive step (the error norm is taken
-over the whole batch), and a plain-float driver used for theta-independent
-families where per-call numpy overhead would dominate. Both are deterministic.
+over the whole batch), and a plain-float driver that serves only
+``integrate`` on theta-independent families, one trajectory with all six
+channels, where per-call numpy overhead would dominate. Both are
+deterministic. Everything else, the pullbacks of theta-independent families
+included, runs on the batch driver.
 
 The numpy integrator takes beta as one float or as one value per lane. Lanes at
 different beta share the adaptive step, so a batch that mixes several beta
@@ -322,38 +325,25 @@ def _rk4_batch(rhs, t0: float, y0: np.ndarray, span: float, cfg: IntegratorConfi
     return y, active, esc_t, h, n_steps
 
 
-def _scalar_rhs(family: ForcedField, beta: float, channels: str, reverse: bool):
-    """Plain-float rhs for theta-independent families (list state)."""
-    if not family.theta_independent:
-        raise ValueError("scalar path requires a theta-independent family")
+def _scalar_rhs(family: ForcedField, beta: float, reverse: bool):
+    """Plain-float rhs of all six channels for a theta-independent family (list state)."""
     sgn = -1.0 if reverse else 1.0
     a2 = family.a2 * sgn
     rest = (family.a0 - family.forcing_scale(beta)) * sgn
     two_a2 = 2.0 * a2
-    if channels == "x":
-        def rhs(t, y):
-            x = y[0]
-            return [a2 * x * x + rest]
-        return rhs
-    if channels == "xl":
-        def rhs(t, y):
-            x = y[0]
-            return [a2 * x * x + rest, two_a2 * x]
-        return rhs
-    if channels == "full":
-        def rhs(t, y):
-            x = y[0]
-            fx = two_a2 * x
-            return [
-                a2 * x * x + rest,
-                fx,
-                fx * y[2],
-                two_a2 * math.exp(y[1]),
-                two_a2 * y[2],
-                two_a2 * y[2] * y[2] + fx * y[5],
-            ]
-        return rhs
-    raise ValueError(f"unknown channel set {channels!r}")
+
+    def rhs(t, y):
+        x = y[0]
+        fx = two_a2 * x
+        return [
+            a2 * x * x + rest,
+            fx,
+            fx * y[2],
+            two_a2 * math.exp(y[1]),
+            two_a2 * y[2],
+            two_a2 * y[2] * y[2] + fx * y[5],
+        ]
+    return rhs
 
 
 def _rk45_scalar(rhs, t0: float, y0: list, span: float, cfg: IntegratorConfig,
@@ -555,7 +545,7 @@ def integrate(family: ForcedField, beta: float, rho, theta0, x0: float, t_final:
     if span == 0.0:
         return AugmentedFlowState(*state0, t=t_final)
     if family.theta_independent:
-        rhs = _scalar_rhs(family, beta, "full", reverse)
+        rhs = _scalar_rhs(family, beta, reverse)
         if cfg.method == "rk4":
             y, ok, t_esc, _, _ = _rk4_scalar(rhs, 0.0, state0, span, cfg)
         else:

@@ -27,7 +27,7 @@ import numpy as np
 from .cocycle import tabulate
 from .fields import ForcedField
 from .flow import FlowEscape, IntegratorConfig, flow_batch
-from .graphs import GraphSample, LiftedGraph, _mobius_sweep
+from .graphs import GraphSample, _mobius_sweep
 from .section import SectionMap
 from .torus import RotationVector, wrap_unit
 
@@ -116,26 +116,27 @@ def _ls_slope(x, y):
     return slope, stderr
 
 
-def graph_point_cloud(family: ForcedField, beta: float, rho, graph, n_points: int,
-                      cfg: IntegratorConfig, seed: int = 0, n_orbits: int = 256,
-                      burn_in: int = 32) -> np.ndarray:
-    """Sample (theta, x) along ergodic orbits on an invariant graph.
+def graph_point_cloud(family: ForcedField, beta: float, rho, graph: GraphSample,
+                      n_points: int, cfg: IntegratorConfig, seed: int = 0,
+                      n_orbits: int = 256, burn_in: int = 32,
+                      lift: bool = False) -> np.ndarray:
+    """Sample (theta, x) along ergodic orbits on an invariant section graph.
 
-    For a section graph, ``n_orbits`` orbits theta -> theta + omega (-omega
-    for a repeller, whose fibre maps are the reversed ones) start on the
-    trapping boundary and are carried by the Möbius matrices of each return,
-    from ``cocycle.tabulate`` (by ODE returns where it has no table); burn-in contracts them onto the graph, so the
-    points reach structure finer than the grid. Of the graph only ``role``,
-    ``d`` and ``converged`` are read, not its values. For a LiftedGraph the
-    section cloud is flowed to LIFT_PHASES stratified phases, yielding points
-    in T^D x R. Returns an (n_points, dim) array; an orbit that escapes raises
-    FlowEscape.
+    ``n_orbits`` orbits theta -> theta + omega (-omega for a repeller, whose
+    fibre maps are the reversed ones) start on the trapping boundary and are
+    carried by the Möbius matrices of each return, from ``cocycle.tabulate``
+    (by ODE returns where it has no table); burn-in contracts them onto the
+    graph, so the points reach structure finer than the grid. Of the graph
+    only ``role``, ``d`` and ``converged`` are read, not its values. With
+    ``lift`` the section cloud is flowed to LIFT_PHASES stratified phases,
+    yielding points on the lifted graph in T^D x R. Returns an
+    (n_points, dim) array; an orbit that escapes raises FlowEscape.
     """
-    if isinstance(graph, LiftedGraph):
-        return _lift_cloud(family, beta, rho, graph, n_points, cfg, seed,
+    cloud = _section_cloud(family, beta, rho, graph, n_points, cfg, seed,
                            n_orbits, burn_in)
-    return _section_cloud(family, beta, rho, graph, n_points, cfg, seed,
-                          n_orbits, burn_in)
+    if lift:
+        return _lift_cloud(family, beta, rho, graph.role, cloud, cfg, seed)
+    return cloud
 
 
 def _section_cloud(family, beta, rho, graph: GraphSample, n_points, cfg, seed,
@@ -173,8 +174,7 @@ def _section_cloud(family, beta, rho, graph: GraphSample, n_points, cfg, seed,
     return pts[:n_points]
 
 
-def _lift_cloud(family, beta, rho, lifted: LiftedGraph, n_points, cfg, seed,
-                n_orbits, burn_in):
+def _lift_cloud(family, beta, rho, role: str, base_cloud: np.ndarray, cfg, seed):
     """Flow a section cloud to per-point stratified phases in [0, T).
 
     Each point carries its own flow time on a fine quantized phase grid
@@ -185,19 +185,12 @@ def _lift_cloud(family, beta, rho, lifted: LiftedGraph, n_points, cfg, seed,
     """
     rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
     d = rho_v.D - 1
-    sec_values = lifted.values[..., 0]
-    section = GraphSample(
-        values=sec_values, role=lifted.role, defect=0.0, iterations_used=0,
-        converged=True, grid_n=lifted.grid_D, beta=beta, sup_change=0.0,
-    )
-    base_cloud = _section_cloud(family, beta, rho_v, section, n_points, cfg,
-                                seed, n_orbits, burn_in)
     n = len(base_cloud)
     T = 1.0 / rho_v.rho_D
     rng = np.random.default_rng(seed + 1)
     buckets = rng.permutation(np.arange(n) % LIFT_PHASES)
     u = (buckets + 0.5) / LIFT_PHASES * T
-    backward = lifted.role == "repeller"
+    backward = role == "repeller"
     durations = (T - u) if backward else u
     order = np.argsort(durations, kind="stable")
     theta_sec = base_cloud[order, :d]
@@ -227,4 +220,4 @@ def _lift_cloud(family, beta, rho, lifted: LiftedGraph, n_points, cfg, seed,
     phase_times = u[order]
     pts[:, : rho_v.D] = wrap_unit(base + phase_times[:, None] * rho_v.rho)
     pts[:, rho_v.D] = x
-    return pts[:n_points]
+    return pts

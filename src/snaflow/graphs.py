@@ -18,8 +18,13 @@ x = infinity; with (p, q) turning by less than pi per sub-return, at most
 once) or when x lies outside the escape window at a sub-return end. Values
 live on a regular d-dimensional grid; the irrational shift never lands on
 nodes, so each sweep ends with a multilinear resample (fixed roll weights,
-since the shift is uniform across the grid). theta-independent families keep
-the plain-float ODE path.
+since the shift is uniform across the grid). This holds for every family: a
+theta-independent one simply has the same P at every node.
+
+The sweeps apply one fixed map, so their changes fall to rounding level once
+the pullback converges. The one stop rule is a sweep that changes the graph
+by less than STOP_TOL in sup norm; a pullback that makes n_iter sweeps
+without one is returned unconverged.
 
 A lift carries a section graph over one return onto a T^D grid. It needs the
 pieces of the return at points off the section grid. On a one-dimensional
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,55 +160,6 @@ def interp_at_shift(v: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return _roll_shift(v, shift, -1)
 
 
-@dataclass
-class _SweepState:
-    """Sweep-change history: geometric-tail projection and noise-floor detection.
-
-    Adaptive stepping makes each sweep reproducible but only ~rel_tol-smooth in
-    its input, so sup-changes bottom out at a noise floor instead of reaching
-    zero; ``stalled`` reports when the change is tiny and has stopped improving.
-    """
-
-    noise_floor: float = 1e-9
-    deltas: list = field(default_factory=list)
-    best: float = math.inf
-    best_at: int = 0
-    count: int = 0
-
-    def record(self, delta: float):
-        self.count += 1
-        self.deltas.append(delta)
-        if len(self.deltas) > 8:
-            self.deltas.pop(0)
-        if delta < self.best:
-            self.best = delta
-            self.best_at = self.count
-
-    def stalled(self) -> bool:
-        return self.best < self.noise_floor and self.count - self.best_at >= 25
-
-    def done(self, stop_tol: float, projection_tol: float | None) -> bool:
-        """Last change below stop_tol, stalled at the noise floor, or a certified tail."""
-        return (self.deltas[-1] < stop_tol or self.stalled()
-                or (projection_tol is not None and self.projected_tail() < projection_tol))
-
-    def projected_tail(self) -> float:
-        """Geometric-tail bound on the remaining change, inf when uncertified."""
-        if len(self.deltas) < 6:
-            return math.inf
-        pairs = list(zip(self.deltas, self.deltas[1:]))
-        ratios = [b / a for a, b in pairs if a > 0.0]
-        if len(ratios) < 5:
-            return 0.0 if self.deltas[-1] == 0.0 else math.inf
-        r = max(ratios)
-        if r >= 0.999 or min(ratios) <= 0.0:
-            return math.inf
-        spread = max(ratios) - min(ratios)
-        if spread > 0.2 * (1.0 - r):
-            return math.inf
-        return self.deltas[-1] * r / (1.0 - r)
-
-
 def _mobius_sweep(table: np.ndarray, x: np.ndarray, cfg: IntegratorConfig):
     """Apply the (S, 4, n) Möbius table to x: (image, escaped) per lane.
 
@@ -220,14 +176,14 @@ def _mobius_sweep(table: np.ndarray, x: np.ndarray, cfg: IntegratorConfig):
 
 
 def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
-              cfg: IntegratorConfig, role: str, stop_tol: float,
-              projection_tol: float | None, x_start) -> GraphSample | Escaped:
-    """Sweep the grid with the node Möbius table until the sweep change settles.
+              cfg: IntegratorConfig, role: str) -> GraphSample | Escaped:
+    """Sweep the grid with the node Möbius table until a sweep changes it by < STOP_TOL.
 
     The table is integrated once (one ``flow_batch`` call); sweeps and the
     defect, the return at the nodes against ``interp_at_shift``, run on it.
     Escape rule (see the module docstring): q <= 0 in a sub-return, or x
-    outside the escape window at a sub-return end.
+    outside the escape window at a sub-return end. A pullback that makes
+    n_iter sweeps without a change below STOP_TOL is returned unconverged.
     """
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
@@ -238,18 +194,10 @@ def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
     d = rho_v.D - 1
     smap = SectionMap(family, beta, rho_v, cfg, reverse=reverse)
     lo, hi = family.section_bounds()
-    if x_start is None:
-        x_start = lo if reverse else hi
-
-    if family.theta_independent:
-        return _pullback_scalar(family, beta, smap, grid_n, n_iter, role,
-                                stop_tol, projection_tol, float(x_start), d)
-
     shape = (grid_n,) * d
     nodes = _grid_nodes(shape, d)
     table = smap.mobius_table(nodes)
-    v = np.broadcast_to(np.asarray(x_start, dtype=float), shape).copy()
-    sweep = _SweepState()
+    v = np.full(shape, lo if reverse else hi, dtype=float)
     for k in range(1, n_iter + 1):
         w, escaped = _mobius_sweep(table, v.ravel(), cfg)
         if escaped.any():
@@ -258,80 +206,42 @@ def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
         v_new = resample_shifted_values(w.reshape(shape), smap.shift)
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
-        sweep.record(delta)
-        if sweep.done(stop_tol, projection_tol):
+        if delta < STOP_TOL:
             break
-    converged = sweep.done(stop_tol, projection_tol)
     w, escaped = _mobius_sweep(table, v.ravel(), cfg)
     defect = (math.inf if escaped.any() else
               float(np.max(np.abs(w.reshape(shape) - interp_at_shift(v, smap.shift)))))
-    return GraphSample(v, role, defect, sweep.count, converged, grid_n, beta, delta)
-
-
-def _pullback_scalar(family, beta, smap, grid_n, n_iter, role, stop_tol,
-                     projection_tol, x_start, d):
-    """theta-independent families: every node carries the same trajectory."""
-    from .flow import _rk45_scalar, _rk4_scalar, _scalar_rhs
-
-    rhs = _scalar_rhs(family, beta, "x", smap.reverse)
-    driver = _rk4_scalar if smap.cfg.method == "rk4" else _rk45_scalar
-    x = x_start
-    sweep = _SweepState()
-    for k in range(1, n_iter + 1):
-        y, ok, t_esc, _, _ = driver(rhs, 0.0, [x], smap.return_time, smap.cfg)
-        if not ok:
-            return Escaped(role, beta, k, grid_n**d, np.zeros(d))
-        delta = abs(y[0] - x)
-        x = y[0]
-        sweep.record(delta)
-        if sweep.done(stop_tol, projection_tol):
-            break
-    converged = sweep.done(stop_tol, projection_tol)
-    y, ok, _, _, _ = driver(rhs, 0.0, [x], smap.return_time, smap.cfg)
-    defect = abs(y[0] - x) if ok else math.inf
-    values = np.full((grid_n,) * d, x)
-    return GraphSample(values, role, defect, sweep.count, converged, grid_n, beta, delta)
+    return GraphSample(v, role, defect, k, delta < STOP_TOL, grid_n, beta, delta)
 
 
 def pullback_attractor(family: ForcedField, beta: float, rho, grid_n: int,
-                       n_iter: int, cfg: IntegratorConfig, stop_tol: float = STOP_TOL,
-                       projection_tol: float | None = None,
-                       x_start=None) -> GraphSample | Escaped:
+                       n_iter: int, cfg: IntegratorConfig) -> GraphSample | Escaped:
     """Attracting graph as the pullback limit from the upper section boundary.
 
     Returns Escaped as soon as any node leaves the escape window (no invariant
-    graph exists in the section then). ``projection_tol`` optionally accepts a
-    certified geometric-tail projection before the sup-change drops below
-    ``stop_tol``; the default requires the full 1e-12 sweep change.
+    graph exists in the section then).
     """
-    return _pullback(family, beta, rho, grid_n, n_iter, cfg, "attractor",
-                     stop_tol, projection_tol, x_start)
+    return _pullback(family, beta, rho, grid_n, n_iter, cfg, "attractor")
 
 
 def pushforward_repeller(family: ForcedField, beta: float, rho, grid_n: int,
-                         n_iter: int, cfg: IntegratorConfig, stop_tol: float = STOP_TOL,
-                         projection_tol: float | None = None,
-                         x_start=None) -> GraphSample | Escaped:
+                         n_iter: int, cfg: IntegratorConfig) -> GraphSample | Escaped:
     """Repelling graph: pullback of the reversed flow from the lower boundary."""
-    return _pullback(family, beta, rho, grid_n, n_iter, cfg, "repeller",
-                     stop_tol, projection_tol, x_start)
+    return _pullback(family, beta, rho, grid_n, n_iter, cfg, "repeller")
 
 
 def graph_pair(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
-               cfg: IntegratorConfig,
-               projection_tol: float | None = None) -> GraphPair | Escaped:
+               cfg: IntegratorConfig) -> GraphPair | Escaped:
     """Both invariant graphs at one parameter, or the first pullback that escaped.
 
     The repeller runs only when the attractor stayed in the section. No
     ordering gate is applied: near the collision the measured graphs may
     interlace within their resolution, so callers judge the gap themselves.
     """
-    att = pullback_attractor(family, beta, rho, grid_n, n_iter, cfg,
-                             projection_tol=projection_tol)
+    att = pullback_attractor(family, beta, rho, grid_n, n_iter, cfg)
     if isinstance(att, Escaped):
         return att
-    rep = pushforward_repeller(family, beta, rho, grid_n, n_iter, cfg,
-                               projection_tol=projection_tol)
+    rep = pushforward_repeller(family, beta, rho, grid_n, n_iter, cfg)
     if isinstance(rep, Escaped):
         return rep
     return make_pair(att, rep, order_tol=math.inf)

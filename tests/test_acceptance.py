@@ -63,7 +63,7 @@ def fig_trace(fig_family):
 def fig_classification(fig_family, fig_trace):
     return classify(fig_family, RHO_PI, fig_trace.beta_c, 256, FIG_CFG,
                     bracket_scale=FIG_RANGE[1] - FIG_RANGE[0], tol_beta=1e-3,
-                    n_iter=20_000, projection_tol=1e-10, seed=5)
+                    n_iter=20_000, seed=5)
 
 
 # ---------------------------------------------------------------- criteria

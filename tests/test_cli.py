@@ -141,6 +141,11 @@ class TestConfigValidation:
         ("audit", dict(B6_AUDIT, audit={"delta1": 0.05, "delta2": 0.012,
                                         "beta_grid": [0.0, 1.5]}),
          "audit.beta_grid: 1.5 outside the family's range"),
+        ("audit", {"family": {"kind": "logistic_harvest", "b": 6.0, "r": 1.0,
+                              "bump_radius": 0.28, "center": [0.3, 0.65]},
+                   "rho": B6_AUDIT["rho"], "audit": {"delta1": 0.05, "delta2": 0.012}},
+         "audit: family must be radial_logistic"),
+        ("graphs", {"projection_tol": 1e-9}, "projection_tol"),
     ])
     def test_malformed_block_is_a_config_error(self, tmp_path, capsys, subcommand, block,
                                                path):
@@ -245,11 +250,14 @@ class TestSubcommands:
         assert doc["threads_hint"] == 4
 
     def test_boxdim_artifacts(self, tmp_path):
-        path = radial_cfg(tmp_path, grid_n=512,
-                          boxdim={"n_points": 20_000, "epsilons_pow": [3, 9]})
-        # n_points below the validation floor is a numerical-failure exit
-        rc = main(["boxdim", "--config", path])
-        assert rc in (0, 3)
+        for target in ("attractor", "lift"):
+            path = radial_cfg(tmp_path, grid_n=512, out_dir=str(tmp_path / target), boxdim={
+                "target": target, "n_points": 20_000, "epsilons_pow": [3, 9]})
+            assert main(["boxdim", "--config", path]) == 0
+            out = tmp_path / target
+            assert sorted(os.listdir(out)) == ["boxdim_summary.json", "ladder.csv"]
+            summary = json.load(open(out / "boxdim_summary.json"))
+            assert (summary["target"], summary["n_points"]) == (target, 20_000)
 
     def test_figure1_defaults_small_grid(self, tmp_path):
         # schema check at a desk-friendly grid; the acceptance suite runs 256^2

@@ -6,7 +6,7 @@ import pytest
 from snaflow.fields import BumpProfile, RadialLogistic
 from snaflow.flow import IntegratorConfig
 from snaflow.fractal import box_count, default_epsilons, graph_point_cloud
-from snaflow.graphs import lift_graph, pullback_attractor, pushforward_repeller
+from snaflow.graphs import pullback_attractor, pushforward_repeller
 from snaflow.torus import RotationVector
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -103,8 +103,7 @@ class TestGraphClouds:
     def test_constant_lift_cloud_fills_the_torus(self):
         fam = RadialLogistic(4.0, BumpProfile(0.3), [0.5, 0.8])
         att = pullback_attractor(fam, 0.0, RHO, 64, 200, CFG)
-        lifted = lift_graph(fam, 0.0, RHO, att, 32, CFG)
-        cloud = graph_point_cloud(fam, 0.0, RHO, lifted, 120_000, CFG, seed=1)
+        cloud = graph_point_cloud(fam, 0.0, RHO, att, 120_000, CFG, seed=1, lift=True)
         assert cloud.shape == (120_000, 3)
         lad = box_count(cloud, epsilons=default_epsilons(9))
         assert lad.slope == pytest.approx(2.0, abs=0.05)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from snaflow.fields import BumpProfile, RadialLogistic
+from snaflow.fields import AutonomousRiccati, BumpProfile, RadialLogistic
 from snaflow.flow import IntegratorConfig
 from snaflow.graphs import (
     Escaped,
@@ -217,10 +217,12 @@ class TestMobiusSweeps:
         assert image[0] == 0.0 and escaped[0]
 
     def test_no_ode_work_per_sweep(self, monkeypatch):
+        # a theta-independent family sweeps a constant node table like any other
+        import snaflow.flow as flow
         import snaflow.graphs as graphs
         import snaflow.section as section
 
-        flow_calls, step_calls = [], []
+        flow_calls, step_calls, scalar_calls = [], [], []
         original_flow, original_step = section.flow_batch, section.SectionMap.step
 
         def counting_flow(*args, **kwargs):
@@ -234,16 +236,26 @@ class TestMobiusSweeps:
         monkeypatch.setattr(section, "flow_batch", counting_flow)
         monkeypatch.setattr(graphs, "flow_batch", counting_flow)
         monkeypatch.setattr(section.SectionMap, "step", counting_step)
-        # never done: every pullback runs its full n_iter sweeps
-        monkeypatch.setattr(graphs._SweepState, "done", lambda self, *args: False)
-        counts = {}
-        for n_iter in (200, 400):
-            flow_calls.clear()
-            att = pullback_attractor(make_radial(), 0.2, RHO, 64, n_iter, CFG)
-            assert att.iterations_used == n_iter
-            counts[n_iter] = list(flow_calls)
-        assert counts[200] == counts[400] == ["mobius"]
-        assert step_calls == []
+        for name in ("_rk45_scalar", "_rk4_scalar"):
+            monkeypatch.setattr(flow, name, lambda *args, **kwargs: scalar_calls.append(1))
+        # no sweep changes the graph by less than 0: every pullback runs n_iter sweeps
+        monkeypatch.setattr(graphs, "STOP_TOL", 0.0)
+        for family in (make_radial(), AutonomousRiccati(a2=-1.0, a0=1.0, beta_slope=-2.0)):
+            counts = {}
+            for n_iter in (200, 400):
+                flow_calls.clear()
+                att = pullback_attractor(family, 0.2, RHO, 64, n_iter, CFG)
+                assert att.iterations_used == n_iter and not att.converged
+                counts[n_iter] = list(flow_calls)
+            assert counts[200] == counts[400] == ["mobius"]
+        assert step_calls == [] and scalar_calls == []
+
+    def test_near_critical_oracle_pullback_settles(self):
+        # x' = -x^2 + 2e-4: the graph x = sqrt(2e-4) attracts at about 0.009 per return
+        fam = AutonomousRiccati(a2=-1.0, a0=1.0, beta_slope=-2.0)
+        att = pullback_attractor(fam, 0.5 - 1e-4, RHO, 16, 20_000, CFG)
+        assert att.converged and att.sup_change < 1e-12
+        assert np.max(np.abs(att.values - math.sqrt(2e-4))) <= 1e-9
 
 
 class TestLyapunov:
