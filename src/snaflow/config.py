@@ -89,6 +89,15 @@ TOP_KEYS = ("seed", "rho", "family", "integrator", "grid_n", "n_iter", "lift_gri
             "simulate", "boxdim", "audit", "classify")
 
 
+def _center(d: dict, path: str) -> list:
+    """The bump center: a point of the base torus T^D, which needs D >= 2."""
+    center = _vec(_need(d, "center", path), f"{path}.center")
+    if len(center) < 2:
+        raise ConfigError(f"{path}.center: needs at least 2 components (the base torus "
+                          f"has D >= 2), got {len(center)}")
+    return center
+
+
 def build_family(d: dict, path: str = "family") -> ForcedField:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -101,8 +110,7 @@ def build_family(d: dict, path: str = "family") -> ForcedField:
         if kind == "radial_logistic":
             b = _num(_need(d, "b", path), f"{path}.b")
             R = _num(_need(d, "bump_radius", path), f"{path}.bump_radius", lo=0.0)
-            center = _vec(_need(d, "center", path), f"{path}.center")
-            return RadialLogistic(b, BumpProfile(R), center, beta_range)
+            return RadialLogistic(b, BumpProfile(R), _center(d, path), beta_range)
         if kind == "cos11":
             b = _num(_need(d, "b", path), f"{path}.b")
             if "beta_range" not in d:
@@ -112,8 +120,7 @@ def build_family(d: dict, path: str = "family") -> ForcedField:
             b = _num(_need(d, "b", path), f"{path}.b")
             r = _num(_need(d, "r", path), f"{path}.r", lo=0.0)
             R = _num(_need(d, "bump_radius", path), f"{path}.bump_radius", lo=0.0)
-            center = _vec(_need(d, "center", path), f"{path}.center")
-            return LogisticHarvest(b, r, BumpProfile(R), center, beta_range)
+            return LogisticHarvest(b, r, BumpProfile(R), _center(d, path), beta_range)
         if kind == "autonomous_riccati":
             return AutonomousRiccati(
                 a2=_num(_need(d, "a2", path), f"{path}.a2"),

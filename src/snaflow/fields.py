@@ -94,7 +94,8 @@ class FieldEval:
 
 
 # Forcing shapes: ``g(theta)`` alone, or ``triple(theta, v)`` for
-# (g, d_v g, d_v^2 g) from one pass over theta.
+# (g, d_v g, d_v^2 g) from one pass over theta. theta has shape (..., D) and
+# each value has shape (...), one per point.
 
 
 @dataclass(frozen=True)
@@ -158,10 +159,11 @@ class FlatShape:
     """g = 1: the theta-independent (autonomous) family."""
 
     def g(self, theta):
-        return 1.0
+        return np.ones(np.shape(theta)[:-1])
 
     def triple(self, theta, v):
-        return 1.0, 0.0, 0.0
+        one = self.g(theta)
+        return one, np.zeros_like(one), np.zeros_like(one)
 
 
 def _like(x, v):

@@ -24,6 +24,25 @@ trace-free linear system whose projective action is the Riccati field,
 so x = p/q flows to (P11 x + P12)/(P21 x + P22) and det P = 1. Its escape
 window is unbounded: the window bounds x, not p or q.
 
+Every family is a Riccati field F = a2 x^2 + a1 x + a0 - beta^p scale g(theta),
+and along a fibre theta = theta0 + t rho does not depend on the state. The
+batch field is therefore built in two parts (``_batch_rhs``):
+
+- a forcing part evaluates the shape g (its value and two base derivatives
+  for ``"full"``) at the five new stage times of a DP5 step attempt in one
+  vectorised call over (5, n, D);
+- a state part ``rhs(y, f)`` is polynomial arithmetic on one stage's slice.
+
+So a step attempt makes one shape call, not six. At a few hundred lanes a
+step is mostly per-call overhead: a 256-lane step at b = 6 (best of 15
+returns) took 130 us on the ``"x"`` channel and 270-280 us on ``"full"``,
+against 190-210 us and 340-355 us with one shape call per stage (2 cores,
+Python 3.11, numpy 2.4). Every lane is evaluated, repeated base points
+included: evaluating only the distinct ones (the audit's merged returns put
+2-16 lanes on each section node) cut the audit's median from 2.58 to 2.25 s
+over ten paired runs, less than the 0.45 s between the quartiles of those
+runs.
+
 Two drivers share the Dormand-Prince 5(4) tableau: a numpy driver over a
 batch of trajectories with one shared adaptive step (the error norm is taken
 over the whole batch), and a plain-float driver that serves only
@@ -35,14 +54,16 @@ included, runs on the batch driver.
 The numpy integrator takes beta as one float or as one value per lane. Lanes at
 different beta share the adaptive step, so a batch that mixes several beta
 costs about the largest of their step counts rather than the sum of separate
-calls; at a few hundred lanes a step is mostly per-call overhead. Each lane
-agrees with its own single-beta call to the integration tolerance.
+calls. Each lane agrees with its own single-beta call to the integration
+tolerance.
 
-The plain-float driver stays for the oracle timing guard: without it the
-closed-form oracle check (acceptance criterion 1, bound 1 s) took 0.81 s
-instead of 0.22 s (2 cores, Python 3.11, numpy 2.4), and that check has run
-twice as slow on a loaded machine. It also locates escape times by
-bisection, which the batch driver does not.
+The plain-float driver stays for the oracle timing guard: on the flat
+shape the forcing was never the cost, and a one-lane ``"full"`` batch step
+still takes 3.7-3.9 times a plain-float step (140 against 36-37 us). The
+closed-form oracle check (acceptance criterion 1, bound 1 s) takes 1.8 s on
+the batch driver, against 0.2-0.5 s on the plain-float one, and that check
+has run twice as slow on a loaded machine. The plain-float driver also
+locates escape times by bisection, which the batch driver does not.
 """
 from __future__ import annotations
 
@@ -159,70 +180,89 @@ class FlowBatchResult:
     escaped: np.ndarray      # (n,) bool
     escape_times: np.ndarray  # (n,) nan where not escaped
     h_last: float
-    n_steps: int
+    n_steps: int             # step attempts, rejected ones included
+    n_rejected: int          # attempts whose error ratio exceeded 1 (0 for rk4)
 
 
 _CHANNEL_COUNT = {"x": 1, "xl": 2, "full": 6, "mobius": 4}
+# stage times, as fractions of h, at which a DP5 step attempt needs new forcing
+# values: c2..c6 (c7 = c6, and c1 is the last accepted step's c7 by FSAL)
+_C_STEP = np.array(_C[1:6])
+_C_RK4 = np.array([0.0, 0.5, 1.0])
 
 
 def _batch_rhs(family: ForcedField, beta, theta0: np.ndarray, rho: np.ndarray,
                channels: str, direction, reverse: bool):
-    """Build rhs(t, y) -> dy for the batch driver. theta0 has shape (n, D).
+    """Build (forcing, rhs) for the batch drivers. theta0 has shape (n, D).
 
-    ``beta`` is a float or an (n,) array; the forcing coefficient is then
-    per lane and broadcasts against the shape function's (n,) values.
+    Along a fibre theta = theta0 + t rho does not depend on the state, so the
+    field splits into a forcing part and a state part:
 
-    The coefficients (with the sign of time folded in) and the shape function
-    are bound here once, so each evaluation is one forcing-shape call plus
-    array arithmetic. F_xx = 2 a2 is constant and F_{theta x} = 0 for every
-    family, so the full channels carry no F_{theta x} terms.
+    - ``forcing(ts)`` evaluates the forcing shape at the k times ``ts`` in one
+      call over (k, n, D) and returns the forcing terms with a leading axis
+      of k;
+    - ``rhs(y, f)`` is the polynomial part at one of those times,
+      ``f = forcing(ts)[i]``.
+
+    ``beta`` is a float or an (n,) array; the forcing coefficient is then per
+    lane and broadcasts against the shape function's values. The coefficients
+    carry the sign of time. F_xx = 2 a2 is constant and F_{theta x} = 0 for
+    every family, so the full channels carry no F_{theta x} terms.
     """
+    if channels not in _CHANNEL_COUNT:
+        raise ValueError(f"unknown channel set {channels!r}")
     sgn = -1.0 if reverse else 1.0
     rho_eff = sgn * rho
+    shape_g, shape_triple = family.shape.g, family.shape.triple
+
+    def theta_at(ts):
+        return theta0 + ts[:, None, None] * rho_eff
+
     if channels == "mobius":
         half_a1, minus_a2 = 0.5 * sgn * family.a1, -sgn * family.a2
         a0, s = sgn * family.a0, sgn * family.forcing_scale(beta)
-        shape_g = family.shape.g
 
-        def rhs(t, y):
-            c = a0 - s * shape_g(theta0 + t * rho_eff)
+        def forcing(ts):
+            return a0 - s * shape_g(theta_at(ts))
+
+        def rhs(y, c):
             p1, p2, q1, q2 = y
             return np.stack([half_a1 * p1 + c * q1, half_a1 * p2 + c * q2,
                              minus_a2 * p1 - half_a1 * q1, minus_a2 * p2 - half_a1 * q2])
-        return rhs
+        return forcing, rhs
     poly, dpoly = family.polynomial(sgn)
     two_a2 = 2.0 * sgn * family.a2
     c = sgn * family.forcing_scale(beta)
-    shape_g, shape_triple = family.shape.g, family.shape.triple
-    # each rhs binds theta before any other array: on batches of tens of
-    # thousands of lanes (the lifts) that allocation order page-faults less
-    if channels == "x":
-        def rhs(t, y):
-            th = theta0 + t * rho_eff
-            return (poly(y[0]) - c * shape_g(th))[None, :]
-        return rhs
-    if channels == "xl":
-        def rhs(t, y):
-            th = theta0 + t * rho_eff
-            x = y[0]
-            return np.stack([poly(x) - c * shape_g(th), dpoly(x)])
-        return rhs
     if channels == "full":
-        def rhs(t, y):
-            th = theta0 + t * rho_eff
-            g, g1, g2 = shape_triple(th, direction)
+        def forcing(ts):
+            g, g1, g2 = shape_triple(theta_at(ts), direction)
+            return np.stack([c * g, c * g1, c * g2], axis=1)
+
+        def rhs(y, f):
+            cg, cg1, cg2 = f
             x, d2 = y[0], y[2]
             Fx = dpoly(x)
             return np.stack([
-                poly(x) - c * g,
+                poly(x) - cg,
                 Fx,
-                Fx * d2 - c * g1,
+                Fx * d2 - cg1,
                 two_a2 * np.exp(y[1]),
                 two_a2 * d2,
-                two_a2 * d2 * d2 - c * g2 + Fx * y[5],
+                two_a2 * d2 * d2 - cg2 + Fx * y[5],
             ])
-        return rhs
-    raise ValueError(f"unknown channel set {channels!r}")
+        return forcing, rhs
+
+    def forcing(ts):
+        return c * shape_g(theta_at(ts))
+
+    if channels == "x":
+        def rhs(y, cg):
+            return (poly(y[0]) - cg)[None, :]
+    else:
+        def rhs(y, cg):
+            x = y[0]
+            return np.stack([poly(x) - cg, dpoly(x)])
+    return forcing, rhs
 
 
 def _error_ratio(err, y_old, y_new, active, cfg):
@@ -246,12 +286,16 @@ def _mark_escapes(y, active, esc_t, t: float, cfg: IntegratorConfig) -> bool:
     return True
 
 
-def _rk45_batch(rhs, t0: float, y0: np.ndarray, span: float, cfg: IntegratorConfig,
+def _rk45_batch(forcing, rhs, t0: float, y0: np.ndarray, span: float, cfg: IntegratorConfig,
                 h0: float | None = None):
     """Adaptive batch driver over t in [t0, t0 + span] (span > 0, internal time).
 
-    Escape checks apply to channel 0; escaped trajectories freeze and leave
-    the error norm. Returns (y, active, escape_times, h_last, n_steps).
+    Each step attempt makes one ``forcing`` call for its five new stage times;
+    ``k1`` (and its forcing) is recomputed only at the start, after an escape
+    and after a non-finite error ratio. Escape checks apply to channel 0;
+    escaped trajectories freeze and leave the error norm. Returns
+    (y, active, escape_times, h_last, n_steps, n_rejected), where n_steps
+    counts attempts.
     """
     n = y0.shape[1]
     y = y0.copy()
@@ -261,7 +305,7 @@ def _rk45_batch(rhs, t0: float, y0: np.ndarray, span: float, cfg: IntegratorConf
     h_min = 1e-14 * max(abs(t0) + span, 1.0)
     h = min(cfg.max_step, span if h0 is None else max(h0, h_min), span)
     k1 = None
-    n_steps = 0
+    n_steps = n_rejected = 0
     _mark_escapes(y, active, esc_t, t0, cfg)
 
     while t < span and active.any():
@@ -269,19 +313,19 @@ def _rk45_batch(rhs, t0: float, y0: np.ndarray, span: float, cfg: IntegratorConf
         if h < h_min:
             raise FlowBlowUp(t0 + t, t0 + t + h_min)
         if k1 is None:
-            k1 = rhs(t0 + t, y)
+            k1 = rhs(y, forcing(np.array([t0 + t]))[0])
+        f = forcing(t0 + t + _C_STEP * h)
         with np.errstate(over="ignore", invalid="ignore"):
-            k2 = rhs(t0 + t + _C[1] * h, y + h * (_A[1][0] * k1))
-            k3 = rhs(t0 + t + _C[2] * h, y + h * (_A[2][0] * k1 + _A[2][1] * k2))
-            k4 = rhs(t0 + t + _C[3] * h, y + h * (_A[3][0] * k1 + _A[3][1] * k2 + _A[3][2] * k3))
-            k5 = rhs(t0 + t + _C[4] * h,
-                     y + h * (_A[4][0] * k1 + _A[4][1] * k2 + _A[4][2] * k3 + _A[4][3] * k4))
-            k6 = rhs(t0 + t + h,
-                     y + h * (_A[5][0] * k1 + _A[5][1] * k2 + _A[5][2] * k3 + _A[5][3] * k4
-                              + _A[5][4] * k5))
+            k2 = rhs(y + h * (_A[1][0] * k1), f[0])
+            k3 = rhs(y + h * (_A[2][0] * k1 + _A[2][1] * k2), f[1])
+            k4 = rhs(y + h * (_A[3][0] * k1 + _A[3][1] * k2 + _A[3][2] * k3), f[2])
+            k5 = rhs(y + h * (_A[4][0] * k1 + _A[4][1] * k2 + _A[4][2] * k3 + _A[4][3] * k4),
+                     f[3])
+            k6 = rhs(y + h * (_A[5][0] * k1 + _A[5][1] * k2 + _A[5][2] * k3 + _A[5][3] * k4
+                              + _A[5][4] * k5), f[4])
             y_new = y + h * (_A[6][0] * k1 + _A[6][2] * k3 + _A[6][3] * k4 + _A[6][4] * k5
                              + _A[6][5] * k6)
-            k7 = rhs(t0 + t + h, y_new)
+            k7 = rhs(y_new, f[4])
             err = h * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5 + _E[5] * k6
                        + _E[6] * k7)
             ratio = _error_ratio(err, y, y_new, active, cfg)
@@ -294,13 +338,14 @@ def _rk45_batch(rhs, t0: float, y0: np.ndarray, span: float, cfg: IntegratorConf
             fac = _MAX_FACTOR if ratio == 0.0 else min(_MAX_FACTOR, _SAFETY * ratio**-0.2)
             h = min(h * fac, cfg.max_step)
         else:
+            n_rejected += 1
             k1 = None if not math.isfinite(ratio) else k1
             fac = _MIN_FACTOR if not math.isfinite(ratio) else max(_MIN_FACTOR, _SAFETY * ratio**-0.2)
             h *= fac
-    return y, active, esc_t, h, n_steps
+    return y, active, esc_t, h, n_steps, n_rejected
 
 
-def _rk4_batch(rhs, t0: float, y0: np.ndarray, span: float, cfg: IntegratorConfig):
+def _rk4_batch(forcing, rhs, t0: float, y0: np.ndarray, span: float, cfg: IntegratorConfig):
     """Fixed-step classic RK4 batch driver (kept for convergence-order tests)."""
     y = y0.copy()
     n = y.shape[1]
@@ -313,16 +358,17 @@ def _rk4_batch(rhs, t0: float, y0: np.ndarray, span: float, cfg: IntegratorConfi
     for _ in range(n_steps):
         if not active.any():
             break
+        f = forcing(t0 + t + _C_RK4 * h)
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs(t0 + t, y)
-            k2 = rhs(t0 + t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t0 + t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t0 + t + h, y + h * k3)
+            k1 = rhs(y, f[0])
+            k2 = rhs(y + 0.5 * h * k1, f[1])
+            k3 = rhs(y + 0.5 * h * k2, f[1])
+            k4 = rhs(y + h * k3, f[2])
             y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y = np.where(active[None, :], y_new, y)
         t += h
         _mark_escapes(y, active, esc_t, t0 + t, cfg)
-    return y, active, esc_t, h, n_steps
+    return y, active, esc_t, h, n_steps, 0
 
 
 def _scalar_rhs(family: ForcedField, beta: float, reverse: bool):
@@ -509,16 +555,17 @@ def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final: float,
     reverse = t_final < 0.0
     span = abs(t_final)
     if span == 0.0:
-        return FlowBatchResult(y0, np.zeros(n, bool), np.full(n, np.nan), 0.0, 0)
+        return FlowBatchResult(y0, np.zeros(n, bool), np.full(n, np.nan), 0.0, 0, 0)
     v = unit_direction(direction, family.D) if channels == "full" else None
-    rhs = _batch_rhs(family, beta, theta0, rho_v, channels, v, reverse)
+    forcing, rhs = _batch_rhs(family, beta, theta0, rho_v, channels, v, reverse)
     if cfg.method == "rk4":
-        y, act, esc_t, h_last, n_steps = _rk4_batch(rhs, 0.0, y0, span, cfg)
+        y, act, esc_t, h_last, n_steps, n_rej = _rk4_batch(forcing, rhs, 0.0, y0, span, cfg)
     else:
-        y, act, esc_t, h_last, n_steps = _rk45_batch(rhs, 0.0, y0, span, cfg, h0=h0)
+        y, act, esc_t, h_last, n_steps, n_rej = _rk45_batch(forcing, rhs, 0.0, y0, span, cfg,
+                                                            h0=h0)
     if reverse:
         esc_t = -esc_t
-    return FlowBatchResult(y, ~act, esc_t, h_last, n_steps)
+    return FlowBatchResult(y, ~act, esc_t, h_last, n_steps, n_rej)
 
 
 def integrate(family: ForcedField, beta: float, rho, theta0, x0: float, t_final: float,

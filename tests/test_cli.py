@@ -146,6 +146,12 @@ class TestConfigValidation:
                    "rho": B6_AUDIT["rho"], "audit": {"delta1": 0.05, "delta2": 0.012}},
          "audit: family must be radial_logistic"),
         ("graphs", {"projection_tol": 1e-9}, "projection_tol"),
+        ("graphs", {"family": {"kind": "radial_logistic", "b": 4.0, "bump_radius": 0.3,
+                               "center": [0.3]}, "rho": [0.25]},
+         "family.center: needs at least 2 components"),
+        ("simulate", {"family": {"kind": "logistic_harvest", "b": 4.0, "r": 1.0,
+                                 "bump_radius": 0.3, "center": [0.3]}, "rho": [0.25]},
+         "family.center: needs at least 2 components"),
     ])
     def test_malformed_block_is_a_config_error(self, tmp_path, capsys, subcommand, block,
                                                path):

@@ -223,8 +223,10 @@ class TestOneFamily:
         assert not self.PARTIALS & set(vars(cls))
 
     def test_full_rhs_computes_bump_offsets_once(self, monkeypatch):
+        # one forcing call covers every stage of a step attempt, and the bump
+        # offsets are computed once per forcing call
         import snaflow.fields as fields_module
-        from snaflow.flow import _batch_rhs
+        from snaflow.flow import IntegratorConfig, _batch_rhs, flow_batch
 
         calls = []
         real = fields_module.nearest_lift_offset
@@ -235,10 +237,20 @@ class TestOneFamily:
 
         monkeypatch.setattr(fields_module, "nearest_lift_offset", counted)
         theta0 = np.random.default_rng(0).random((8, 2))
-        rhs = _batch_rhs(make_radial(), 0.5, theta0, np.array([0.618, 3.14]), "full",
-                         np.array([1.0, 0.0]), False)
-        rhs(0.1, np.zeros((6, 8)))
+        rho = np.array([0.618, 3.14])
+        forcing, rhs = _batch_rhs(make_radial(), 0.5, theta0, rho, "full",
+                                  np.array([1.0, 0.0]), False)
+        f = forcing(0.1 + 0.01 * np.array([0.2, 0.3, 0.8, 8 / 9, 1.0]))
+        assert f.shape == (5, 3, 8)
+        for f_stage in f:
+            rhs(np.zeros((6, 8)), f_stage)
         assert len(calls) == 1
+        # a whole return: one call per step attempt, plus one for the first k1
+        calls.clear()
+        res = flow_batch(make_radial(), 0.5, rho, theta0, np.zeros(8), 0.5,
+                         IntegratorConfig(), channels="full")
+        assert not res.escaped.any() and res.n_steps > 1
+        assert len(calls) == res.n_steps + 1
 
 
 class TestUnitDirection:

@@ -178,6 +178,21 @@ class TestDrivers:
         assert res.escaped[1]
         assert math.isfinite(res.escape_times[1])
 
+    def test_rejected_steps_are_counted(self):
+        # a full-channel b = 6 return across the bump's support edge, where
+        # the C^2 bump's g'' kink forces rejections; n_steps counts attempts
+        fam = RadialLogistic(6.0, BumpProfile(0.28), [0.3, 0.65])
+        rho = [GOLDEN * 0.25, 0.25]
+        theta = np.array([[0.3, 0.2], [0.35, 0.25], [0.25, 0.3]])
+        x0 = np.array([0.9, 0.95, 1.0])
+        res = flow_batch(fam, 0.78, rho, theta, x0, 4.0, IntegratorConfig(rel_tol=1e-9),
+                         channels="full")
+        assert not res.escaped.any()
+        assert 0 < res.n_rejected < res.n_steps
+        rk4 = flow_batch(fam, 0.78, rho, theta, x0, 4.0,
+                         IntegratorConfig(method="rk4", rk4_step=0.01), channels="full")
+        assert (rk4.n_steps, rk4.n_rejected) == (400, 0)
+
     def test_stiff_family_is_handled(self):
         fam = make_radial(b=100.0)
         st = integrate(fam, 0.0, RHO, [0.2, 0.3], 0.5, 1.0 / math.pi, CFG)
@@ -223,15 +238,17 @@ class TestPerLaneBeta:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_float_beta_keeps_the_scalar_coefficient(self, name):
-        # a float beta runs the rhs  poly(x) - scale beta^p g(theta)  with one
-        # float coefficient: bit for bit _rk45_batch on that rhs written out
+        # a float beta runs the field  poly(x) - scale beta^p g(theta)  with one
+        # float coefficient: bit for bit _rk45_batch on that field written out,
+        # its forcing at a step's stage times ts and its state part
         fam, beta, cfg, theta, x0 = self.lanes(name)
         b = float(beta[0])
         res = flow_batch(fam, b, RHO, theta, x0, 1.0 / math.pi, cfg)
         poly, _ = fam.polynomial()
         c = fam.scale * b**fam.beta_power
-        y, active, _, _, _ = _rk45_batch(
-            lambda t, y: (poly(y[0]) - c * fam.shape.g(theta + t * RHO.rho))[None, :],
+        y, active, _, _, _, _ = _rk45_batch(
+            lambda ts: c * fam.shape.g(theta + ts[:, None, None] * RHO.rho),
+            lambda y, cg: (poly(y[0]) - cg)[None, :],
             0.0, x0[None, :], 1.0 / math.pi, cfg)
         assert np.array_equal(res.y, y)
         assert np.array_equal(res.escaped, ~active)
@@ -243,3 +260,45 @@ class TestPerLaneBeta:
         with pytest.raises(ValueError, match="beta = 1.5 outside"):
             flow_batch(make_radial(), np.array([0.1, 1.5, 0.2]), RHO, np.zeros((3, 2)),
                        np.zeros(3), 0.1, CFG)
+
+
+class TestLanePermutation:
+    """The forcing of a step attempt is one shape call over every lane."""
+
+    CASES = {
+        "radial": (make_radial(), 0.9, CFG, (-1.6, 1.3)),
+        "cos11": (Cos11(100.0), 176.01538, CFG.with_escape(-25.0, 25.0), (-12.0, 12.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("channels", ["x", "xl", "full", "mobius"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lane_permutation_permutes_the_result(self, monkeypatch, name, channels,
+                                                  reverse):
+        # the forcing values of all stages come from one call: the result must
+        # still follow the lanes, with some base points repeated
+        fam, beta, cfg, x_range = self.CASES[name]
+        rng = np.random.default_rng(11)
+        theta = rng.random((12, 2))[rng.integers(0, 12, 40)]
+        x0 = rng.uniform(*x_range, len(theta))
+
+        seen = []
+        shape_cls = type(fam.shape)
+        method = "triple" if channels == "full" else "g"
+        real = getattr(shape_cls, method)
+
+        def spy(shape, th, *args):
+            seen.append(th.shape[:-1])
+            return real(shape, th, *args)
+
+        monkeypatch.setattr(shape_cls, method, spy)
+        t = (-1.0 if reverse else 1.0) / math.pi
+        perm = rng.permutation(len(theta))
+        a = flow_batch(fam, beta, RHO, theta, x0, t, cfg, channels=channels)
+        b = flow_batch(fam, beta, RHO, theta[perm], x0[perm], t, cfg, channels=channels)
+        assert np.array_equal(a.y[:, perm], b.y)
+        assert np.array_equal(a.escaped[perm], b.escaped)
+        assert np.array_equal(a.escape_times[perm], b.escape_times, equal_nan=True)
+        assert a.n_steps == b.n_steps
+        # one call per step attempt (five stage times) or per first stage
+        assert set(seen) == {(1, len(theta)), (5, len(theta))}
