@@ -193,9 +193,6 @@ class CriticalRegion:
     mask: np.ndarray        # I_0 membership of the section grid nodes
     measure: float          # fraction of the section torus
 
-    def contains(self, idx) -> bool:
-        return bool(self.mask[idx])
-
 
 def critical_region(constants: AuditConstants, grid_n: int) -> CriticalRegion:
     d = constants.rho.size - 1
@@ -547,7 +544,7 @@ _A9 = "second base derivative of the fibre maps exceeds s on the pinch set x C"
 
 
 def j0_region(family: RadialLogistic, beta, rho, constants: AuditConstants,
-              grid_n: int, cfg: IntegratorConfig, dilate: int = 1) -> np.ndarray:
+              grid_n: int, cfg: IntegratorConfig) -> np.ndarray:
     """Grid mask of the pinch set: fibres sending 1-c into the expanding strip.
 
     Dilated by one node so the set is closed at grid resolution. An array
@@ -563,12 +560,10 @@ def j0_region(family: RadialLogistic, beta, rho, constants: AuditConstants,
     for y, esc in _merged_returns(family, rho_v, cfg, [(b, nodes, start) for b in betas], "x"):
         img = np.where(esc & (y[0] <= cfg.escape_low + 1e-9), -np.inf, y[0])
         mask = (img <= constants.e_top).reshape(grid)
-        for _ in range(dilate):
-            grown = mask.copy()
-            for axis in range(d):
-                grown |= np.roll(mask, 1, axis=axis) | np.roll(mask, -1, axis=axis)
-            mask = grown
-        masks.append(mask)
+        grown = mask.copy()
+        for axis in range(d):
+            grown |= np.roll(mask, 1, axis=axis) | np.roll(mask, -1, axis=axis)
+        masks.append(grown)
     return np.array(masks).reshape(np.shape(beta) + grid)
 
 
@@ -817,12 +812,17 @@ def gate_report(constants: AuditConstants, i0_measure: float, K: int, M: int,
 # sequence, so a batch reaching far past the first hit costs more steps than
 # one more return.
 _PROBE_BATCH = 4
+# the gate's defaults: run_audit's keyword values when the config leaves them out
+GATE_DEFAULTS = {"K": 50, "M": 2, "p": 2.0, "eta": 2.0}
+# frequency radius at which the empirical Diophantine constant C' is certified
+CERT_RADIUS = 4096
 
 
 def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
               grid_n: int, sample_n: int, cfg: IntegratorConfig, seed: int = 0,
-              K: int = 50, M: int = 2, p: float = 2.0, eta: float = 2.0,
-              C_prime: float | None = None, cert_radius: int = 4096) -> AuditReport:
+              K: int = GATE_DEFAULTS["K"], M: int = GATE_DEFAULTS["M"],
+              p: float = GATE_DEFAULTS["p"], eta: float = GATE_DEFAULTS["eta"],
+              C_prime: float | None = None) -> AuditReport:
     """Full sixteen-entry audit plus the gate summary.
 
     The boundary parameters of the admissible window are estimated first; the
@@ -831,7 +831,7 @@ def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
     hairline that no fixed grid would hit), and the crossing entry (A10) is
     evaluated just beyond beta_plus. When ``C_prime`` is not supplied, the
     empirical Diophantine constant of the induced section frequency at
-    ``cert_radius`` is used (the exact constant of the reduction is stated
+    ``CERT_RADIUS`` is used (the exact constant of the reduction is stated
     only up to proportionality).
 
     Each phase carries all its beta on per-lane parameters, so the audit pays
@@ -920,7 +920,7 @@ def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
 
     if C_prime is None:
         freq = induce_frequency(rho_v)
-        cert = certify_diophantine(freq, C_const=1e-12, eta=eta, K_max=cert_radius)
+        cert = certify_diophantine(freq, C_const=1e-12, eta=eta, K_max=CERT_RADIUS)
         C_prime = cert.empirical_C
     gate = gate_report(constants, region.measure, K, M, C_prime, eta, p)
 

@@ -37,6 +37,7 @@ __all__ = [
 
 
 SWEEP_CAP = 5_000_000   # largest per-pullback sweep budget of the bisection
+CLOUD_POINTS = 100_000  # points of the lifted attractor cloud that classify box-counts
 
 
 class BifurcationError(RuntimeError):
@@ -292,9 +293,7 @@ class BifurcationClassification:
 def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
              cfg: IntegratorConfig, bracket_scale: float, tol_beta: float,
              thresholds: ClassifyThresholds = ClassifyThresholds(),
-             n_iter: int = 200_000,
-             cloud_points: int = 100_000, seed: int = 0,
-             epsilons=None) -> BifurcationClassification:
+             n_iter: int = 200_000, seed: int = 0) -> BifurcationClassification:
     """Classify the collision at beta_c as smooth or non-smooth by signature.
 
     Evaluates a ladder beta_c - eps with eps in {1e-2, 1e-3, 1e-4} of
@@ -345,9 +344,8 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
     lam_map = abs(rungs[-1].lambda_attractor) / rho_v.rho_D
     burn = int(min(20_000, max(48, 40.0 / max(lam_map, 1e-3))))
     cloud = graph_point_cloud(family, rungs[-1].beta, rho_v, attractor_finest,
-                              cloud_points, cfg, seed=seed, burn_in=burn, lift=True)
-    ladder = box_count(_normalize_fibre(cloud), epsilons=epsilons
-                       if epsilons is not None else default_epsilons(9))
+                              CLOUD_POINTS, cfg, seed=seed, burn_in=burn, lift=True)
+    ladder = box_count(_normalize_fibre(cloud), epsilons=default_epsilons(9))
     boxdim_threshold = d + thresholds.boxdim_excess
 
     fin = rungs[-1]

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .audit import AuditError, compute_constants, format_report, run_audit
+from .audit import GATE_DEFAULTS, AuditError, compute_constants, format_report, run_audit
 from .bifurcation import (
     BifurcationError,
     ClassifyThresholds,
@@ -308,11 +308,7 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> None:
         sample_n=opts.get("sample_n", 1000),
         cfg=cfg.integrator,
         seed=cfg.seed,
-        K=opts.get("K", 50),
-        M=opts.get("M", 2),
-        p=opts.get("p", 2.0),
-        eta=opts.get("eta", 2.0),
-        C_prime=opts.get("C_prime"),
+        **{key: opts[key] for key in (*GATE_DEFAULTS, "C_prime") if key in opts},
     )
     print(format_report(report))
     write_json(os.path.join(out, "audit_report.json"), cfg, "audit", {

@@ -11,9 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-from .audit import delta1_max, gate_exponent
+from .audit import GATE_DEFAULTS, delta1_max, gate_exponent
 from .bifurcation import ClassifyThresholds
 from .fields import (
     AutonomousRiccati,
@@ -83,7 +83,7 @@ FAMILY_KEYS = {
     "logistic_harvest": ("b", "r", "bump_radius", "center"),
     "autonomous_riccati": ("a2", "a0", "beta_slope", "beta_power", "dim"),
 }
-INTEGRATOR_KEYS = ("method", "rel_tol", "abs_tol", "max_step", "escape", "rk4_step")
+INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "escape")
 TOP_KEYS = ("seed", "rho", "family", "integrator", "grid_n", "n_iter", "lift_grid",
             "beta", "beta_range", "tol_beta", "out_dir", "threads",
             "simulate", "boxdim", "audit", "classify")
@@ -144,19 +144,12 @@ def build_integrator(d: dict, family: ForcedField, path: str = "integrator") -> 
     if escape is None:
         escape = list(family.default_escape())
     escape = _vec(escape, f"{path}.escape", 2)
-    method = d.get("method", "rk45")
-    if method not in ("rk45", "rk4"):
-        raise ConfigError(f"{path}.method: must be 'rk45' or 'rk4'")
     try:
         return IntegratorConfig(
             rel_tol=_num(d.get("rel_tol", 1e-10), f"{path}.rel_tol", lo=0.0),
             abs_tol=_num(d.get("abs_tol", 1e-12), f"{path}.abs_tol", lo=0.0),
-            max_step=_num(d.get("max_step", math.inf), f"{path}.max_step", positive=True)
-            if d.get("max_step") is not None else math.inf,
             escape_low=escape[0],
             escape_high=escape[1],
-            method=method,
-            rk4_step=_num(d.get("rk4_step", 1e-3), f"{path}.rk4_step", lo=0.0),
         )
     except ConfigError:
         raise
@@ -221,7 +214,7 @@ def _audit_bounds(block: dict) -> None:
     """The audit block's cross-field bounds, so they fail before any integration."""
     if "delta1" in block and "delta2" in block and block["delta2"] >= block["delta1"]:
         raise ConfigError(f"audit.delta2: must be below delta1, got {block['delta2']}")
-    K, p = block.get("K", 50), block.get("p", 2.0)  # run_audit's defaults
+    K, p = block.get("K", GATE_DEFAULTS["K"]), block.get("p", GATE_DEFAULTS["p"])
     if gate_exponent(K, p) <= 0.0:
         raise ConfigError(f"audit.{'K' if 'K' in block else 'p'}: K = {K} and p = {p} make "
                           "the gate exponent 2q^2/p - 5(1-q^2)p, q = 1 - 1/K, not positive")
@@ -276,16 +269,16 @@ class ExperimentConfig:
     family: ForcedField
     rho: list
     integrator: IntegratorConfig
-    seed: int = 0
-    grid_n: int = 512
-    n_iter: int = 20_000
-    lift_grid: int = 256
-    beta: float | None = None
-    beta_range: tuple | None = None
-    tol_beta: float = 1e-3
-    out_dir: str = "out"
-    threads: int = 1
-    extras: dict = field(default_factory=dict)
+    seed: int
+    grid_n: int
+    n_iter: int
+    lift_grid: int
+    beta: float | None
+    beta_range: tuple | None
+    tol_beta: float
+    out_dir: str
+    threads: int
+    extras: dict
 
     @property
     def sha256(self) -> str:

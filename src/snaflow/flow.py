@@ -105,6 +105,8 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+# relative width of the time bracket at which the escape bisection stops
+_ESCAPE_TIME_TOL = 1e-12
 
 
 class FlowBlowUp(RuntimeError):
@@ -124,23 +126,14 @@ class FlowEscape(RuntimeError):
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     escape_low: float = -10.0
     escape_high: float = 10.0
-    method: str = "rk45"  # "rk45" adaptive or "rk4" fixed-step
-    rk4_step: float = 1e-3
 
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if not self.escape_low < self.escape_high:
             raise ValueError("escape window must satisfy escape_low < escape_high")
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if not self.max_step > 0.0:
-            raise ValueError("max_step must be positive")
-        if self.method == "rk4" and not self.rk4_step > 0.0:
-            raise ValueError("rk4_step must be positive")
 
     def with_escape(self, low: float, high: float) -> "IntegratorConfig":
         return replace(self, escape_low=low, escape_high=high)
@@ -181,14 +174,13 @@ class FlowBatchResult:
     escape_times: np.ndarray  # (n,) nan where not escaped
     h_last: float
     n_steps: int             # step attempts, rejected ones included
-    n_rejected: int          # attempts whose error ratio exceeded 1 (0 for rk4)
+    n_rejected: int          # attempts whose error ratio exceeded 1
 
 
 _CHANNEL_COUNT = {"x": 1, "xl": 2, "full": 6, "mobius": 4}
 # stage times, as fractions of h, at which a DP5 step attempt needs new forcing
 # values: c2..c6 (c7 = c6, and c1 is the last accepted step's c7 by FSAL)
 _C_STEP = np.array(_C[1:6])
-_C_RK4 = np.array([0.0, 0.5, 1.0])
 
 
 def _batch_rhs(family: ForcedField, beta, theta0: np.ndarray, rho: np.ndarray,
@@ -266,13 +258,11 @@ def _batch_rhs(family: ForcedField, beta, theta0: np.ndarray, rho: np.ndarray,
 
 
 def _error_ratio(err, y_old, y_new, active, cfg):
+    """Max over the active lanes of |err| / (abs_tol + rel_tol max(|y_old|, |y_new|))."""
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.abs(err) / scale
-    r = r[:, active]
-    if r.size == 0:
-        return 0.0
-    m = float(np.max(r))
+        lane_max = np.max(np.abs(err) / scale, axis=0)
+    m = float(np.max(lane_max[active]))
     return math.inf if not math.isfinite(m) else m
 
 
@@ -286,9 +276,9 @@ def _mark_escapes(y, active, esc_t, t: float, cfg: IntegratorConfig) -> bool:
     return True
 
 
-def _rk45_batch(forcing, rhs, t0: float, y0: np.ndarray, span: float, cfg: IntegratorConfig,
+def _rk45_batch(forcing, rhs, y0: np.ndarray, span: float, cfg: IntegratorConfig,
                 h0: float | None = None):
-    """Adaptive batch driver over t in [t0, t0 + span] (span > 0, internal time).
+    """Adaptive batch driver over t in [0, span] (span > 0, internal time).
 
     Each step attempt makes one ``forcing`` call for its five new stage times;
     ``k1`` (and its forcing) is recomputed only at the start, after an escape
@@ -302,19 +292,19 @@ def _rk45_batch(forcing, rhs, t0: float, y0: np.ndarray, span: float, cfg: Integ
     active = np.ones(n, dtype=bool)
     esc_t = np.full(n, np.nan)
     t = 0.0
-    h_min = 1e-14 * max(abs(t0) + span, 1.0)
-    h = min(cfg.max_step, span if h0 is None else max(h0, h_min), span)
+    h_min = 1e-14 * max(span, 1.0)
+    h = span if h0 is None else min(max(h0, h_min), span)
     k1 = None
     n_steps = n_rejected = 0
-    _mark_escapes(y, active, esc_t, t0, cfg)
+    _mark_escapes(y, active, esc_t, 0.0, cfg)
 
     while t < span and active.any():
         h = min(h, span - t)
         if h < h_min:
-            raise FlowBlowUp(t0 + t, t0 + t + h_min)
+            raise FlowBlowUp(t, t + h_min)
         if k1 is None:
-            k1 = rhs(y, forcing(np.array([t0 + t]))[0])
-        f = forcing(t0 + t + _C_STEP * h)
+            k1 = rhs(y, forcing(np.array([t]))[0])
+        f = forcing(t + _C_STEP * h)
         with np.errstate(over="ignore", invalid="ignore"):
             k2 = rhs(y + h * (_A[1][0] * k1), f[0])
             k3 = rhs(y + h * (_A[2][0] * k1 + _A[2][1] * k2), f[1])
@@ -334,41 +324,15 @@ def _rk45_batch(forcing, rhs, t0: float, y0: np.ndarray, span: float, cfg: Integ
             # accept; frozen nodes keep their state
             y = np.where(active[None, :], y_new, y)
             t += h
-            k1 = None if _mark_escapes(y, active, esc_t, t0 + t, cfg) else k7  # FSAL
+            k1 = None if _mark_escapes(y, active, esc_t, t, cfg) else k7  # FSAL
             fac = _MAX_FACTOR if ratio == 0.0 else min(_MAX_FACTOR, _SAFETY * ratio**-0.2)
-            h = min(h * fac, cfg.max_step)
+            h *= fac
         else:
             n_rejected += 1
             k1 = None if not math.isfinite(ratio) else k1
             fac = _MIN_FACTOR if not math.isfinite(ratio) else max(_MIN_FACTOR, _SAFETY * ratio**-0.2)
             h *= fac
     return y, active, esc_t, h, n_steps, n_rejected
-
-
-def _rk4_batch(forcing, rhs, t0: float, y0: np.ndarray, span: float, cfg: IntegratorConfig):
-    """Fixed-step classic RK4 batch driver (kept for convergence-order tests)."""
-    y = y0.copy()
-    n = y.shape[1]
-    active = np.ones(n, dtype=bool)
-    esc_t = np.full(n, np.nan)
-    _mark_escapes(y, active, esc_t, t0, cfg)
-    n_steps = max(1, math.ceil(span / cfg.rk4_step))
-    h = span / n_steps
-    t = 0.0
-    for _ in range(n_steps):
-        if not active.any():
-            break
-        f = forcing(t0 + t + _C_RK4 * h)
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs(y, f[0])
-            k2 = rhs(y + 0.5 * h * k1, f[1])
-            k3 = rhs(y + 0.5 * h * k2, f[1])
-            k4 = rhs(y + h * k3, f[2])
-            y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y = np.where(active[None, :], y_new, y)
-        t += h
-        _mark_escapes(y, active, esc_t, t0 + t, cfg)
-    return y, active, esc_t, h, n_steps, 0
 
 
 def _scalar_rhs(family: ForcedField, beta: float, reverse: bool):
@@ -392,14 +356,13 @@ def _scalar_rhs(family: ForcedField, beta: float, reverse: bool):
     return rhs
 
 
-def _rk45_scalar(rhs, t0: float, y0: list, span: float, cfg: IntegratorConfig,
-                 h0: float | None = None):
+def _rk45_scalar(rhs, t0: float, y0: list, span: float, cfg: IntegratorConfig):
     """Float driver, same tableau and controller as the batch driver."""
     m = len(y0)
     y = list(y0)
     t = 0.0
     h_min = 1e-14 * max(abs(t0) + span, 1.0)
-    h = min(cfg.max_step, span if h0 is None else max(h0, h_min), span)
+    h = span
     lo, hi = cfg.escape_low, cfg.escape_high
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     if y[0] < lo or y[0] > hi:
@@ -448,52 +411,28 @@ def _rk45_scalar(rhs, t0: float, y0: list, span: float, cfg: IntegratorConfig,
                 return y, False, t_esc, h, n_steps
             k[0] = k[6]
             fac = _MAX_FACTOR if ratio == 0.0 else min(_MAX_FACTOR, _SAFETY * ratio**-0.2)
-            h = min(h * fac, cfg.max_step)
+            h *= fac
         else:
             h *= max(_MIN_FACTOR, _SAFETY * ratio**-0.2)
     return y, True, None, h, n_steps
 
 
-def _refine_escape_scalar(rhs, t0, t_in, y_in, t_out, cfg, tol_scale=1e-12):
+def _refine_escape_scalar(rhs, t0, t_in, y_in, t_out, cfg):
     """Bisect the first window crossing inside (t_in, t_out] by re-integration."""
     lo_t, hi_t = t_in, t_out
-    tol = tol_scale * max(1.0, abs(t0 + t_out))
+    tol = _ESCAPE_TIME_TOL * max(1.0, abs(t0 + t_out))
     wlo, whi = cfg.escape_low, cfg.escape_high
+    unbounded = cfg.with_escape(-math.inf, math.inf)
     for _ in range(80):
         if hi_t - lo_t <= tol:
             break
         mid = 0.5 * (lo_t + hi_t)
-        y, _, _, _, _ = _rk45_scalar_plain(rhs, t0 + t_in, list(y_in), mid - t_in, cfg)
+        y, _, _, _, _ = _rk45_scalar(rhs, t0 + t_in, list(y_in), mid - t_in, unbounded)
         if wlo <= y[0] <= whi:
             lo_t = mid
         else:
             hi_t = mid
     return t0 + 0.5 * (lo_t + hi_t)
-
-
-def _rk45_scalar_plain(rhs, t0, y0, span, cfg):
-    """Escape-blind variant used by the refinement bisection."""
-    unbounded = replace(cfg, escape_low=-math.inf, escape_high=math.inf)
-    return _rk45_scalar(rhs, t0, y0, span, unbounded)
-
-
-def _rk4_scalar(rhs, t0: float, y0: list, span: float, cfg: IntegratorConfig):
-    m = len(y0)
-    y = list(y0)
-    lo, hi = cfg.escape_low, cfg.escape_high
-    n_steps = max(1, math.ceil(span / cfg.rk4_step))
-    h = span / n_steps
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(t0 + t, y)
-        k2 = rhs(t0 + t + 0.5 * h, [y[j] + 0.5 * h * k1[j] for j in range(m)])
-        k3 = rhs(t0 + t + 0.5 * h, [y[j] + 0.5 * h * k2[j] for j in range(m)])
-        k4 = rhs(t0 + t + h, [y[j] + h * k3[j] for j in range(m)])
-        y = [y[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) for j in range(m)]
-        t += h
-        if y[0] < lo or y[0] > hi:
-            return y, False, t0 + t, h, n_steps
-    return y, True, None, h, n_steps
 
 
 def _as_rho(rho) -> np.ndarray:
@@ -558,11 +497,7 @@ def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final: float,
         return FlowBatchResult(y0, np.zeros(n, bool), np.full(n, np.nan), 0.0, 0, 0)
     v = unit_direction(direction, family.D) if channels == "full" else None
     forcing, rhs = _batch_rhs(family, beta, theta0, rho_v, channels, v, reverse)
-    if cfg.method == "rk4":
-        y, act, esc_t, h_last, n_steps, n_rej = _rk4_batch(forcing, rhs, 0.0, y0, span, cfg)
-    else:
-        y, act, esc_t, h_last, n_steps, n_rej = _rk45_batch(forcing, rhs, 0.0, y0, span, cfg,
-                                                            h0=h0)
+    y, act, esc_t, h_last, n_steps, n_rej = _rk45_batch(forcing, rhs, y0, span, cfg, h0=h0)
     if reverse:
         esc_t = -esc_t
     return FlowBatchResult(y, ~act, esc_t, h_last, n_steps, n_rej)
@@ -593,10 +528,7 @@ def integrate(family: ForcedField, beta: float, rho, theta0, x0: float, t_final:
         return AugmentedFlowState(*state0, t=t_final)
     if family.theta_independent:
         rhs = _scalar_rhs(family, beta, reverse)
-        if cfg.method == "rk4":
-            y, ok, t_esc, _, _ = _rk4_scalar(rhs, 0.0, state0, span, cfg)
-        else:
-            y, ok, t_esc, _, _ = _rk45_scalar(rhs, 0.0, state0, span, cfg)
+        y, ok, t_esc, _, _ = _rk45_scalar(rhs, 0.0, state0, span, cfg)
         t_esc_signed = None if ok else t0 + (-t_esc if reverse else t_esc)
         return AugmentedFlowState(*y, t=t_final, escaped=not ok, escape_time=t_esc_signed)
     rho_v = _as_rho(rho)

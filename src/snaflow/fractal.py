@@ -40,6 +40,7 @@ __all__ = [
 
 MIN_POINTS = 1_000
 LIFT_PHASES = 256   # quantized flow phases of a lifted cloud
+FIT_EXCLUDE = 2     # ladder scales the slope fit drops at each end
 
 
 @dataclass
@@ -57,11 +58,11 @@ def default_epsilons(finest_power: int = 12, coarsest_power: int = 3) -> np.ndar
     return 2.0 ** (-np.arange(coarsest_power, finest_power + 1, dtype=float))
 
 
-def box_count(points, epsilons=None, fit_exclude: int = 2) -> BoxCountLadder:
+def box_count(points, epsilons=None) -> BoxCountLadder:
     """Count occupied eps-boxes of a point cloud in T^k x R (max-metric).
 
     ``points`` is (n, dim) with torus coordinates already in [0, 1); the last
-    coordinate may be unbounded. The fit window drops ``fit_exclude`` scales at
+    coordinate may be unbounded. The fit window drops ``FIT_EXCLUDE`` scales at
     each end of the ladder: the coarsest boxes saturate the ambient space, the
     finest saturate the sample.
     """
@@ -88,7 +89,7 @@ def box_count(points, epsilons=None, fit_exclude: int = 2) -> BoxCountLadder:
 
     log_n = np.log(counts.astype(float))
     x = -np.log(eps)
-    lo, hi = fit_exclude, eps.size - fit_exclude
+    lo, hi = FIT_EXCLUDE, eps.size - FIT_EXCLUDE
     if hi - lo < 2:
         raise ValueError("fit window degenerate; supply a longer ladder")
     slope, stderr = _ls_slope(x[lo:hi], log_n[lo:hi])

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from snaflow.cli import main
 from snaflow.config import ConfigError, load_config
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -83,6 +85,13 @@ class TestConfigValidation:
                 "beta": 3.0,
             })
 
+    def test_readme_example_config_loads(self):
+        # the README's example config is a valid config, so it cannot go stale
+        text = open(README, encoding="utf-8").read()
+        block = re.search(r"Example config \(JSON\):\n\n```json\n(.*?)```", text, re.S)
+        cfg = load_config(json.loads(block.group(1)))
+        assert (cfg.integrator.rel_tol, cfg.beta) == (1e-10, 0.2)
+
     def test_exit_code_two(self, tmp_path, capsys):
         path = write_cfg(tmp_path, {"family": {"kind": "nope"}, "rho": [0.1, 1.0]})
         assert main(["graphs", "--config", path]) == 2
@@ -152,6 +161,8 @@ class TestConfigValidation:
         ("simulate", {"family": {"kind": "logistic_harvest", "b": 4.0, "r": 1.0,
                                  "bump_radius": 0.3, "center": [0.3]}, "rho": [0.25]},
          "family.center: needs at least 2 components"),
+        ("graphs", {"integrator": {"method": "rk45"}}, "integrator.method: unknown key"),
+        ("graphs", {"integrator": {"rk4_step": 0.01}}, "integrator.rk4_step: unknown key"),
     ])
     def test_malformed_block_is_a_config_error(self, tmp_path, capsys, subcommand, block,
                                                path):
