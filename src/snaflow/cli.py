@@ -1,6 +1,6 @@
 """Experiment runner: deterministic artifacts from a JSON config.
 
-    snaflow <subcommand> --config cfg.json [--out DIR] [--threads N]
+    snaflow <subcommand> --config cfg.json [--out DIR]
 
 Subcommands: simulate, graphs, bifurcate, classify, lyapunov, boxdim, audit,
 figure1. Artifacts are CSV (with '#'-prefixed metadata lines) and JSON, always
@@ -10,10 +10,6 @@ files; every artifact embeds the config's sha256.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (escape or
 non-convergence where success was required).
-
-The --threads flag (or SNAFLOW_THREADS) is accepted, validated and recorded
-in artifacts as a resource hint: the compute kernels are numpy-vectorised in
-one process, and results never depend on the value.
 """
 from __future__ import annotations
 
@@ -36,7 +32,7 @@ from .bifurcation import (
 )
 from .config import ConfigError, ExperimentConfig, load_config
 from .fields import Cos11, RadialLogistic
-from .flow import FlowBlowUp, FlowEscape, integrate
+from .flow import FlowBlowUp, FlowEscape, flow_batch
 from .fractal import box_count, default_epsilons, graph_point_cloud
 from .graphs import Escaped, GraphPair, gap_stats, graph_pair, lift_graph
 from .section import lyapunov_relation_check
@@ -89,7 +85,6 @@ def _meta_lines(cfg: ExperimentConfig, command: str):
         f"# snaflow_version: {__version__}",
         f"# command: {command}",
         f"# config_sha256: {cfg.sha256}",
-        f"# threads_hint: {cfg.threads}",
     ]
 
 
@@ -106,7 +101,6 @@ def write_json(path: str, cfg: ExperimentConfig, command: str, payload: dict) ->
         "snaflow_version": __version__,
         "command": command,
         "config_sha256": cfg.sha256,
-        "threads_hint": cfg.threads,
         **_sanitize(payload),
     }
     _write_atomic(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -149,15 +143,14 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> None:
     t_final = sim.get("t_final", 1.0)
     n_samples = sim.get("n_samples", 200)
     beta = _beta_or_fail(cfg)
-    rows = []
     t_grid = np.linspace(0.0, t_final, n_samples + 1)
-    state = None
-    for t in t_grid:   # each sample continues the trajectory from the one before
-        state = integrate(cfg.family, beta, cfg.rho, theta0, x0, float(t), cfg.integrator,
-                          start=state)
-        if state.escaped:
-            raise NumericalFailure(f"trajectory escaped at t={state.escape_time}")
-        rows.append((t, state.x, state.log_dx, state.dtheta, state.dtheta2))
+    lanes = t_grid.size   # one lane per sample time, all on the same trajectory
+    res = flow_batch(cfg.family, beta, cfg.rho, np.tile(theta0, (lanes, 1)),
+                     np.full(lanes, float(x0)), t_grid, cfg.integrator, channels="full")
+    if res.escaped.any():
+        raise NumericalFailure(
+            f"trajectory escaped at t={res.escape_times[np.argmax(res.escaped)]}")
+    rows = zip(t_grid, res.y[0], res.y[1], res.y[2], res.y[5])
     write_csv(os.path.join(out, "trajectory.csv"), cfg, "simulate",
               ["t", "x", "log_dx", "dtheta", "dtheta2"], rows)
 
@@ -378,8 +371,6 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output directory (default: config out_dir)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker hint; SNAFLOW_THREADS overrides")
     args = parser.parse_args(argv)
 
     try:
@@ -397,17 +388,6 @@ def main(argv=None) -> int:
 
     if args.subcommand == "figure1":
         raw = _figure1_defaults(raw)
-
-    env_threads = os.environ.get("SNAFLOW_THREADS")
-    if env_threads is not None:
-        try:
-            raw["threads"] = int(env_threads)
-        except ValueError:
-            print(f"config error: SNAFLOW_THREADS: expected an integer, got {env_threads!r}",
-                  file=sys.stderr)
-            return 2
-    elif args.threads is not None:
-        raw["threads"] = args.threads
 
     try:
         cfg = load_config(raw)

@@ -3,8 +3,7 @@
 A run is reproducible bit-for-bit from (config, version): the canonical JSON
 of the config as given (with the figure1 defaults filled in) is hashed into
 every artifact, and nothing else (clocks, hostnames, scheduling) enters the
-outputs. The threads resource hint is left out of the hash, because results
-never depend on it.
+outputs.
 """
 from __future__ import annotations
 
@@ -85,7 +84,7 @@ FAMILY_KEYS = {
 }
 INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "escape")
 TOP_KEYS = ("seed", "rho", "family", "integrator", "grid_n", "n_iter", "lift_grid",
-            "beta", "beta_range", "tol_beta", "out_dir", "threads",
+            "beta", "beta_range", "tol_beta", "out_dir",
             "simulate", "boxdim", "audit", "classify")
 
 
@@ -277,12 +276,11 @@ class ExperimentConfig:
     beta_range: tuple | None
     tol_beta: float
     out_dir: str
-    threads: int
     extras: dict
 
     @property
     def sha256(self) -> str:
-        return canonical_hash({k: v for k, v in self.raw.items() if k != "threads"})
+        return canonical_hash(self.raw)
 
 
 def canonical_hash(raw: dict) -> str:
@@ -318,7 +316,6 @@ def load_config(d: dict) -> ExperimentConfig:
         beta_range=None if beta_range is None else tuple(_vec(beta_range, "beta_range", 2)),
         tol_beta=_num(d.get("tol_beta", 1e-3), "tol_beta", positive=True),
         out_dir=str(d.get("out_dir", "out")),
-        threads=_int(d.get("threads", 1), "threads", lo=1),
         extras=_extras(d, family, rho[-1]),
     )
     lo, hi = family.beta_range

@@ -172,7 +172,6 @@ class FlowBatchResult:
     y: np.ndarray            # (m, n) final channel values (frozen at escape)
     escaped: np.ndarray      # (n,) bool
     escape_times: np.ndarray  # (n,) nan where not escaped
-    h_last: float
     n_steps: int             # step attempts, rejected ones included
     n_rejected: int          # attempts whose error ratio exceeded 1
 
@@ -280,12 +279,14 @@ def _rk45_batch(forcing, rhs, y0: np.ndarray, span: float, cfg: IntegratorConfig
                 h0: float | None = None):
     """Adaptive batch driver over t in [0, span] (span > 0, internal time).
 
-    Each step attempt makes one ``forcing`` call for its five new stage times;
-    ``k1`` (and its forcing) is recomputed only at the start, after an escape
-    and after a non-finite error ratio. Escape checks apply to channel 0;
-    escaped trajectories freeze and leave the error norm. Returns
-    (y, active, escape_times, h_last, n_steps, n_rejected), where n_steps
-    counts attempts.
+    The first attempt takes the step size ``h0`` (clipped to [h_min, span]),
+    or the whole span without one. Each step attempt makes one ``forcing``
+    call for its five new stage times; ``k1`` (and its forcing) is recomputed
+    only at the start, after an escape and after a non-finite error ratio.
+    Escape checks apply to channel 0; escaped trajectories freeze and leave
+    the error norm. Returns (y, active, escape_times, h_next, n_steps,
+    n_rejected), where h_next is the step size the next attempt would take and
+    n_steps counts attempts.
     """
     n = y0.shape[1]
     y = y0.copy()
@@ -302,10 +303,10 @@ def _rk45_batch(forcing, rhs, y0: np.ndarray, span: float, cfg: IntegratorConfig
         h = min(h, span - t)
         if h < h_min:
             raise FlowBlowUp(t, t + h_min)
-        if k1 is None:
-            k1 = rhs(y, forcing(np.array([t]))[0])
         f = forcing(t + _C_STEP * h)
         with np.errstate(over="ignore", invalid="ignore"):
+            if k1 is None:
+                k1 = rhs(y, forcing(np.array([t]))[0])
             k2 = rhs(y + h * (_A[1][0] * k1), f[0])
             k3 = rhs(y + h * (_A[2][0] * k1 + _A[2][1] * k2), f[1])
             k4 = rhs(y + h * (_A[3][0] * k1 + _A[3][1] * k2 + _A[3][2] * k3), f[2])
@@ -450,97 +451,106 @@ def _as_base(theta, D) -> np.ndarray:
     return th
 
 
-def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final: float,
-               cfg: IntegratorConfig, channels: str = "x", direction=None,
-               h0: float | None = None) -> FlowBatchResult:
-    """Integrate a batch of fibres from t = 0 to t_final (may be negative).
+def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final,
+               cfg: IntegratorConfig, channels: str = "x", direction=None) -> FlowBatchResult:
+    """Integrate a batch of fibres, each from t = 0 to its own end time.
 
-    ``theta0`` is (n, D) on T^D, ``x0`` is (n,). ``beta`` is a float or an
-    (n,) array, one parameter value per lane. All lanes share one adaptive
-    step sequence (the error norm is the maximum over the batch), so a lane's
-    result matches its own single-beta call to the integration tolerance, not
-    bit for bit. Channel values of escaped
-    trajectories are frozen at the step where the window was left. The
-    ``"mobius"`` channels start from the identity matrix and never escape;
-    ``x0`` then only sizes the batch. A (channels, n) ``x0`` holds the start
-    values of every channel instead: a trajectory continues from a carried
-    state (its base point then belongs to ``theta0``).
+    ``theta0`` is (n, D) on T^D and ``x0`` is (n,) with no NaN. ``beta`` and
+    ``t_final`` are each a float or an (n,) array, one value per lane. The end
+    times share one sign; negative ones integrate the reversed flow. All lanes
+    share one adaptive step sequence (the error norm is the maximum over the
+    batch), so a lane's result matches its own single-beta, single-end-time
+    call to the integration tolerance, not bit for bit. Lanes sorted by end
+    time drop out as the flow passes it: one ``_rk45_batch`` call per distinct
+    end time on the lanes still flowing, started from their base points moved
+    by the time already flowed and from the step size the previous call
+    reached. Channel values of escaped trajectories are frozen at the step
+    where the window was left, and ``escape_times`` holds each lane's first
+    escape time from t = 0; a lane whose end time is 0 returns its start,
+    not escaped. The ``"mobius"`` channels start from the identity matrix and
+    never escape; ``x0`` then only sizes the batch.
     """
     family.check_beta(beta)
     if channels not in _CHANNEL_COUNT:
         raise ValueError(f"unknown channel set {channels!r}")
     rho_v = _as_rho(rho)
     theta0 = np.asarray(theta0, dtype=float)
-    m = _CHANNEL_COUNT[channels]
-    x0 = np.asarray(x0, dtype=float)
-    carried = x0.ndim == 2
-    n = x0.shape[-1] if carried else np.atleast_1d(x0).size
-    if theta0.shape != (n, rho_v.size) or (carried and x0.shape[0] != m):
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    n = x0.size
+    if x0.ndim != 1 or theta0.shape != (n, rho_v.size):
         raise ValueError("theta0 must have shape (n, D) matching x0 and rho")
     if np.ndim(beta):
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (n,):
             raise ValueError(f"an array beta needs one value per lane, shape ({n},)")
+    t_final = np.asarray(t_final, dtype=float)
+    if t_final.ndim and t_final.shape != (n,):
+        raise ValueError(f"an array t_final needs one value per lane, shape ({n},)")
+    reverse = bool((t_final < 0.0).any())
+    if reverse and (t_final > 0.0).any():
+        raise ValueError("t_final mixes forward and reversed lanes")
+    y = np.zeros((_CHANNEL_COUNT[channels], n))
     if channels == "mobius":
         cfg = cfg.with_escape(-math.inf, math.inf)
-    if carried:
-        y0 = x0.copy()
+        y[0] = y[3] = 1.0
     else:
-        y0 = np.zeros((m, n))
-        if channels == "mobius":
-            y0[0] = y0[3] = 1.0
-        else:
-            y0[0] = np.atleast_1d(x0)
-    reverse = t_final < 0.0
-    span = abs(t_final)
-    if span == 0.0:
-        return FlowBatchResult(y0, np.zeros(n, bool), np.full(n, np.nan), 0.0, 0, 0)
+        nan = np.flatnonzero(np.isnan(x0))
+        if nan.size:
+            raise ValueError(f"x0 is NaN at lane {nan[0]}")
+        y[0] = x0
     v = unit_direction(direction, family.D) if channels == "full" else None
-    forcing, rhs = _batch_rhs(family, beta, theta0, rho_v, channels, v, reverse)
-    y, act, esc_t, h_last, n_steps, n_rej = _rk45_batch(forcing, rhs, y0, span, cfg, h0=h0)
-    if reverse:
-        esc_t = -esc_t
-    return FlowBatchResult(y, ~act, esc_t, h_last, n_steps, n_rej)
+    sgn = -1.0 if reverse else 1.0
+    span = np.broadcast_to(np.abs(t_final), (n,))
+    # a float t_final leaves the lanes in place: no sort, and no copies by it
+    order = np.argsort(span, kind="stable") if t_final.ndim else slice(None)
+    span, theta0, y = span[order], theta0[order], y[:, order]
+    if np.ndim(beta):
+        beta = beta[order]
+    esc_t = np.full(n, np.nan)
+    done, h, n_steps, n_rej = 0.0, None, 0, 0
+    for end in np.unique(span[span > 0.0]).tolist():
+        live = slice(int(np.searchsorted(span, end)), None)   # lanes still flowing
+        forcing, rhs = _batch_rhs(family, beta[live] if np.ndim(beta) else beta,
+                                  theta0[live] + sgn * done * rho_v, rho_v, channels, v,
+                                  reverse)
+        y[:, live], _, t_out, h, steps, rej = _rk45_batch(forcing, rhs, y[:, live],
+                                                          end - done, cfg, h0=h)
+        esc_t[live] = np.fmin(esc_t[live], done + t_out)   # a lane's first escape
+        n_steps, n_rej, done = n_steps + steps, n_rej + rej, end
+    out = np.empty_like(y)
+    out[:, order] = y
+    esc_out = np.empty(n)
+    esc_out[order] = sgn * esc_t
+    return FlowBatchResult(out, ~np.isnan(esc_out), esc_out, n_steps, n_rej)
 
 
 def integrate(family: ForcedField, beta: float, rho, theta0, x0: float, t_final: float,
-              cfg: IntegratorConfig, direction=None,
-              start: AugmentedFlowState | None = None) -> AugmentedFlowState:
+              cfg: IntegratorConfig, direction=None) -> AugmentedFlowState:
     """Flow one fibre with all six augmented channels to t_final.
 
     Negative t_final integrates the reversed flow. On escape the returned
     state carries the first time x left [escape_low, escape_high]; for
     theta-independent families that time is refined by bisection.
-
-    ``start``, a state this function returned for the same (theta0, x0),
-    continues that integration from ``start.t`` instead of from t = 0. Each
-    channel obeys an ODE along the trajectory (the variational ones are
-    linear in their own values), so carrying all six is exact.
     """
     family.check_beta(beta)
-    t0 = 0.0 if start is None else start.t
-    state0 = ([float(x0), 0.0, 0.0, 0.0, 0.0, 0.0] if start is None else
-              [start.x, start.log_dx, start.dtheta, start.dxx_ratio,
-               start.dtheta_dx_ratio, start.dtheta2])
-    reverse = t_final < t0
-    span = abs(t_final - t0)
-    if span == 0.0:
+    state0 = [float(x0), 0.0, 0.0, 0.0, 0.0, 0.0]
+    if t_final == 0.0:
         return AugmentedFlowState(*state0, t=t_final)
     if family.theta_independent:
+        reverse = t_final < 0.0
         rhs = _scalar_rhs(family, beta, reverse)
-        y, ok, t_esc, _, _ = _rk45_scalar(rhs, 0.0, state0, span, cfg)
-        t_esc_signed = None if ok else t0 + (-t_esc if reverse else t_esc)
+        y, ok, t_esc, _, _ = _rk45_scalar(rhs, 0.0, state0, abs(t_final), cfg)
+        t_esc_signed = None if ok else (-t_esc if reverse else t_esc)
         return AugmentedFlowState(*y, t=t_final, escaped=not ok, escape_time=t_esc_signed)
     rho_v = _as_rho(rho)
-    base = _as_base(theta0, rho_v.size) + t0 * rho_v
-    res = flow_batch(family, beta, rho_v, base, np.array(state0)[:, None], t_final - t0, cfg,
+    res = flow_batch(family, beta, rho_v, _as_base(theta0, rho_v.size), [x0], t_final, cfg,
                      channels="full", direction=direction)
     esc = bool(res.escaped[0])
     return AugmentedFlowState(
         *(float(res.y[j, 0]) for j in range(6)),
         t=t_final,
         escaped=esc,
-        escape_time=t0 + float(res.escape_times[0]) if esc else None,
+        escape_time=float(res.escape_times[0]) if esc else None,
     )
 
 

@@ -179,10 +179,10 @@ def _lift_cloud(family, beta, rho, role: str, base_cloud: np.ndarray, cfg, seed)
     """Flow a section cloud to per-point stratified phases in [0, T).
 
     Each point carries its own flow time on a fine quantized phase grid
-    (otherwise the cloud collapses onto constant-theta_D slabs). Points sort
-    by duration and integrate as one batch that peels off bucket by bucket.
-    A repeller cloud flows backward from the next crossing so the lift runs
-    with the stable direction of its graph.
+    (otherwise the cloud collapses onto constant-theta_D slabs), and all
+    points flow in one ``flow_batch`` call, each to its own end time. A
+    repeller cloud flows backward from the next crossing so the lift runs
+    with the stable direction of its graph. Rows follow the section cloud.
     """
     rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
     d = rho_v.D - 1
@@ -191,34 +191,12 @@ def _lift_cloud(family, beta, rho, role: str, base_cloud: np.ndarray, cfg, seed)
     rng = np.random.default_rng(seed + 1)
     buckets = rng.permutation(np.arange(n) % LIFT_PHASES)
     u = (buckets + 0.5) / LIFT_PHASES * T
-    backward = role == "repeller"
-    durations = (T - u) if backward else u
-    order = np.argsort(durations, kind="stable")
-    theta_sec = base_cloud[order, :d]
-    x = base_cloud[order, d].copy()
-    dur = durations[order]
-    base = np.concatenate([theta_sec, np.zeros((n, 1))], axis=1)
-    sgn = -1.0 if backward else 1.0
-
-    t_acc = 0.0
-    start = 0
-    h0 = None
-    while start < n:
-        target = dur[start]
-        seg = target - t_acc
-        live = slice(start, n)
-        if seg > 0.0:
-            res = flow_batch(family, beta, rho_v, base[live] + sgn * t_acc * rho_v.rho,
-                             x[live], sgn * seg, cfg, channels="x", h0=h0)
-            if res.escaped.any():
-                raise FlowEscape("orbit escaped while lifting the graph cloud")
-            x[live] = res.y[0]
-            h0 = res.h_last
-            t_acc = target
-        start = int(np.searchsorted(dur, target, side="right"))
-
+    base = np.concatenate([base_cloud[:, :d], np.zeros((n, 1))], axis=1)
+    t_final = -(T - u) if role == "repeller" else u
+    res = flow_batch(family, beta, rho_v, base, base_cloud[:, d], t_final, cfg, channels="x")
+    if res.escaped.any():
+        raise FlowEscape("orbit escaped while lifting the graph cloud")
     pts = np.empty((n, rho_v.D + 1))
-    phase_times = u[order]
-    pts[:, : rho_v.D] = wrap_unit(base + phase_times[:, None] * rho_v.rho)
-    pts[:, rho_v.D] = x
+    pts[:, : rho_v.D] = wrap_unit(base + u[:, None] * rho_v.rho)
+    pts[:, rho_v.D] = res.y[0]
     return pts

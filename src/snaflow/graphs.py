@@ -316,8 +316,7 @@ def lift_graph(family: ForcedField, beta: float, rho, graph: GraphSample,
     phase, evaluated on that level's shifted grid. Escape rule as in the
     pullback: q <= 0 in a piece, or x outside the window at a piece end.
     Without a table (d >= 2, or no certified N) all levels flow by the ODE in
-    one batch, from which finished levels peel off as the shared time passes
-    their phase.
+    one ``flow_batch`` call, level u's lanes to their own end time u T/grid_D.
     """
     if not graph.converged:
         raise ValueError("lift requires a converged section graph")
@@ -343,17 +342,12 @@ def lift_graph(family: ForcedField, beta: float, rho, graph: GraphSample,
     if table is None:
         nodes = _grid_nodes(sec_shape, d)
         theta = (nodes[None, :, :] + shifts[:, None, :]).reshape(-1, d)
-        base = np.concatenate([theta, np.zeros((theta.shape[0], 1))], axis=1)
-        x = x.reshape(-1)
-        h0 = None
-        for u in steps:
-            live = slice((u - 1) * n_sec, None)   # rows at and past this one still flow
-            res = flow_batch(family, beta, rho_v, base[live] + sgn * (u - 1) * seg * rho_v.rho,
-                             x[live], sgn * seg, cfg, channels="x", h0=h0)
-            if res.escaped.any():
-                raise FlowEscape("graph escaped during the lift")
-            x[live], h0 = res.y[0], res.h_last
-            out_flat[:, grid_D - u if backward else u] = x[(u - 1) * n_sec: u * n_sec]
+        res = flow_batch(family, beta, rho_v, smap.base_points(theta), x.reshape(-1),
+                         np.repeat(sgn * steps * seg, n_sec), cfg, channels="x")
+        if res.escaped.any():
+            raise FlowEscape("graph escaped during the lift")
+        levels = grid_D - steps if backward else steps
+        out_flat[:, levels] = res.y[0].reshape(grid_D - 1, n_sec).T
         return LiftedGraph(values=out, grid_D=grid_D, role=graph.role, beta=beta)
     for j in range(r * (grid_D - 1)):
         first = j // r          # rows first.. are still short of their phase

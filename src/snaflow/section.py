@@ -78,24 +78,20 @@ class SectionMap:
         self.d = freq.d
         shift = -freq.omega if reverse else freq.omega
         self.shift = wrap_unit(shift)
-        self._h0 = None
 
     def base_points(self, theta_sec: np.ndarray) -> np.ndarray:
         theta_sec = np.atleast_2d(np.asarray(theta_sec, dtype=float))
         return np.concatenate([theta_sec, np.zeros((theta_sec.shape[0], 1))], axis=1)
 
     def step(self, theta_sec, x, channels: str = "x", direction=None) -> FlowBatchResult:
-        """Evaluate the fibre maps at (theta_sec, x) from this map's last step size."""
+        """Evaluate the fibre maps at (theta_sec, x): one ODE return, started afresh."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         base = self.base_points(theta_sec)
         if base.shape[0] != x.size:
             raise ValueError("theta_sec and x must have matching batch sizes")
         t = -self.return_time if self.reverse else self.return_time
-        res = flow_batch(self.family, self.beta, self.rho, base, x, t, self.cfg,
-                         channels=channels, direction=direction,
-                         h0=self._h0)
-        self._h0 = res.h_last
-        return res
+        return flow_batch(self.family, self.beta, self.rho, base, x, t, self.cfg,
+                          channels=channels, direction=direction)
 
     def _table_beta(self) -> float:
         if np.ndim(self.beta):
@@ -220,8 +216,8 @@ def lyapunov_relation_check(family: ForcedField, beta: float, rho, graph,
     smap = SectionMap(family, beta, rho_v, cfg)
     nodes = _grid_nodes(values.shape, d)
     flat = values.ravel()
-    if defect is None:  # on a map of its own: the exponent return starts afresh
-        defect = graph_defect(SectionMap(family, beta, rho_v, cfg), values)
+    if defect is None:
+        defect = graph_defect(smap, values)
     if defect > defect_tol:
         raise ValueError(f"input graph defect {defect} exceeds {defect_tol}")
 
@@ -236,20 +232,17 @@ def lyapunov_relation_check(family: ForcedField, beta: float, rho, graph,
     base = smap.base_points(nodes)
     logs = np.empty((2 * n_lift + 1, flat.size))
     logs[0] = 0.0
-    h0 = None
     seg = T / n_lift
     state_x = flat.copy()
     state_l = np.zeros_like(flat)
     t_acc = 0.0
     for k in range(2 * n_lift):
         shifted = base + t_acc * rho_v.rho
-        r = flow_batch(family, beta, rho_v, shifted, state_x, seg, cfg,
-                       channels="xl", h0=h0)
+        r = flow_batch(family, beta, rho_v, shifted, state_x, seg, cfg, channels="xl")
         if r.escaped.any():
             raise FlowEscape("graph escaped during the flow-exponent lift")
         state_x = r.y[0]
         state_l = state_l + r.y[1]
-        h0 = r.h_last
         t_acc += seg
         logs[k + 1] = state_l
     pair_means = [np.mean(logs[k + n_lift] - logs[k]) for k in range(n_lift)]
@@ -262,8 +255,8 @@ def lyapunov_relation_check(family: ForcedField, beta: float, rho, graph,
 def graph_defect(smap: SectionMap, values: np.ndarray) -> float:
     """sup over nodes of |xi~(theta, v(theta)) - v(theta + shift)| by interpolation.
 
-    The return is one ODE integration from the map's last step size; the
-    pullback measures the same defect on its Möbius table.
+    The return is one ODE integration (``SectionMap.step``); the pullback
+    measures the same defect on its Möbius table.
     """
     from .graphs import interp_at_shift  # local import: graphs builds on section
 

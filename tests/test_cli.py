@@ -104,19 +104,9 @@ class TestConfigValidation:
         assert "config error: tol_beta:" in err
         assert "Traceback" not in err
 
-    def test_malformed_threads_env_is_a_config_error(self, tmp_path, capsys, monkeypatch):
-        path = oracle_cfg(tmp_path)
-        monkeypatch.setenv("SNAFLOW_THREADS", "abc")
-        assert main(["bifurcate", "--config", path]) == 2
-        err = capsys.readouterr().err
-        assert "config error: SNAFLOW_THREADS" in err
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize("subcommand", ["graphs", "figure1"])
-    def test_non_object_config_is_a_config_error(self, tmp_path, capsys, monkeypatch,
-                                                 subcommand):
+    def test_non_object_config_is_a_config_error(self, tmp_path, capsys, subcommand):
         path = write_cfg(tmp_path, [1, 2])
-        monkeypatch.setenv("SNAFLOW_THREADS", "2")
         assert main([subcommand, "--config", path]) == 2
         assert "top-level config must be a JSON object" in capsys.readouterr().err
 
@@ -163,6 +153,7 @@ class TestConfigValidation:
          "family.center: needs at least 2 components"),
         ("graphs", {"integrator": {"method": "rk45"}}, "integrator.method: unknown key"),
         ("graphs", {"integrator": {"rk4_step": 0.01}}, "integrator.rk4_step: unknown key"),
+        ("graphs", {"threads": 2}, "threads: unknown key"),
     ])
     def test_malformed_block_is_a_config_error(self, tmp_path, capsys, subcommand, block,
                                                path):
@@ -172,15 +163,14 @@ class TestConfigValidation:
         assert f"config error: {path}" in err
         assert "Traceback" not in err
 
-    def test_threads_hint_leaves_config_hash(self, tmp_path):
+    def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
         path = oracle_cfg(tmp_path)
-        assert main(["bifurcate", "--config", path]) == 0
-        assert main(["bifurcate", "--config", path, "--threads", "4",
-                     "--out", str(tmp_path / "out4")]) == 0
-        plain = json.load(open(tmp_path / "out" / "trace.json"))
-        hinted = json.load(open(tmp_path / "out4" / "trace.json"))
-        assert (plain["threads_hint"], hinted["threads_hint"]) == (1, 4)
-        assert plain["config_sha256"] == hinted["config_sha256"]
+        with pytest.raises(SystemExit) as exc:
+            main(["bifurcate", "--config", path, "--threads", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --threads 4" in err
+        assert "Traceback" not in err
 
 
 class TestSubcommands:
@@ -258,13 +248,6 @@ class TestSubcommands:
         assert main(["graphs", "--config", path]) == 0
         for name, blob in blobs.items():
             assert open(tmp_path / "out" / name, "rb").read() == blob
-
-    def test_threads_hint_recorded(self, tmp_path, monkeypatch):
-        path = radial_cfg(tmp_path, grid_n=64, n_iter=200)
-        monkeypatch.setenv("SNAFLOW_THREADS", "4")
-        assert main(["graphs", "--config", path]) == 0
-        doc = json.load(open(tmp_path / "out" / "gap_stats.json"))
-        assert doc["threads_hint"] == 4
 
     def test_boxdim_artifacts(self, tmp_path):
         for target in ("attractor", "lift"):

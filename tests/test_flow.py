@@ -180,7 +180,7 @@ class TestDrivers:
         assert not res.escaped.any()
         assert 0 < res.n_rejected < res.n_steps
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("channels", ["x", "full"])
     def test_lane_frozen_at_the_start_leaves_the_error_norm(self, channels):
         # a lane starting far outside the escape window overflows its field at
@@ -200,6 +200,16 @@ class TestDrivers:
         assert np.array_equal(res.y[:, :-1], own.y)
         assert np.array_equal(res.escaped[:-1], own.escaped)
         assert (res.n_steps, res.n_rejected) == (own.n_steps, own.n_rejected)
+
+    def test_nan_start_is_a_value_error(self):
+        with pytest.raises(ValueError, match="x0 is NaN at lane 1"):
+            flow_batch(make_radial(), 0.4, RHO, np.zeros((3, 2)), [0.5, math.nan, math.nan],
+                       1.0, CFG)
+
+    @pytest.mark.parametrize("far", [math.inf, -math.inf])
+    def test_infinite_start_is_outside_the_window(self, far):
+        res = flow_batch(make_radial(), 0.4, RHO, np.zeros((2, 2)), [0.5, far], 1.0, CFG)
+        assert res.escaped.tolist() == [False, True] and res.escape_times[1] == 0.0
 
     def test_stiff_family_is_handled(self):
         fam = make_radial(b=100.0)
@@ -268,6 +278,77 @@ class TestPerLaneBeta:
         with pytest.raises(ValueError, match="beta = 1.5 outside"):
             flow_batch(make_radial(), np.array([0.1, 1.5, 0.2]), RHO, np.zeros((3, 2)),
                        np.zeros(3), 0.1, CFG)
+
+
+class TestPerLaneEndTimes:
+    """One end time per lane: the batch flows on as lanes drop out at theirs."""
+
+    # cos11 is smooth, so two step sequences agree to well below 1e-10 at this
+    # tolerance; x0 up to 12 puts some lanes on orbits that leave the window
+    CFG = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13).with_escape(-25.0, 25.0)
+    FAMILY, BETA = Cos11(100.0), 176.01538
+    ENDS = (0.0, 0.1, 0.2, 0.25, 0.3)
+
+    def lanes(self):
+        rng = np.random.default_rng(7)
+        theta, x0 = rng.random((24, 2)), rng.uniform(-12.0, 12.0, 24)
+        t = rng.choice(self.ENDS, 24)
+        t[:2] = 0.0
+        x0[1] = 30.0   # outside the window, but it does not flow
+        return theta, x0, t
+
+    @pytest.mark.parametrize("channels", ["x", "full", "mobius"])
+    @pytest.mark.parametrize("sgn", [1.0, -1.0])
+    def test_each_lane_matches_its_own_end_time(self, channels, sgn):
+        theta, x0, t = self.lanes()
+        res = flow_batch(self.FAMILY, self.BETA, RHO, theta, x0, sgn * t, self.CFG,
+                         channels=channels)
+        for i in range(len(t)):
+            own = flow_batch(self.FAMILY, self.BETA, RHO, theta[i:i + 1], x0[i:i + 1],
+                             sgn * t[i], self.CFG, channels=channels)
+            assert res.escaped[i] == own.escaped[0]
+            if own.escaped[0]:
+                # escape times are absolute, within a step of the lane's own
+                assert abs(res.escape_times[i] - own.escape_times[0]) <= 2e-3
+                assert 0.0 < sgn * res.escape_times[i] <= t[i]
+            else:
+                want = own.y[:, 0]
+                assert np.all(np.abs(res.y[:, i] - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+        start = np.zeros(res.y.shape[0])
+        start[0] = 1.0 if channels == "mobius" else x0[1]
+        if channels == "mobius":
+            start[3] = 1.0
+        assert np.array_equal(res.y[:, 1], start)
+        assert not res.escaped[:2].any() and np.isnan(res.escape_times[:2]).all()
+        if channels != "mobius":   # some lane leaves the window after the first end time
+            assert np.any(sgn * res.escape_times[res.escaped] > min(self.ENDS[1:]))
+
+    def test_float_end_time_is_one_call(self, monkeypatch):
+        import snaflow.flow as flow
+
+        calls = []
+        real = flow._rk45_batch
+
+        def counting(forcing, rhs, y0, *args, **kwargs):
+            calls.append(y0.shape[1])   # lanes in this call
+            return real(forcing, rhs, y0, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "_rk45_batch", counting)
+        theta, x0, t = self.lanes()
+        flow_batch(self.FAMILY, self.BETA, RHO, theta, x0, 0.3, self.CFG)
+        assert calls == [24]
+        calls.clear()
+        flow_batch(self.FAMILY, self.BETA, RHO, theta, x0, t, self.CFG)
+        # one call per distinct positive end time, on the lanes still flowing
+        assert calls == [int(np.sum(t >= end)) for end in self.ENDS[1:]]
+
+    def test_mixed_signs_are_a_value_error(self):
+        with pytest.raises(ValueError, match="mixes forward and reversed"):
+            flow_batch(make_radial(), 0.4, RHO, np.zeros((3, 2)), np.zeros(3),
+                       np.array([0.1, 0.0, -0.1]), CFG)
+        with pytest.raises(ValueError, match="one value per lane"):
+            flow_batch(make_radial(), 0.4, RHO, np.zeros((3, 2)), np.zeros(3),
+                       np.array([0.1, 0.2]), CFG)
 
 
 class TestLanePermutation:

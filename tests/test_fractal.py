@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from snaflow.fields import BumpProfile, RadialLogistic
-from snaflow.flow import IntegratorConfig
+from snaflow.flow import IntegratorConfig, flow_batch
 from snaflow.fractal import box_count, default_epsilons, graph_point_cloud
-from snaflow.graphs import pullback_attractor, pushforward_repeller
+from snaflow.graphs import graph_pair, pullback_attractor, pushforward_repeller
 from snaflow.torus import RotationVector
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -114,3 +114,22 @@ class TestGraphClouds:
         cloud = graph_point_cloud(fam, 0.2, RHO, rep, 50_000, CFG, seed=2)
         lad = box_count(cloud)
         assert 0.9 <= lad.slope <= 1.2
+
+    @pytest.mark.parametrize("role", ["attractor", "repeller"])
+    def test_lifted_cloud_matches_per_point_flows(self, role):
+        # row i of a lifted cloud is section point i flowed to its own phase u
+        # (forward by u, or backward by T - u from the next crossing)
+        fam = RadialLogistic(4.0, BumpProfile(0.3), [0.5, 0.8])
+        graph = getattr(graph_pair(fam, 0.2, RHO, 256, 2000, CFG), role)
+        sec = graph_point_cloud(fam, 0.2, RHO, graph, 1000, CFG, seed=3)
+        cloud = graph_point_cloud(fam, 0.2, RHO, graph, 1000, CFG, seed=3, lift=True)
+        T = 1.0 / RHO.rho_D
+        u = cloud[:, 1] * T
+        assert np.all((u > 0.0) & (u < T))
+        for i in range(0, 1000, 40):
+            t = u[i] if role == "attractor" else u[i] - T
+            ref = flow_batch(fam, 0.2, RHO, [[sec[i, 0], 0.0]], [sec[i, 1]], t, CFG)
+            assert abs(cloud[i, 2] - ref.y[0, 0]) <= 1e-8
+            if role == "attractor":   # the point sits where its flow lands
+                assert cloud[i, 0] == pytest.approx((sec[i, 0] + t * RHO.rho[0]) % 1.0,
+                                                    abs=1e-12)

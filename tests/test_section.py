@@ -59,6 +59,19 @@ class TestReturnMap:
             e2 = return_map(fam, 0.4, RHO, th, x2, CFG)
             assert e1.x_next < e2.x_next
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_steps_do_not_depend_on_earlier_steps(self, reverse):
+        # a map keeps no state between steps: each is the return a fresh map makes
+        fam = make_radial()
+        rng = np.random.default_rng(4)
+        theta, x = rng.random((64, 1)), rng.uniform(-0.9, 1.1, 64)
+        smap = SectionMap(fam, 0.4, RHO, CFG, reverse=reverse)
+        for _ in range(2):
+            res = smap.step(theta, x)
+            fresh = SectionMap(fam, 0.4, RHO, CFG, reverse=reverse).step(theta, x)
+            assert np.array_equal(res.y, fresh.y) and res.n_steps == fresh.n_steps
+            theta, x = (theta + smap.shift) % 1.0, res.y[0]
+
     def test_matches_variational_flow_exactly(self):
         # same code path: the return map is one flow_batch call at t = 1/rho_D
         from snaflow.flow import flow_batch
