@@ -20,7 +20,8 @@ import numpy as np
 
 from .fields import RadialLogistic, eval_field
 from .flow import IntegratorConfig
-from .section import SectionMap, _grid_nodes, _merged_returns
+from .bifurcation import estimate_beta_bounds
+from .section import SectionMap, _grid_nodes, _merged_images, _merged_returns
 from .torus import RotationVector, certify_diophantine, induce_frequency, wrap_unit
 
 __all__ = [
@@ -204,17 +205,12 @@ def critical_region(constants: AuditConstants, grid_n: int) -> CriticalRegion:
 # ------------------------------------------------------------ sampling
 
 
-_PLASTIC_CACHE = {}
-
-
 def _kronecker_alpha(dim: int) -> np.ndarray:
-    if dim not in _PLASTIC_CACHE:
-        # unique positive root of x^(dim+1) = x + 1
-        phi = 1.5
-        for _ in range(80):
-            phi = (1.0 + phi) ** (1.0 / (dim + 1))
-        _PLASTIC_CACHE[dim] = np.array([phi ** -(i + 1) for i in range(dim)])
-    return _PLASTIC_CACHE[dim]
+    # unique positive root of x^(dim+1) = x + 1
+    phi = 1.5
+    for _ in range(80):
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    return np.array([phi ** -(i + 1) for i in range(dim)])
 
 
 def kronecker_sequence(n: int, dim: int, seed: int = 0) -> np.ndarray:
@@ -328,6 +324,11 @@ def _region_samples(constants: AuditConstants, sample_n: int, seed: int,
     interval edge across ~16 decades: the expanding strip is forward-invariant
     only within an exp(-2bT) hairline of its bottom, so uniform sampling would
     never land a point whose image stays inside.
+
+    Resolution limit (A2): offsets above the lower edge -1 that are smaller
+    than the float spacing there (1.1e-16) are not resolved, so log-spread
+    samples with u near 1 sit at -1 or at the next float above it. At b = 6,
+    T = 4 the hairline exp(-2bT) = 1.4e-21 lies far below that spacing.
     """
     d = constants.rho.size - 1
     pts = kronecker_sequence(4 * sample_n, d + 1, seed)
@@ -450,7 +451,7 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
               + [(0.0, grid_nodes, floor)]
               + [(beta, th8, xs8) for beta in betas]
               + [(beta_top, grid_nodes, top)])
-    res = _merged_returns(family, rho_v, cfg, groups, "x")
+    res = _merged_images(family, rho_v, cfg, groups)
     nb = len(beta_grid)
     res4, res5, res7, res8, res10 = (res[:2 * nb], res[2 * nb:3 * nb], res[3 * nb],
                                      res[3 * nb + 1:-1], res[-1])
@@ -458,11 +459,9 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     # A4 over the whole beta grid
     worst_top = _Extreme("max")
     worst_bot = _Extreme("max")
-    for beta, (y_top, esc_top), (y_bot, esc_bot) in zip(beta_grid, res4[0::2], res4[1::2]):
-        vals = np.where(esc_top, -np.inf, y_top[0]) - (1.0 + c)
-        worst_top.offer(vals, grid_nodes, top, beta, "x_next-(1+c)")
-        vals = np.where(esc_bot, -np.inf, y_bot[0]) - (-1.0)
-        worst_bot.offer(vals, grid_nodes, bottom, beta, "x_next+1")
+    for beta, img_top, img_bot in zip(beta_grid, res4[0::2], res4[1::2]):
+        worst_top.offer(img_top - (1.0 + c), grid_nodes, top, beta, "x_next-(1+c)")
+        worst_bot.offer(img_bot - (-1.0), grid_nodes, bottom, beta, "x_next+1")
     a4_ok = worst_top.value <= 0.0 and worst_bot.value <= 0.0
     e4 = AuditEntry(
         "A4", "the section boundaries map below themselves: xi~(1+c) <= 1+c and xi~(-1) <= -1",
@@ -473,8 +472,7 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
 
     # A5: theta outside I_0, x in [e_top, 1+c] lands in C
     ex5 = _Extreme("max")
-    for beta, (th, xs), (y, esc) in zip(beta_grid, samples5, res5):
-        img = np.where(esc, np.inf, y[0])
+    for beta, (th, xs), img in zip(beta_grid, samples5, res5):
         dist = np.maximum(img - (1.0 + c), (1.0 - c) - img)  # <= 0 iff inside C
         ex5.offer(dist, th, xs, beta, "distance_outside_C")
     e5 = AuditEntry(
@@ -485,9 +483,8 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     )
 
     # A7 (first part): unforced maps hold the line 1-c
-    y, _ = res7
-    i7 = int(np.argmin(y[0]))
-    short = float(y[0][i7]) - (1.0 - c)
+    i7 = int(np.argmin(res7))
+    short = float(res7[i7]) - (1.0 - c)
     e7 = AuditEntry(
         "A7", "at beta = 0 every fibre map keeps 1-c at or above itself",
         "pass" if short >= 0.0 else "fail",
@@ -499,8 +496,7 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     prev = None
     max_increase = -math.inf
     wit8 = None
-    for beta, (y, esc) in zip(betas, res8):
-        cur = np.where(esc, -np.inf, y[0])
+    for beta, cur in zip(betas, res8):
         if prev is not None:
             inc = cur - prev
             i = int(np.argmax(inc))
@@ -521,9 +517,8 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     )
 
     # A10: beyond the admissible window some fibre map crosses 1+c below -1
-    y, esc = res10
-    below = esc & (y[0] <= cfg.escape_low + 1e-9)
-    img = np.where(below, cfg.escape_low, y[0])  # escape-below certainly crossed
+    below = np.isneginf(res10)
+    img = np.where(below, cfg.escape_low, res10)  # escape-below certainly crossed
     i10 = int(np.argmin(img))
     crossed = img[i10] <= -1.0
     e10 = AuditEntry(
@@ -547,8 +542,11 @@ def j0_region(family: RadialLogistic, beta, rho, constants: AuditConstants,
               grid_n: int, cfg: IntegratorConfig) -> np.ndarray:
     """Grid mask of the pinch set: fibres sending 1-c into the expanding strip.
 
-    Dilated by one node so the set is closed at grid resolution. An array
-    ``beta`` of k values gives k masks, shape (k, grid_n, ...), from one return.
+    Images carry the section's escape score (``section._merged_images``): a
+    fibre that leaves the escape window below sends 1-c into the strip (image
+    -inf), one that leaves above does not (+inf). Dilated by one node so the
+    set is closed at grid resolution. An array ``beta`` of k values gives k
+    masks, shape (k, grid_n, ...), from one return.
     """
     rho_v = _rho_of(rho)
     d = constants.rho.size - 1
@@ -557,8 +555,7 @@ def j0_region(family: RadialLogistic, beta, rho, constants: AuditConstants,
     start = np.full(len(nodes), 1.0 - constants.c)
     betas = np.ravel(np.asarray(beta, dtype=float))
     masks = []
-    for y, esc in _merged_returns(family, rho_v, cfg, [(b, nodes, start) for b in betas], "x"):
-        img = np.where(esc & (y[0] <= cfg.escape_low + 1e-9), -np.inf, y[0])
+    for img in _merged_images(family, rho_v, cfg, [(b, nodes, start) for b in betas]):
         mask = (img <= constants.e_top).reshape(grid)
         grown = mask.copy()
         for axis in range(d):
@@ -843,8 +840,6 @@ def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
     returns and A4-A8 one; A11-A16 one forward return per beta and one
     reversed return.
     """
-    from .bifurcation import estimate_beta_bounds  # no import cycle: one-way
-
     _require_radial(family)
     rho_v = _rho_of(rho)
     region = critical_region(constants, max(grid_n, 512))

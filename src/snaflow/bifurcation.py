@@ -19,7 +19,7 @@ from .fields import ForcedField, RadialLogistic
 from .flow import FlowEscape, IntegratorConfig
 from .fractal import box_count, default_epsilons, graph_point_cloud
 from .graphs import Escaped, GraphSample, graph_pair, lyapunov_of_graph
-from .section import _grid_nodes, _merged_returns
+from .section import _grid_nodes, _merged_images
 from .torus import RotationVector
 
 __all__ = [
@@ -158,23 +158,6 @@ def locate_beta_c(family: ForcedField, rho, beta_range, grid_n: int, tol_beta: f
     )
 
 
-def _section_min_images(family, betas, x_starts, rho_v, grid_n, cfg) -> np.ndarray:
-    """min over grid nodes theta of xi~_beta,theta(x_start), one per (beta, x_start) pair.
-
-    All pairs share one return, each on its own grid_n^d lanes at its own
-    beta. An escape below the window counts as -inf, one above as +inf.
-    """
-    d = rho_v.D - 1
-    nodes = _grid_nodes((grid_n,) * d, d)
-    groups = [(beta, nodes, np.full(len(nodes), x)) for beta, x in zip(betas, x_starts)]
-    mins = []
-    for y, esc in _merged_returns(family, rho_v, cfg, groups, "x"):
-        vals = y[0].copy()
-        vals[esc] = np.where(vals[esc] <= cfg.escape_low + 1e-9, -math.inf, math.inf)
-        mins.append(vals.min())
-    return np.array(mins)
-
-
 def estimate_beta_bounds(family: RadialLogistic, rho, grid_n: int,
                          cfg: IntegratorConfig, c: float,
                          tol_beta: float = 1e-4) -> BetaBounds:
@@ -183,8 +166,12 @@ def estimate_beta_bounds(family: RadialLogistic, rho, grid_n: int,
     beta_minus: smallest beta at which some fibre map sends 1-c into the
     expanding strip E = [-1, -1 + exp(-b/(2 rho_D))].
     beta_plus: largest beta at which every fibre map keeps 1+c above -1.
-    When a predicate never fires inside the family's beta range the matching
-    endpoint is returned with its fired flag cleared.
+    Both read the least image over the grid, scored by the section's one
+    escape rule (``section._merged_images``): a fibre that leaves the escape
+    window below has image -inf, so it sends its start into E and below -1;
+    one that leaves above has image +inf and does neither. When a predicate
+    never fires inside the family's beta range the matching endpoint is
+    returned with its fired flag cleared.
 
     The two bisections run in lockstep on per-lane beta: one return holds
     both predicates at both ends of the range, then each round is one return
@@ -201,9 +188,13 @@ def estimate_beta_bounds(family: RadialLogistic, rho, grid_n: int,
     # bisection 0 (beta_minus) holds while no map sends 1-c into E; bisection 1
     # (beta_plus) holds while every map keeps 1+c above -1
     starts = np.array([1.0 - c, 1.0 + c])
+    d = rho_v.D - 1
+    nodes = _grid_nodes((grid_n,) * d, d)
 
     def holds(betas, which):
-        img = _section_min_images(family, betas, starts[which], rho_v, grid_n, cfg)
+        # min over the grid of each (beta, start) pair's images, all in one return
+        groups = [(beta, nodes, np.full(len(nodes), x)) for beta, x in zip(betas, starts[which])]
+        img = np.array([im.min() for im in _merged_images(family, rho_v, cfg, groups)])
         return np.where(which == 0, img > e_top, img >= -1.0)
 
     ends = holds(np.array([lo, lo, hi, hi]), np.array([0, 1, 0, 1]))

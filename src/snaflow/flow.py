@@ -99,7 +99,6 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 _SAFETY = 0.9
@@ -139,19 +138,8 @@ class IntegratorConfig:
         return replace(self, escape_low=low, escape_high=high)
 
 
-@dataclass(frozen=True)
-class AugmentedFlowState:
-    """Fibre value and variational channels at time t (see module docstring)."""
-
-    x: float
-    log_dx: float
-    dtheta: float
-    dxx_ratio: float
-    dtheta_dx_ratio: float
-    dtheta2: float
-    t: float
-    escaped: bool = False
-    escape_time: float | None = None
+class RatioChannels:
+    """dx, dxx and dtheta_dx of a state that stores log_dx and the two ratios to dx."""
 
     @property
     def dx(self) -> float:
@@ -165,6 +153,21 @@ class AugmentedFlowState:
     @property
     def dtheta_dx(self) -> float:
         return self.dtheta_dx_ratio * math.exp(self.log_dx)
+
+
+@dataclass(frozen=True)
+class AugmentedFlowState(RatioChannels):
+    """Fibre value and variational channels at time t (see module docstring)."""
+
+    x: float
+    log_dx: float
+    dtheta: float
+    dxx_ratio: float
+    dtheta_dx_ratio: float
+    dtheta2: float
+    t: float
+    escaped: bool = False
+    escape_time: float | None = None
 
 
 @dataclass

@@ -176,27 +176,27 @@ def _section_cloud(family, beta, rho, graph: GraphSample, n_points, cfg, seed,
 
 
 def _lift_cloud(family, beta, rho, role: str, base_cloud: np.ndarray, cfg, seed):
-    """Flow a section cloud to per-point stratified phases in [0, T).
+    """Flow a section cloud to per-point stratified phases u in [0, T).
 
     Each point carries its own flow time on a fine quantized phase grid
     (otherwise the cloud collapses onto constant-theta_D slabs), and all
-    points flow in one ``flow_batch`` call, each to its own end time. A
-    repeller cloud flows backward from the next crossing so the lift runs
-    with the stable direction of its graph. Rows follow the section cloud.
+    points flow in one ``flow_batch`` call, each to its own end time. The
+    return time, the base points and the direction come from the role's
+    ``SectionMap``: a repeller cloud flows backward by T - u from the next
+    crossing, so the lift runs with the stable direction of its graph. Each
+    point is recorded where its flow lands, at base + t rho for its signed
+    flow time t. Rows follow the section cloud.
     """
-    rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
-    d = rho_v.D - 1
+    smap = SectionMap(family, beta, rho, cfg, reverse=role == "repeller")
     n = len(base_cloud)
-    T = 1.0 / rho_v.rho_D
+    T = smap.return_time
     rng = np.random.default_rng(seed + 1)
     buckets = rng.permutation(np.arange(n) % LIFT_PHASES)
     u = (buckets + 0.5) / LIFT_PHASES * T
-    base = np.concatenate([base_cloud[:, :d], np.zeros((n, 1))], axis=1)
-    t_final = -(T - u) if role == "repeller" else u
-    res = flow_batch(family, beta, rho_v, base, base_cloud[:, d], t_final, cfg, channels="x")
+    base = smap.base_points(base_cloud[:, :smap.d])
+    t_final = u - T if smap.reverse else u
+    res = flow_batch(family, beta, smap.rho, base, base_cloud[:, smap.d], t_final, cfg,
+                     channels="x")
     if res.escaped.any():
         raise FlowEscape("orbit escaped while lifting the graph cloud")
-    pts = np.empty((n, rho_v.D + 1))
-    pts[:, : rho_v.D] = wrap_unit(base + u[:, None] * rho_v.rho)
-    pts[:, rho_v.D] = res.y[0]
-    return pts
+    return np.column_stack([wrap_unit(base + t_final[:, None] * smap.rho.rho), res.y[0]])

@@ -32,7 +32,8 @@ section it reads them from the certified Fourier table of ``cocycle`` instead
 of the node table and integrates no trajectory of its own; for d >= 2, or
 when no table is certified, it flows the levels by the ODE. The graph
 exponent (``lyapunov_of_graph``) is one ODE return with the log-derivative
-channel.
+channel, ``section._map_exponent``; ``graph_defect`` is the ODE reference for
+the defect the pullback measures on its table.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ import numpy as np
 from .cocycle import tabulate
 from .fields import ForcedField
 from .flow import FlowEscape, IntegratorConfig, flow_batch
-from .section import SectionMap, _grid_nodes
+from .section import SectionMap, _grid_nodes, _map_exponent
 from .torus import RotationVector, wrap_unit
 
 __all__ = [
@@ -214,6 +215,19 @@ def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
     return GraphSample(v, role, defect, k, delta < STOP_TOL, grid_n, beta, delta)
 
 
+def graph_defect(smap: SectionMap, values: np.ndarray) -> float:
+    """sup over nodes of |xi~(theta, v(theta)) - v(theta + shift)| by interpolation.
+
+    The ODE reference for the defect that ``_pullback`` measures on its
+    Möbius table: the return is one ODE integration (``SectionMap.step``).
+    """
+    res = smap.step(_grid_nodes(values.shape, values.ndim), values.ravel(), channels="x")
+    if res.escaped.any():
+        return math.inf
+    target = interp_at_shift(values, smap.shift)
+    return float(np.max(np.abs(res.y[0].reshape(values.shape) - target)))
+
+
 def pullback_attractor(family: ForcedField, beta: float, rho, grid_n: int,
                        n_iter: int, cfg: IntegratorConfig) -> GraphSample | Escaped:
     """Attracting graph as the pullback limit from the upper section boundary.
@@ -288,13 +302,8 @@ def lyapunov_of_graph(family: ForcedField, beta: float, rho, graph: GraphSample,
     """
     if graph.defect > defect_tol:
         raise ValueError(f"graph defect {graph.defect} exceeds {defect_tol}")
-    rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
-    smap = SectionMap(family, beta, rho_v, cfg)
-    nodes = _grid_nodes(graph.values.shape, graph.d)
-    res = smap.step(nodes, graph.values.ravel(), channels="xl")
-    if res.escaped.any():
-        raise FlowEscape("graph escaped while measuring its exponent")
-    lam_map = float(np.mean(res.y[1]))
+    smap = SectionMap(family, beta, rho, cfg)
+    lam_map = _map_exponent(smap, graph.values)
     return LyapunovEstimate(flow_scale=lam_map / smap.return_time, map_scale=lam_map)
 
 

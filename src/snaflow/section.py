@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ForcedField, unit_direction
-from .flow import FlowBatchResult, FlowEscape, IntegratorConfig, flow_batch
+from .flow import FlowBatchResult, FlowEscape, IntegratorConfig, RatioChannels, flow_batch
 from .torus import RotationVector, induce_frequency, wrap_unit
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ReturnMapEval:
+class ReturnMapEval(RatioChannels):
     """One fibre-map evaluation with its tracked derivatives."""
 
     x_next: float
@@ -38,18 +38,6 @@ class ReturnMapEval:
     dtheta_dx_ratio: float
     escaped: bool = False
     escape_time: float | None = None
-
-    @property
-    def dx(self) -> float:
-        return math.exp(self.log_dx)
-
-    @property
-    def dxx(self) -> float:
-        return self.dxx_ratio * math.exp(self.log_dx)
-
-    @property
-    def dtheta_dx(self) -> float:
-        return self.dtheta_dx_ratio * math.exp(self.log_dx)
 
 
 class SectionMap:
@@ -154,6 +142,18 @@ def _merged_returns(family: ForcedField, rho, cfg: IntegratorConfig, groups,
     return list(zip(np.split(res.y, cuts, axis=1), np.split(res.escaped, cuts)))
 
 
+def _merged_images(family: ForcedField, rho, cfg: IntegratorConfig, groups) -> list:
+    """x-images of one merged ``"x"`` return over sample groups (beta, theta_sec, x).
+
+    This is the one escape score of the section: a lane that left the escape
+    window scores -inf if it left below and +inf if it left above, so a bound
+    on the image reads which side of the window a lane left by. Returns one
+    image array per group, in order.
+    """
+    return [np.where(esc, np.where(y[0] < cfg.escape_low, -np.inf, np.inf), y[0])
+            for y, esc in _merged_returns(family, rho, cfg, groups, "x")]
+
+
 def _one_return(smap: SectionMap, theta_sec, x: float, direction) -> ReturnMapEval:
     """One return of ``smap`` from (theta_sec, x) with all derivative channels."""
     th = np.atleast_1d(np.asarray(theta_sec, dtype=float))[None, :]
@@ -195,41 +195,38 @@ def _grid_nodes(grid_shape, d: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1).reshape(-1, d)
 
 
+def _map_exponent(smap: SectionMap, values: np.ndarray) -> float:
+    """Grid mean of log dx over one ``"xl"`` return of ``smap`` from the section
+    graph ``values`` at its nodes; FlowEscape if a node escapes."""
+    res = smap.step(_grid_nodes(values.shape, values.ndim), values.ravel(), channels="xl")
+    if res.escaped.any():
+        raise FlowEscape("graph escaped while measuring its exponent")
+    return float(np.mean(res.y[1]))
+
+
 def lyapunov_relation_check(family: ForcedField, beta: float, rho, graph,
                             cfg: IntegratorConfig, n_lift: int = 48,
                             defect_tol: float = 1e-6):
     """Compare the flow-scale exponent with rho_D times the map-scale exponent.
 
-    ``graph`` is an invariant section graph (anything with ``values`` shaped
-    (N,)*d and a ``defect`` attribute, or a bare array). The map exponent is
-    the grid average of log dx over one return on the graph. The flow exponent
-    is computed independently by lifting the graph over a full return: the
-    T^D average of log dx_xi(1/rho_D, ., .) along the lifted graph, times
-    rho_D. Returns (lambda_flow, lambda_map, residual).
+    ``graph`` is an invariant section graph, a ``graphs.GraphSample``; its
+    ``defect`` must not exceed ``defect_tol``. The map exponent is the grid
+    average of log dx over one return on the graph (``_map_exponent``). The
+    flow exponent is computed independently by lifting the graph over a full
+    return: the T^D average of log dx_xi(1/rho_D, ., .) along the lifted
+    graph, times rho_D. Returns (lambda_flow, lambda_map, residual).
     """
-    values = np.asarray(getattr(graph, "values", graph), dtype=float)
-    defect = getattr(graph, "defect", None)
-    rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
-    d = rho_v.D - 1
-    if values.ndim != d:
-        raise ValueError(f"graph values must be a {d}-dimensional grid")
-    smap = SectionMap(family, beta, rho_v, cfg)
-    nodes = _grid_nodes(values.shape, d)
-    flat = values.ravel()
-    if defect is None:
-        defect = graph_defect(smap, values)
-    if defect > defect_tol:
-        raise ValueError(f"input graph defect {defect} exceeds {defect_tol}")
-
-    res = smap.step(nodes, flat, channels="xl")
-    if res.escaped.any():
-        raise FlowEscape("graph escaped during the map-exponent evaluation")
-    lambda_map = float(np.mean(res.y[1]))
+    if graph.defect > defect_tol:
+        raise ValueError(f"input graph defect {graph.defect} exceeds {defect_tol}")
+    smap = SectionMap(family, beta, rho, cfg)
+    rho_v = smap.rho
+    lambda_map = _map_exponent(smap, graph.values)
 
     # independent flow-scale route: cumulative log dx at 2 n_lift checkpoints
     # along [0, 2/rho_D]; the T^D average pairs each lift time s with s + T
     T = smap.return_time
-    base = smap.base_points(nodes)
+    flat = graph.values.ravel()
+    base = smap.base_points(_grid_nodes(graph.values.shape, graph.values.ndim))
     logs = np.empty((2 * n_lift + 1, flat.size))
     logs[0] = 0.0
     seg = T / n_lift
@@ -250,19 +247,3 @@ def lyapunov_relation_check(family: ForcedField, beta: float, rho, graph,
 
     residual = abs(lambda_flow - rho_v.rho_D * lambda_map)
     return lambda_flow, lambda_map, residual
-
-
-def graph_defect(smap: SectionMap, values: np.ndarray) -> float:
-    """sup over nodes of |xi~(theta, v(theta)) - v(theta + shift)| by interpolation.
-
-    The return is one ODE integration (``SectionMap.step``); the pullback
-    measures the same defect on its Möbius table.
-    """
-    from .graphs import interp_at_shift  # local import: graphs builds on section
-
-    nodes = _grid_nodes(values.shape, values.ndim)
-    res = smap.step(nodes, values.ravel(), channels="x")
-    if res.escaped.any():
-        return math.inf
-    target = interp_at_shift(values, smap.shift)
-    return float(np.max(np.abs(res.y[0].reshape(values.shape) - target)))

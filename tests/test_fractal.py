@@ -118,7 +118,8 @@ class TestGraphClouds:
     @pytest.mark.parametrize("role", ["attractor", "repeller"])
     def test_lifted_cloud_matches_per_point_flows(self, role):
         # row i of a lifted cloud is section point i flowed to its own phase u
-        # (forward by u, or backward by T - u from the next crossing)
+        # (forward by u, or backward by T - u from the next crossing), recorded
+        # where its flow lands
         fam = RadialLogistic(4.0, BumpProfile(0.3), [0.5, 0.8])
         graph = getattr(graph_pair(fam, 0.2, RHO, 256, 2000, CFG), role)
         sec = graph_point_cloud(fam, 0.2, RHO, graph, 1000, CFG, seed=3)
@@ -130,6 +131,5 @@ class TestGraphClouds:
             t = u[i] if role == "attractor" else u[i] - T
             ref = flow_batch(fam, 0.2, RHO, [[sec[i, 0], 0.0]], [sec[i, 1]], t, CFG)
             assert abs(cloud[i, 2] - ref.y[0, 0]) <= 1e-8
-            if role == "attractor":   # the point sits where its flow lands
-                assert cloud[i, 0] == pytest.approx((sec[i, 0] + t * RHO.rho[0]) % 1.0,
-                                                    abs=1e-12)
+            assert cloud[i, 0] == pytest.approx((sec[i, 0] + t * RHO.rho[0]) % 1.0,
+                                                abs=1e-12)

@@ -169,7 +169,8 @@ class TestForcedGraphs:
 
     def test_defect_honesty(self, forced_pair):
         fam, att, _ = forced_pair
-        from snaflow.section import SectionMap, graph_defect
+        from snaflow.graphs import graph_defect
+        from snaflow.section import SectionMap
 
         smap = SectionMap(fam, 0.2, RHO, CFG)
         again = graph_defect(smap, att.values)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 from snaflow.fields import AutonomousRiccati, BumpProfile, Cos11, LogisticHarvest, RadialLogistic
 from snaflow.flow import IntegratorConfig
-from snaflow.graphs import _mobius_sweep, pullback_attractor
+from snaflow.graphs import _mobius_sweep, graph_defect, pullback_attractor
 from snaflow.section import (
     SectionMap,
+    _merged_images,
     inverse_return_map,
     lyapunov_relation_check,
     return_map,
@@ -151,6 +153,20 @@ class TestInverseReturnMap:
             assert ev.x_next == pytest.approx(x, abs=1e-10)
 
 
+class TestMergedImages:
+    def test_escape_scores_by_side(self):
+        # x' = 1 - x^2 runs from -5 past the window's bottom within one return
+        # (blow-up at artanh(1/5) = 0.203 < 1/pi) and carries 0.5 along tanh;
+        # x' = x^2 - 1 runs from 5 past its top by the same time
+        th = np.array([[0.3]])
+        below, stays = _merged_images(AutonomousRiccati(-1.0, 1.0), RHO, CFG,
+                                      [(0.0, th, [-5.0]), (0.0, th, [0.5])])
+        (above,) = _merged_images(AutonomousRiccati(1.0, -1.0), RHO, CFG, [(0.0, th, [5.0])])
+        assert below[0] == -math.inf
+        assert above[0] == math.inf
+        assert stays[0] == pytest.approx(math.tanh(1.0 / math.pi + math.atanh(0.5)), abs=1e-9)
+
+
 class TestLyapunovRelation:
     def test_constant_graphs(self):
         fam = make_radial(b=4.0)
@@ -170,6 +186,8 @@ class TestLyapunovRelation:
     def test_rejects_non_invariant_graph(self):
         fam = make_radial()
         att = pullback_attractor(fam, 0.1, RHO, 1024, 400, CFG)
-        bad = np.asarray(att.values) + 0.05
+        values = att.values + 0.05
+        bad = dataclasses.replace(
+            att, values=values, defect=graph_defect(SectionMap(fam, 0.1, RHO, CFG), values))
         with pytest.raises(ValueError):
             lyapunov_relation_check(fam, 0.1, RHO, bad, CFG)
