@@ -22,7 +22,13 @@ from .fields import RadialLogistic, eval_field
 from .flow import IntegratorConfig
 from .bifurcation import estimate_beta_bounds
 from .section import SectionMap, _grid_nodes, _merged_images, _merged_returns
-from .torus import RotationVector, certify_diophantine, induce_frequency, wrap_unit
+from .torus import (
+    RotationVector,
+    as_rotation_vector,
+    certify_diophantine,
+    induce_frequency,
+    wrap_unit,
+)
 
 __all__ = [
     "AuditError",
@@ -116,7 +122,7 @@ def compute_constants(b: float, c: float, delta1: float, delta2: float,
     for very small bumps; they are measured and carried as ``entry_margin``
     and ``exit_margin`` so downstream entries can report against them.
     """
-    rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
+    rho_v = as_rotation_vector(rho)
     rho_D = rho_v.rho_D
     if b <= 1.0:
         raise AuditError("b must exceed 1")
@@ -353,7 +359,7 @@ def audit_A1_A3(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
                 sample_n: int, cfg: IntegratorConfig, seed: int = 0):
     """Contraction on C, expansion on the bump-free part of E, global envelope."""
     _require_radial(family)
-    rho_v = _rho_of(rho)
+    rho_v = as_rotation_vector(rho)
     C_int = constants.contraction_interval
     E_int = (-1.0, constants.e_top)
     G_int = constants.section_interval
@@ -431,7 +437,7 @@ def audit_A4_A8(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     otherwise at the top of the sampled grid.
     """
     _require_radial(family)
-    rho_v = _rho_of(rho)
+    rho_v = as_rotation_vector(rho)
     c = constants.c
     d = constants.rho.size - 1
     grid_nodes = kronecker_sequence(sample_n, d, seed + 101)
@@ -548,7 +554,7 @@ def j0_region(family: RadialLogistic, beta, rho, constants: AuditConstants,
     set is closed at grid resolution. An array ``beta`` of k values gives k
     masks, shape (k, grid_n, ...), from one return.
     """
-    rho_v = _rho_of(rho)
+    rho_v = as_rotation_vector(rho)
     d = constants.rho.size - 1
     grid = (grid_n,) * d
     nodes = _grid_nodes(grid, d)
@@ -586,7 +592,7 @@ def audit_bump_convexity(family: RadialLogistic, beta: float, rho,
     Empty pinch set (beta below the lower boundary parameter): not-applicable.
     """
     _require_radial(family)
-    rho_v = _rho_of(rho)
+    rho_v = as_rotation_vector(rho)
     mask = j0_region(family, beta, rho_v, constants, grid_n, cfg)
     return _pinch_entries(family, [beta], [mask], rho_v, constants, cfg, sample_x)[0], mask
 
@@ -649,7 +655,7 @@ def audit_A11_A16(family: RadialLogistic, rho, beta_grid, constants: AuditConsta
     """Weak upper bounds on the remaining forward derivatives and the two
     reversed-map bounds on the bump-blind strip."""
     _require_radial(family)
-    rho_v = _rho_of(rho)
+    rho_v = as_rotation_vector(rho)
     omega = induce_frequency(rho_v).omega
     C_int = constants.contraction_interval
     G_int = constants.section_interval
@@ -841,7 +847,7 @@ def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
     reversed return.
     """
     _require_radial(family)
-    rho_v = _rho_of(rho)
+    rho_v = as_rotation_vector(rho)
     region = critical_region(constants, max(grid_n, 512))
     bounds = estimate_beta_bounds(family, rho_v, max(grid_n, 128), cfg,
                                   c=constants.c, tol_beta=1e-5)
@@ -934,10 +940,6 @@ def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
 def _require_radial(family):
     if not isinstance(family, RadialLogistic):
         raise AuditError("the audit targets the radial-bump quadratic family")
-
-
-def _rho_of(rho) -> RotationVector:
-    return rho if isinstance(rho, RotationVector) else RotationVector(rho)
 
 
 def format_report(report: AuditReport) -> str:

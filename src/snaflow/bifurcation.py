@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ForcedField, RadialLogistic
-from .flow import FlowEscape, IntegratorConfig
+from .flow import IntegratorConfig
 from .fractal import box_count, default_epsilons, graph_point_cloud
-from .graphs import Escaped, GraphSample, graph_pair, lyapunov_of_graph
+from .graphs import Escaped, graph_pair
 from .section import _grid_nodes, _merged_images
-from .torus import RotationVector
+from .torus import as_rotation_vector
 
 __all__ = [
     "BifurcationError",
@@ -77,14 +77,6 @@ class BetaBounds:
     tol: float
 
 
-def _graph_lambda(family, beta, rho_v, graph: GraphSample, cfg) -> float:
-    """Flow-scale exponent of a (possibly loosely converged) graph; no defect gate."""
-    try:
-        return lyapunov_of_graph(family, beta, rho_v, graph, cfg, defect_tol=math.inf).flow_scale
-    except FlowEscape:
-        return math.nan
-
-
 def _predicate(family, beta, rho_v, grid_n, n_iter, cfg) -> BetaRecord:
     """Existence of the graph pair at one parameter value.
 
@@ -93,17 +85,21 @@ def _predicate(family, beta, rho_v, grid_n, n_iter, cfg) -> BetaRecord:
     less than graphs.STOP_TOL (algebraic slowdown at the critical parameter
     itself) is counted as existing, flagged marginal: the monotone bounded
     sweep converges even when it does not settle within the iteration budget.
+    Both exponents are the pair's table exponents (``graph_pair``) on the
+    flow scale, times rho_D; no defect gate, and nan for a graph that escaped
+    while measured.
     """
     pair = graph_pair(family, beta, rho_v, grid_n, n_iter, cfg)
     if isinstance(pair, Escaped):
         return BetaRecord(beta, False, escaped_role=pair.role)
     att, rep = pair.attractor, pair.repeller
+    lam_att, lam_rep = (lam * rho_v.rho_D for lam in pair.lambda_map)
     return BetaRecord(
         beta, True,
         gap_min=pair.gap_min,
         gap_median=pair.gap_median,
-        lambda_attractor=_graph_lambda(family, beta, rho_v, att, cfg),
-        lambda_repeller=_graph_lambda(family, beta, rho_v, rep, cfg),
+        lambda_attractor=lam_att,
+        lambda_repeller=lam_rep,
         attractor_iterations=att.iterations_used,
         repeller_iterations=rep.iterations_used,
         marginal=not pair.converged,
@@ -120,7 +116,7 @@ def locate_beta_c(family: ForcedField, rho, beta_range, grid_n: int, tol_beta: f
     sweep budget is 60 / |lambda_map| of the latest existing attractor, at
     least n_iter_base and at most SWEEP_CAP.
     """
-    rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
+    rho_v = as_rotation_vector(rho)
     lo, hi = float(beta_range[0]), float(beta_range[1])
     if not lo < hi:
         raise ValueError("beta_range must be increasing")
@@ -182,7 +178,7 @@ def estimate_beta_bounds(family: RadialLogistic, rho, grid_n: int,
         raise TypeError("beta bounds are defined for the radial-bump quadratic family")
     if not 0.0 < c < 0.25:
         raise ValueError("c must lie in (0, 1/4)")
-    rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
+    rho_v = as_rotation_vector(rho)
     e_top = -1.0 + math.exp(-family.b / (2.0 * rho_v.rho_D))
     lo, hi = family.beta_range
     # bisection 0 (beta_minus) holds while no map sends 1-c into E; bisection 1
@@ -297,7 +293,7 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
     indistinguishable from a continuous one at grid resolution and is
     reported Smooth.
     """
-    rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
+    rho_v = as_rotation_vector(rho)
     d = rho_v.D - 1
     epsilons_ladder = [bracket_scale * 10.0**-k for k in (2, 3, 4)]
     epsilons_ladder = [e for e in epsilons_ladder if e >= 4.0 * tol_beta]
@@ -319,7 +315,7 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
             raise BifurcationError(f"graphs do not exist at ladder point beta={beta}")
         if not pair.converged:
             raise BifurcationError(f"unconverged graphs at ladder point beta={beta}")
-        lam = _graph_lambda(family, beta, rho_v, pair.attractor, cfg)
+        lam = pair.lambda_map[0] * rho_v.rho_D
         ratio = pair.gap_median / max(pair.gap_min, 1e-15)
         rungs.append(ClassifyRung(eps, beta, pair.gap_min, pair.gap_median, ratio, lam))
         attractor_finest = pair.attractor

@@ -8,8 +8,9 @@ written to a temp file and renamed, so a failed run never leaves a partial
 artifact. Re-running with the same config and version produces byte-identical
 files; every artifact embeds the config's sha256.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (escape or
-non-convergence where success was required).
+Exit codes: 0 success, 2 config error (an output directory that cannot be
+made or written counts as one, and is made before any work), 3 numerical
+failure (escape or non-convergence where success was required).
 """
 from __future__ import annotations
 
@@ -74,11 +75,13 @@ def _sanitize(obj):
 
 
 def _write_atomic(path: str, data: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"out: {exc}") from exc
 
 
 def _meta_lines(cfg: ExperimentConfig, command: str):
@@ -391,6 +394,11 @@ def main(argv=None) -> int:
         return 2
 
     out = args.out or cfg.out_dir
+    try:   # before any work, so an unusable output path costs none
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: out: {exc}", file=sys.stderr)
+        return 2
     try:
         COMMANDS[args.subcommand](cfg, out)
     except ConfigError as exc:

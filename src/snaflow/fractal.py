@@ -29,7 +29,7 @@ from .fields import ForcedField
 from .flow import FlowEscape, IntegratorConfig, flow_batch
 from .graphs import GraphSample, _mobius_sweep
 from .section import SectionMap
-from .torus import RotationVector, wrap_unit
+from .torus import as_rotation_vector, wrap_unit
 
 __all__ = [
     "BoxCountLadder",
@@ -144,7 +144,7 @@ def _section_cloud(family, beta, rho, graph: GraphSample, n_points, cfg, seed,
                    n_orbits, burn_in):
     if not graph.converged:
         raise ValueError("point cloud requires a converged graph")
-    rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
+    rho_v = as_rotation_vector(rho)
     reverse = graph.role == "repeller"
     smap = SectionMap(family, beta, rho_v, cfg, reverse=reverse)
     rng = np.random.default_rng(seed)

@@ -30,16 +30,21 @@ A lift carries a section graph over one return onto a T^D grid. It needs the
 pieces of the return at points off the section grid. On a one-dimensional
 section it reads them from the certified Fourier table of ``cocycle`` instead
 of the node table and integrates no trajectory of its own; for d >= 2, or
-when no table is certified, it flows the levels by the ODE. The graph
-exponent (``lyapunov_of_graph``) is one ODE return with the log-derivative
-channel, ``section._map_exponent``; ``graph_defect`` is the ODE reference for
-the defect the pullback measures on its table.
+when no table is certified, it flows the levels by the ODE.
+
+A Möbius map has log-derivative -2 log q, so a graph's map-scale exponent is
+the grid mean of -2 sum_s log q_s over the attractor's forward table at the
+graph's values: ``graph_pair`` reads both exponents off that table and
+integrates nothing more. ``lyapunov_of_graph`` is the independent ODE
+reference, one return with the log-derivative channel
+(``section._map_exponent``), as ``graph_defect`` is the ODE reference for the
+defect the pullback measures on its table.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +52,7 @@ from .cocycle import tabulate
 from .fields import ForcedField
 from .flow import FlowEscape, IntegratorConfig, flow_batch
 from .section import SectionMap, _grid_nodes, _map_exponent
-from .torus import RotationVector, wrap_unit
+from .torus import as_rotation_vector, wrap_unit
 
 __all__ = [
     "GraphSample",
@@ -81,6 +86,8 @@ class GraphSample:
     grid_n: int
     beta: float
     sup_change: float             # last sweep's sup-norm change
+    # the pullback's (S, 4, grid_n**d) node Möbius table, in its own direction
+    table: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -106,6 +113,8 @@ class GraphPair:
     gap_median: float
     gap_max: float
     argmin_theta: np.ndarray
+    # map-scale (attractor, repeller) exponents; None unless graph_pair built the pair
+    lambda_map: tuple[float, float] | None = None
 
     @property
     def converged(self) -> bool:
@@ -161,19 +170,42 @@ def interp_at_shift(v: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return _roll_shift(v, shift, -1)
 
 
-def _mobius_sweep(table: np.ndarray, x: np.ndarray, cfg: IntegratorConfig):
-    """Apply the (S, 4, n) Möbius table to x: (image, escaped) per lane.
+def _mobius_pieces(table: np.ndarray, x: np.ndarray, cfg: IntegratorConfig):
+    """Apply the (S, 4, n) Möbius table to x, yielding (q, image, escaped) per row.
 
-    A lane escapes when q = P21 x + P22 <= 0 in some sub-return, or when x
-    lies outside [escape_low, escape_high] at a sub-return end.
+    ``escaped`` accumulates over the rows: a lane escapes when
+    q = P21 x + P22 <= 0 in some sub-return, or when x lies outside
+    [escape_low, escape_high] at a sub-return end. Callers silence the
+    floating-point warnings of escaped lanes.
     """
     escaped = np.zeros(x.shape, dtype=bool)
+    for p11, p12, p21, p22 in table:
+        q = p21 * x + p22
+        x = (p11 * x + p12) / q
+        escaped |= (q <= 0.0) | (x < cfg.escape_low) | (x > cfg.escape_high)
+        yield q, x, escaped
+
+
+def _mobius_sweep(table: np.ndarray, x: np.ndarray, cfg: IntegratorConfig):
+    """Apply the (S, 4, n) Möbius table to x: (image, escaped) per lane."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for p11, p12, p21, p22 in table:
-            q = p21 * x + p22
-            x = (p11 * x + p12) / q
-            escaped |= (q <= 0.0) | (x < cfg.escape_low) | (x > cfg.escape_high)
+        for _, x, escaped in _mobius_pieces(table, x, cfg):
+            pass
     return x, escaped
+
+
+def _table_exponent(table: np.ndarray, values: np.ndarray, cfg: IntegratorConfig) -> float:
+    """Map-scale exponent of a section graph from a forward node table at its values.
+
+    Each row's log-derivative is -2 log q, so log dx over the return is
+    -2 sum_s log q_s; this is its grid mean. A node that meets the escape rule
+    of ``_mobius_pieces`` gives nan.
+    """
+    log_q = 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for q, _, escaped in _mobius_pieces(table, values.ravel(), cfg):
+            log_q = log_q + np.log(q)
+    return math.nan if escaped.any() else -2.0 * float(np.mean(log_q))
 
 
 def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
@@ -191,7 +223,7 @@ def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
     if n_iter < 1:
         raise ValueError("n_iter must be positive")
     reverse = role == "repeller"
-    rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
+    rho_v = as_rotation_vector(rho)
     d = rho_v.D - 1
     smap = SectionMap(family, beta, rho_v, cfg, reverse=reverse)
     lo, hi = family.section_bounds()
@@ -212,7 +244,7 @@ def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
     w, escaped = _mobius_sweep(table, v.ravel(), cfg)
     defect = (math.inf if escaped.any() else
               float(np.max(np.abs(w.reshape(shape) - interp_at_shift(v, smap.shift)))))
-    return GraphSample(v, role, defect, k, delta < STOP_TOL, grid_n, beta, delta)
+    return GraphSample(v, role, defect, k, delta < STOP_TOL, grid_n, beta, delta, table)
 
 
 def graph_defect(smap: SectionMap, values: np.ndarray) -> float:
@@ -251,6 +283,10 @@ def graph_pair(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
     The repeller runs only when the attractor stayed in the section. No
     ordering gate is applied: near the collision the measured graphs may
     interlace within their resolution, so callers judge the gap themselves.
+
+    ``lambda_map`` holds both map-scale exponents, read off the attractor's
+    forward node table (``_table_exponent``); the repeller's own table runs
+    the reversed map. A graph that escapes while measured gets nan.
     """
     att = pullback_attractor(family, beta, rho, grid_n, n_iter, cfg)
     if isinstance(att, Escaped):
@@ -258,7 +294,8 @@ def graph_pair(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
     rep = pushforward_repeller(family, beta, rho, grid_n, n_iter, cfg)
     if isinstance(rep, Escaped):
         return rep
-    return make_pair(att, rep, order_tol=math.inf)
+    lambda_map = tuple(_table_exponent(att.table, g.values, cfg) for g in (att, rep))
+    return replace(make_pair(att, rep, order_tol=math.inf), lambda_map=lambda_map)
 
 
 def make_pair(attractor: GraphSample, repeller: GraphSample,
@@ -295,10 +332,11 @@ def gap_stats(pair: GraphPair):
 
 def lyapunov_of_graph(family: ForcedField, beta: float, rho, graph: GraphSample,
                       cfg: IntegratorConfig, defect_tol: float = 1e-6) -> LyapunovEstimate:
-    """Graph Lyapunov exponent: grid average of log dx over one return.
+    """Graph Lyapunov exponent by the ODE: grid average of log dx over one return.
 
-    ``map_scale`` is the per-return exponent; ``flow_scale`` divides by the
-    return time (equivalently multiplies by rho_D).
+    The independent reference for the exponents ``graph_pair`` reads off its
+    Möbius table. ``map_scale`` is the per-return exponent; ``flow_scale``
+    divides by the return time (equivalently multiplies by rho_D).
     """
     if graph.defect > defect_tol:
         raise ValueError(f"graph defect {graph.defect} exceeds {defect_tol}")
@@ -329,7 +367,7 @@ def lift_graph(family: ForcedField, beta: float, rho, graph: GraphSample,
     """
     if not graph.converged:
         raise ValueError("lift requires a converged section graph")
-    rho_v = rho if isinstance(rho, RotationVector) else RotationVector(rho)
+    rho_v = as_rotation_vector(rho)
     d = graph.d
     backward = graph.role == "repeller"
     smap = SectionMap(family, beta, rho_v, cfg, reverse=backward)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import ForcedField, unit_direction
 from .flow import FlowBatchResult, FlowEscape, IntegratorConfig, RatioChannels, flow_batch
-from .torus import RotationVector, induce_frequency, wrap_unit
+from .torus import as_rotation_vector, induce_frequency, wrap_unit
 
 __all__ = [
     "ReturnMapEval",
@@ -55,7 +55,7 @@ class SectionMap:
         family.check_beta(beta)
         self.family = family
         self.beta = np.asarray(beta, dtype=float) if np.ndim(beta) else float(beta)
-        self.rho = rho if isinstance(rho, RotationVector) else RotationVector(rho)
+        self.rho = as_rotation_vector(rho)
         if self.rho.D != family.D:
             raise ValueError(f"rho has {self.rho.D} components but the family lives on T^{family.D}")
         self.cfg = cfg

@@ -12,6 +12,7 @@ import numpy as np
 
 __all__ = [
     "RotationVector",
+    "as_rotation_vector",
     "InducedFrequency",
     "DiophantineCertificate",
     "TorusPoint",
@@ -113,6 +114,11 @@ class RotationVector:
         return float(np.linalg.norm(self.rho))
 
 
+def as_rotation_vector(rho) -> RotationVector:
+    """``rho`` itself if it is a RotationVector, else the RotationVector of its components."""
+    return rho if isinstance(rho, RotationVector) else RotationVector(rho)
+
+
 @dataclass(frozen=True)
 class InducedFrequency:
     """Section frequency omega_i = rho_i/rho_D mod 1 with return time 1/rho_D."""
@@ -127,8 +133,7 @@ class InducedFrequency:
 
 def induce_frequency(rho: RotationVector) -> InducedFrequency:
     """Reduce a drive vector to the frequency of its first return map."""
-    if not isinstance(rho, RotationVector):
-        rho = RotationVector(rho)
+    rho = as_rotation_vector(rho)
     if rho.rho_D == 0.0:
         raise ValueError("zero dominant component")
     if rho.rho_D < 0.0:

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import snaflow.bifurcation as bifurcation
 from snaflow.bifurcation import (
     BifurcationError,
     classify,
@@ -10,8 +12,9 @@ from snaflow.bifurcation import (
     locate_beta_c,
 )
 from snaflow.fields import AutonomousRiccati, BumpProfile, RadialLogistic
-from snaflow.flow import IntegratorConfig
-from snaflow.section import SectionMap
+from snaflow.flow import FlowEscape, IntegratorConfig
+from snaflow.graphs import Escaped, graph_pair
+from snaflow.section import SectionMap, _map_exponent
 from snaflow.torus import RotationVector
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -48,6 +51,46 @@ class TestLocate:
         for rec in trace.records:
             if rec.graphs_exist and not rec.marginal:
                 assert rec.lambda_attractor < 0.0 < rec.lambda_repeller
+
+    def test_exponents_need_no_return(self, monkeypatch):
+        calls = []
+        step = SectionMap.step
+
+        def counting_step(self, *args, **kwargs):
+            calls.append(1)
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(SectionMap, "step", counting_step)
+        trace = locate_beta_c(oracle_family(), RHO_UNIT, (0.0, 1.0), 16, 1e-3, CFG)
+        assert calls == []
+        monkeypatch.undo()
+
+        # reference: every exponent from its own ODE return
+        def ode_pair(family, beta, rho, grid_n, n_iter, cfg):
+            pair = graph_pair(family, beta, rho, grid_n, n_iter, cfg)
+            if isinstance(pair, Escaped):
+                return pair
+            smap = SectionMap(family, beta, rho, cfg)
+            lambda_map = []
+            for graph in (pair.attractor, pair.repeller):
+                try:
+                    lambda_map.append(_map_exponent(smap, graph.values))
+                except FlowEscape:
+                    lambda_map.append(math.nan)
+            return dataclasses.replace(pair, lambda_map=tuple(lambda_map))
+
+        monkeypatch.setattr(bifurcation, "graph_pair", ode_pair)
+        ref = locate_beta_c(oracle_family(), RHO_UNIT, (0.0, 1.0), 16, 1e-3, CFG)
+        assert (trace.brackets, trace.beta_c) == (ref.brackets, ref.beta_c)
+        assert len(trace.records) == len(ref.records)
+        # every field but the exponents is the same, the exponents agree to 1e-9
+        blank = dict(lambda_attractor=None, lambda_repeller=None)
+        for rec, want in zip(trace.records, ref.records):
+            assert dataclasses.replace(rec, **blank) == dataclasses.replace(want, **blank)
+            if rec.graphs_exist:
+                for name in blank:
+                    assert getattr(rec, name) == pytest.approx(
+                        getattr(want, name), rel=1e-9, abs=1e-9, nan_ok=True)
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(BifurcationError):

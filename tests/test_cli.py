@@ -104,6 +104,27 @@ class TestConfigValidation:
         assert "config error: tol_beta:" in err
         assert "Traceback" not in err
 
+    def test_unusable_out_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # an --out that names a regular file fails before any computation runs
+        import snaflow.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "locate_beta_c", lambda *args, **kwargs: calls.append(1))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["bifurcate", "--config", oracle_cfg(tmp_path), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: out:" in err and "Traceback" not in err
+        assert calls == []
+
+    def test_unwritable_artifact_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "trajectory.csv.tmp").mkdir(parents=True)
+        path = radial_cfg(tmp_path, simulate={"theta0": [0.1, 0.2], "x0": 0.5,
+                                              "t_final": 0.1, "n_samples": 4})
+        assert main(["simulate", "--config", path]) == 2
+        assert "config error: out:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("subcommand", ["graphs", "figure1"])
     def test_non_object_config_is_a_config_error(self, tmp_path, capsys, subcommand):
         path = write_cfg(tmp_path, [1, 2])

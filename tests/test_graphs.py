@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from snaflow.fields import AutonomousRiccati, BumpProfile, RadialLogistic
+from snaflow.fields import AutonomousRiccati, BumpProfile, Cos11, RadialLogistic
 from snaflow.flow import IntegratorConfig
 from snaflow.graphs import (
     Escaped,
     _mobius_sweep,
+    _table_exponent,
     GraphPair,
     GraphSample,
     _regrid,
@@ -35,6 +36,13 @@ def make_radial(b=4.0, R=0.3):
 def crossing_family():
     # wide bump, slow drive: the image of 1+c crosses below -1 before beta = 1
     return RadialLogistic(100.0, BumpProfile(0.45), [0.5, 0.5]), RotationVector([GOLDEN, 1.2])
+
+
+def pole_crossing_table():
+    # one sub-return turning (0, 1) clockwise by 3 pi / 4 to (1, -1)/sqrt 2:
+    # x = 0 passes through infinity (q = 0) and lands on -1, inside the window
+    phi = 0.75 * math.pi
+    return np.array([[[math.cos(phi)], [math.sin(phi)], [-math.sin(phi)], [math.cos(phi)]]])
 
 
 @pytest.fixture(scope="module")
@@ -200,12 +208,7 @@ class TestMobiusSweeps:
         assert out.theta_example[0] == 0.1875
 
     def test_pole_crossing_inside_the_window_escapes(self):
-        # one sub-return turning (0, 1) clockwise by 3 pi / 4 to (1, -1)/sqrt 2:
-        # x passes through infinity and lands on -1, inside the window
-        phi = 0.75 * math.pi
-        table = np.array([[[math.cos(phi)], [math.sin(phi)],
-                           [-math.sin(phi)], [math.cos(phi)]]])
-        image, escaped = _mobius_sweep(table, np.array([0.0]), CFG)
+        image, escaped = _mobius_sweep(pole_crossing_table(), np.array([0.0]), CFG)
         assert image[0] == pytest.approx(-1.0)
         assert CFG.escape_low < image[0] < CFG.escape_high
         assert escaped[0]
@@ -257,6 +260,29 @@ class TestMobiusSweeps:
         att = pullback_attractor(fam, 0.5 - 1e-4, RHO, 16, 20_000, CFG)
         assert att.converged and att.sup_change < 1e-12
         assert np.max(np.abs(att.values - math.sqrt(2e-4))) <= 1e-9
+
+
+class TestTableExponents:
+    @pytest.mark.parametrize("family, beta, rho, grid_n, cfg", [
+        (Cos11(100.0), 175.9375, RHO, 96, IntegratorConfig(escape_low=-25.0, escape_high=25.0)),
+        (make_radial(), 0.2, RHO, 128, CFG),
+        (RadialLogistic(4.0, BumpProfile(0.3), [0.5, 0.8, 0.3]), 0.2,
+         RotationVector([GOLDEN, math.sqrt(2.0) - 1.0, math.pi]), 24, CFG),
+    ], ids=["cos11", "radial", "radial_d2"])
+    def test_match_the_ode_return(self, family, beta, rho, grid_n, cfg):
+        pair = graph_pair(family, beta, rho, grid_n, 2000, cfg)
+        assert pair.converged
+        for graph, lam_map in zip((pair.attractor, pair.repeller), pair.lambda_map):
+            want = lyapunov_of_graph(family, beta, rho, graph, cfg, defect_tol=math.inf)
+            lam = lam_map * rho.rho_D
+            assert abs(lam - want.flow_scale) <= 1e-9 * max(1.0, abs(want.flow_scale))
+        assert pair.lambda_map[0] < 0.0 < pair.lambda_map[1]
+
+    def test_escaping_table_gives_nan(self):
+        assert math.isnan(_table_exponent(pole_crossing_table(), np.array([0.0]), CFG))
+        # from x = -2 the same map has q = sqrt(2)/2 and lands on 3: log dx = log 2
+        lam = _table_exponent(pole_crossing_table(), np.array([-2.0]), CFG)
+        assert lam == pytest.approx(math.log(2.0), rel=1e-14)
 
 
 class TestLyapunov:
