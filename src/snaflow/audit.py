@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import RadialLogistic, eval_field
-from .flow import IntegratorConfig
+from .flow import IntegratorConfig, times_dx
 from .bifurcation import estimate_beta_bounds
 from .section import SectionMap, _grid_nodes, _merged_images, _merged_returns
 from .torus import (
@@ -316,8 +316,8 @@ def _channels(y):
         "log_dx": log_dx,
         "dtheta": y[2],
         "dtheta2": y[5],
-        "dxx": y[3] * np.exp(log_dx),
-        "dtheta_dx": y[4] * np.exp(log_dx),
+        "dxx": times_dx(y[3], log_dx),
+        "dtheta_dx": times_dx(y[4], log_dx),
     }
 
 

@@ -92,11 +92,12 @@ def _meta_lines(cfg: ExperimentConfig, command: str):
     ]
 
 
-def write_csv(path: str, cfg: ExperimentConfig, command: str, header, rows) -> None:
+def write_csv(path: str, cfg: ExperimentConfig, command: str, header, columns) -> None:
+    """One CSV row per index of the equal-length ``columns``, each value as repr(float)."""
     lines = _meta_lines(cfg, command)
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    rows = np.column_stack(columns).astype(float, copy=False).tolist()
+    lines.extend(",".join(map(repr, row)) for row in rows)
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -148,9 +149,9 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> None:
     if res.escaped.any():
         raise NumericalFailure(
             f"trajectory escaped at t={res.escape_times[np.argmax(res.escaped)]}")
-    rows = zip(t_grid, res.y[0], res.y[1], res.y[2], res.y[5])
     write_csv(os.path.join(out, "trajectory.csv"), cfg, "simulate",
-              ["t", "x", "log_dx", "dtheta", "dtheta2"], rows)
+              ["t", "x", "log_dx", "dtheta", "dtheta2"],
+              [t_grid, res.y[0], res.y[1], res.y[2], res.y[5]])
 
 
 def cmd_graphs(cfg: ExperimentConfig, out: str) -> None:
@@ -165,13 +166,12 @@ def cmd_graphs(cfg: ExperimentConfig, out: str) -> None:
     axes = _grid_nodes(att.values.shape, d).T
     theta_headers = [f"theta_{i + 1}" for i in range(d)]
     for name, graph in (("attractor", att), ("repeller", rep)):
-        rows = zip(*axes, graph.values.ravel())
         write_csv(os.path.join(out, f"{name}.csv"), cfg, "graphs",
-                  theta_headers + ["value"], rows)
+                  theta_headers + ["value"], [*axes, graph.values.ravel()])
     gap = (att.values - rep.values).ravel()
-    rows = zip(*axes, att.values.ravel(), rep.values.ravel(), gap)
     write_csv(os.path.join(out, "pair.csv"), cfg, "graphs",
-              theta_headers + ["attractor", "repeller", "gap"], rows)
+              theta_headers + ["attractor", "repeller", "gap"],
+              [*axes, att.values.ravel(), rep.values.ravel(), gap])
     gmin, gmed, gmax, arg = gap_stats(pair)
     write_json(os.path.join(out, "gap_stats.json"), cfg, "graphs", {
         "beta": beta,
@@ -258,13 +258,9 @@ def cmd_boxdim(cfg: ExperimentConfig, out: str) -> None:
     if opts.get("normalize_fibre", False):
         cloud = _normalize_fibre(cloud)
     ladder = box_count(cloud, epsilons=eps)
-    rows = [
-        (e, c, s)
-        for e, c, s in zip(ladder.epsilons, ladder.counts,
-                           np.append(ladder.local_slopes, math.nan))
-    ]
     write_csv(os.path.join(out, "ladder.csv"), cfg, "boxdim",
-              ["epsilon", "count", "local_slope"], rows)
+              ["epsilon", "count", "local_slope"],
+              [ladder.epsilons, ladder.counts, np.append(ladder.local_slopes, math.nan)])
     write_json(os.path.join(out, "boxdim_summary.json"), cfg, "boxdim", {
         "beta": beta, "target": target, "n_points": n_points,
         "slope": ladder.slope, "slope_stderr": ladder.slope_stderr,
@@ -324,19 +320,15 @@ def cmd_figure1(cfg: ExperimentConfig, out: str) -> None:
     n = cfg.lift_grid
     th1, th2 = _grid_nodes((n, n), 2).T
     for name, lifted in lifts.items():
-        rows = zip(th1, th2, lifted.values.ravel())
         write_csv(os.path.join(out, f"{name}_lift.csv"), cfg, "figure1",
-                  ["theta_1", "theta_2", "value"], rows)
+                  ["theta_1", "theta_2", "value"], [th1, th2, lifted.values.ravel()])
     for slice_pos in FIGURE1["slices"]:
         i = int(round(slice_pos * n)) % n
-        rows = zip(
-            np.arange(n) / n,
-            lifts["attractor"].values[i, :],
-            lifts["repeller"].values[i, :],
-        )
         tag = f"{slice_pos:.4f}".replace(".", "p")
         write_csv(os.path.join(out, f"slice_theta1_{tag}.csv"), cfg, "figure1",
-                  ["theta_2", "attractor", "repeller"], rows)
+                  ["theta_2", "attractor", "repeller"],
+                  [np.arange(n) / n, lifts["attractor"].values[i, :],
+                   lifts["repeller"].values[i, :]])
 
 
 COMMANDS = {

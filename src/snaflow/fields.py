@@ -107,7 +107,7 @@ class BumpShape:
 
     def _weight(self, u):
         R2 = self.bump.R_support**2
-        return R2, np.maximum(1.0 - np.sum(u * u, axis=-1) / R2, 0.0)
+        return R2, np.maximum(1.0 - (u * u).sum(axis=-1) / R2, 0.0)
 
     def g(self, theta):
         _, w = self._weight(nearest_lift_offset(theta, self.center))
@@ -116,7 +116,9 @@ class BumpShape:
     def triple(self, theta, v):
         u = nearest_lift_offset(theta, self.center)
         R2, w = self._weight(u)
-        uv = u @ v
+        # BLAS's bits for u @ v depend on the memory layout of u, so the
+        # product runs on a C-ordered copy whatever layout theta came in
+        uv = np.ascontiguousarray(u) @ v
         k = -6.0 / R2 * w * w
         return w * w * w, k * uv, k + 24.0 / (R2 * R2) * w * uv * uv
 

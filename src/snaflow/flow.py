@@ -34,14 +34,27 @@ batch field is therefore built in two parts (``_batch_rhs``):
 - a state part ``rhs(y, f)`` is polynomial arithmetic on one stage's slice.
 
 So a step attempt makes one shape call, not six. At a few hundred lanes a
-step is mostly per-call overhead: a 256-lane step at b = 6 (best of 15
-returns) took 130 us on the ``"x"`` channel and 270-280 us on ``"full"``,
-against 190-210 us and 340-355 us with one shape call per stage (2 cores,
-Python 3.11, numpy 2.4). Every lane is evaluated, repeated base points
-included: evaluating only the distinct ones (the audit's merged returns put
-2-16 lanes on each section node) cut the audit's median from 2.58 to 2.25 s
-over ten paired runs, less than the 0.45 s between the quartiles of those
-runs.
+step is mostly per-call overhead, and two layouts keep it down:
+
+- the stage thetas are built axis-major, (D, k, n), and the shape gets
+  their (k, n, D) view. Every elementwise pass of the shape then runs over
+  contiguous lanes instead of inner loops of length D = 2; on C-ordered
+  thetas the bump forcing took twice as long.
+- each ``rhs`` and the ``"full"`` forcing write their rows into one
+  ``np.empty`` result. ``np.stack`` took about half the time of the seven
+  ``"full"`` field evaluations.
+
+Neither changes the order of any floating-point operation, so the step
+sequences are bit for bit those of C-ordered thetas and stacked rows. A
+256-lane step attempt of a b = 6 return (best of 15 returns, CPU time) takes
+100-105 us on ``"x"``, 220-230 us on ``"full"`` and 165-175 us on
+``"mobius"``, against 140-155, 295-310 and 235-250 us with C-ordered thetas
+and stacked rows (2 shared cores, Python 3.11, numpy 2.4).
+
+Every lane is evaluated, repeated base points included: evaluating only the
+distinct ones (the audit's merged returns put 2-16 lanes on each section
+node) cut the audit's median from 2.58 to 2.25 s over ten paired runs, less
+than the 0.45 s between the quartiles of those runs.
 
 Two drivers share the Dormand-Prince 5(4) tableau: a numpy driver over a
 batch of trajectories with one shared adaptive step (the error norm is taken
@@ -59,7 +72,7 @@ tolerance.
 
 The plain-float driver stays for the oracle timing guard: on the flat
 shape the forcing was never the cost, and a one-lane ``"full"`` batch step
-still takes 3.7-3.9 times a plain-float step (140 against 36-37 us). The
+still takes about four times a plain-float step (130-150 against 36-37 us). The
 closed-form oracle check (acceptance criterion 1, bound 1 s) takes 1.8 s on
 the batch driver, against 0.2-0.5 s on the plain-float one, and that check
 has run twice as slow on a loaded machine. The plain-float driver also
@@ -73,7 +86,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import ForcedField, unit_direction
-from .torus import RotationVector, TorusPoint
+from .torus import TorusPoint, as_rotation_vector
 
 __all__ = [
     "IntegratorConfig",
@@ -138,6 +151,11 @@ class IntegratorConfig:
         return replace(self, escape_low=low, escape_high=high)
 
 
+def times_dx(ratio, log_dx):
+    """A channel stored as its ratio to dx_xi (y3, y4), times dx_xi = exp(log_dx)."""
+    return ratio * np.exp(log_dx)
+
+
 class RatioChannels:
     """dx, dxx and dtheta_dx of a state that stores log_dx and the two ratios to dx."""
 
@@ -148,11 +166,11 @@ class RatioChannels:
 
     @property
     def dxx(self) -> float:
-        return self.dxx_ratio * math.exp(self.log_dx)
+        return float(times_dx(self.dxx_ratio, self.log_dx))
 
     @property
     def dtheta_dx(self) -> float:
-        return self.dtheta_dx_ratio * math.exp(self.log_dx)
+        return float(times_dx(self.dtheta_dx_ratio, self.log_dx))
 
 
 @dataclass(frozen=True)
@@ -206,12 +224,19 @@ def _batch_rhs(family: ForcedField, beta, theta0: np.ndarray, rho: np.ndarray,
     if channels not in _CHANNEL_COUNT:
         raise ValueError(f"unknown channel set {channels!r}")
     sgn = -1.0 if reverse else 1.0
-    rho_eff = sgn * rho
+    rho_eff = (sgn * rho).tolist()
+    theta0_t = np.ascontiguousarray(theta0.T)
     shape_g, shape_triple = family.shape.g, family.shape.triple
 
     def theta_at(ts):
-        return theta0 + ts[:, None, None] * rho_eff
+        # axis-major (D, k, n), handed out as its (k, n, D) view: see the
+        # module docstring before making it C-ordered again
+        buf = np.empty((len(rho_eff), ts.size, theta0_t.shape[1]))
+        for j, r in enumerate(rho_eff):
+            np.add(theta0_t[j], ts[:, None] * r, out=buf[j])
+        return buf.transpose(1, 2, 0)
 
+    # rows are written into one np.empty result, not np.stack-ed (module docstring)
     if channels == "mobius":
         half_a1, minus_a2 = 0.5 * sgn * family.a1, -sgn * family.a2
         a0, s = sgn * family.a0, sgn * family.forcing_scale(beta)
@@ -221,8 +246,12 @@ def _batch_rhs(family: ForcedField, beta, theta0: np.ndarray, rho: np.ndarray,
 
         def rhs(y, c):
             p1, p2, q1, q2 = y
-            return np.stack([half_a1 * p1 + c * q1, half_a1 * p2 + c * q2,
-                             minus_a2 * p1 - half_a1 * q1, minus_a2 * p2 - half_a1 * q2])
+            out = np.empty_like(y)
+            out[0] = half_a1 * p1 + c * q1
+            out[1] = half_a1 * p2 + c * q2
+            out[2] = minus_a2 * p1 - half_a1 * q1
+            out[3] = minus_a2 * p2 - half_a1 * q2
+            return out
         return forcing, rhs
     poly, dpoly = family.polynomial(sgn)
     two_a2 = 2.0 * sgn * family.a2
@@ -230,20 +259,24 @@ def _batch_rhs(family: ForcedField, beta, theta0: np.ndarray, rho: np.ndarray,
     if channels == "full":
         def forcing(ts):
             g, g1, g2 = shape_triple(theta_at(ts), direction)
-            return np.stack([c * g, c * g1, c * g2], axis=1)
+            out = np.empty((ts.size, 3, theta0_t.shape[1]))
+            np.multiply(c, g, out=out[:, 0])
+            np.multiply(c, g1, out=out[:, 1])
+            np.multiply(c, g2, out=out[:, 2])
+            return out
 
         def rhs(y, f):
             cg, cg1, cg2 = f
             x, d2 = y[0], y[2]
             Fx = dpoly(x)
-            return np.stack([
-                poly(x) - cg,
-                Fx,
-                Fx * d2 - cg1,
-                two_a2 * np.exp(y[1]),
-                two_a2 * d2,
-                two_a2 * d2 * d2 - cg2 + Fx * y[5],
-            ])
+            out = np.empty_like(y)
+            np.subtract(poly(x), cg, out=out[0])
+            out[1] = Fx
+            np.subtract(Fx * d2, cg1, out=out[2])
+            np.multiply(two_a2, np.exp(y[1]), out=out[3])
+            np.multiply(two_a2, d2, out=out[4])
+            np.add(two_a2 * d2 * d2 - cg2, Fx * y[5], out=out[5])
+            return out
         return forcing, rhs
 
     def forcing(ts):
@@ -255,16 +288,21 @@ def _batch_rhs(family: ForcedField, beta, theta0: np.ndarray, rho: np.ndarray,
     else:
         def rhs(y, cg):
             x = y[0]
-            return np.stack([poly(x) - cg, dpoly(x)])
+            out = np.empty_like(y)
+            np.subtract(poly(x), cg, out=out[0])
+            out[1] = dpoly(x)
+            return out
     return forcing, rhs
 
 
 def _error_ratio(err, y_old, y_new, active, cfg):
-    """Max over the active lanes of |err| / (abs_tol + rel_tol max(|y_old|, |y_new|))."""
+    """Max over the active lanes of |err| / (abs_tol + rel_tol max(|y_old|, |y_new|)).
+
+    ``active`` is a lane mask, or None when every lane is active.
+    """
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        lane_max = np.max(np.abs(err) / scale, axis=0)
-    m = float(np.max(lane_max[active]))
+    lane_max = (np.abs(err) / scale).max(axis=0)
+    m = float(lane_max.max() if active is None else lane_max[active].max())
     return math.inf if not math.isfinite(m) else m
 
 
@@ -300,14 +338,16 @@ def _rk45_batch(forcing, rhs, y0: np.ndarray, span: float, cfg: IntegratorConfig
     h = span if h0 is None else min(max(h0, h_min), span)
     k1 = None
     n_steps = n_rejected = 0
-    _mark_escapes(y, active, esc_t, 0.0, cfg)
+    all_active = not _mark_escapes(y, active, esc_t, 0.0, cfg)
 
-    while t < span and active.any():
-        h = min(h, span - t)
-        if h < h_min:
-            raise FlowBlowUp(t, t + h_min)
-        f = forcing(t + _C_STEP * h)
-        with np.errstate(over="ignore", invalid="ignore"):
+    # one error-state scope for the whole loop, not one per attempt: a trial
+    # stage may overflow, and the error ratio then rejects the step
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < span and active.any():
+            h = min(h, span - t)
+            if h < h_min:
+                raise FlowBlowUp(t, t + h_min)
+            f = forcing(t + _C_STEP * h)
             if k1 is None:
                 k1 = rhs(y, forcing(np.array([t]))[0])
             k2 = rhs(y + h * (_A[1][0] * k1), f[0])
@@ -322,20 +362,24 @@ def _rk45_batch(forcing, rhs, y0: np.ndarray, span: float, cfg: IntegratorConfig
             k7 = rhs(y_new, f[4])
             err = h * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5 + _E[5] * k6
                        + _E[6] * k7)
-            ratio = _error_ratio(err, y, y_new, active, cfg)
-        n_steps += 1
-        if ratio <= 1.0:
-            # accept; frozen nodes keep their state
-            y = np.where(active[None, :], y_new, y)
-            t += h
-            k1 = None if _mark_escapes(y, active, esc_t, t, cfg) else k7  # FSAL
-            fac = _MAX_FACTOR if ratio == 0.0 else min(_MAX_FACTOR, _SAFETY * ratio**-0.2)
-            h *= fac
-        else:
-            n_rejected += 1
-            k1 = None if not math.isfinite(ratio) else k1
-            fac = _MIN_FACTOR if not math.isfinite(ratio) else max(_MIN_FACTOR, _SAFETY * ratio**-0.2)
-            h *= fac
+            ratio = _error_ratio(err, y, y_new, None if all_active else active, cfg)
+            n_steps += 1
+            if ratio <= 1.0:
+                # accept; frozen nodes keep their state
+                y = y_new if all_active else np.where(active[None, :], y_new, y)
+                t += h
+                if _mark_escapes(y, active, esc_t, t, cfg):
+                    all_active, k1 = False, None
+                else:
+                    k1 = k7  # FSAL
+                fac = _MAX_FACTOR if ratio == 0.0 else min(_MAX_FACTOR, _SAFETY * ratio**-0.2)
+                h *= fac
+            else:
+                n_rejected += 1
+                k1 = None if not math.isfinite(ratio) else k1
+                fac = (_MIN_FACTOR if not math.isfinite(ratio)
+                       else max(_MIN_FACTOR, _SAFETY * ratio**-0.2))
+                h *= fac
     return y, active, esc_t, h, n_steps, n_rejected
 
 
@@ -439,12 +483,6 @@ def _refine_escape_scalar(rhs, t0, t_in, y_in, t_out, cfg):
     return t0 + 0.5 * (lo_t + hi_t)
 
 
-def _as_rho(rho) -> np.ndarray:
-    if isinstance(rho, RotationVector):
-        return rho.rho
-    return np.atleast_1d(np.asarray(rho, dtype=float))
-
-
 def _as_base(theta, D) -> np.ndarray:
     th = theta.coords if isinstance(theta, TorusPoint) else np.atleast_1d(np.asarray(theta, dtype=float))
     if th.ndim == 1:
@@ -476,7 +514,7 @@ def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final,
     family.check_beta(beta)
     if channels not in _CHANNEL_COUNT:
         raise ValueError(f"unknown channel set {channels!r}")
-    rho_v = _as_rho(rho)
+    rho_v = as_rotation_vector(rho).rho
     theta0 = np.asarray(theta0, dtype=float)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = x0.size
@@ -545,7 +583,7 @@ def integrate(family: ForcedField, beta: float, rho, theta0, x0: float, t_final:
         y, ok, t_esc, _, _ = _rk45_scalar(rhs, 0.0, state0, abs(t_final), cfg)
         t_esc_signed = None if ok else (-t_esc if reverse else t_esc)
         return AugmentedFlowState(*y, t=t_final, escaped=not ok, escape_time=t_esc_signed)
-    rho_v = _as_rho(rho)
+    rho_v = as_rotation_vector(rho).rho
     res = flow_batch(family, beta, rho_v, _as_base(theta0, rho_v.size), [x0], t_final, cfg,
                      channels="full", direction=direction)
     esc = bool(res.escaped[0])
@@ -560,7 +598,7 @@ def integrate(family: ForcedField, beta: float, rho, theta0, x0: float, t_final:
 def check_cocycle(family: ForcedField, beta: float, rho, theta, x: float,
                   t: float, tau: float, cfg: IntegratorConfig) -> float:
     """|xi(t+tau, theta, x) - xi(t, theta + tau*rho, xi(tau, theta, x))|."""
-    rho_v = _as_rho(rho)
+    rho_v = as_rotation_vector(rho).rho
     th = _as_base(theta, rho_v.size)[0]
     whole = integrate(family, beta, rho_v, th, x, t + tau, cfg)
     first = integrate(family, beta, rho_v, th, x, tau, cfg)
@@ -575,7 +613,7 @@ def check_cocycle(family: ForcedField, beta: float, rho, theta, x: float,
 def inverse_check(family: ForcedField, beta: float, rho, theta, x: float,
                   t: float, cfg: IntegratorConfig) -> float:
     """|xi^-(t, t*rho + theta, xi(t, theta, x)) - x|: forward then backward."""
-    rho_v = _as_rho(rho)
+    rho_v = as_rotation_vector(rho).rho
     th = _as_base(theta, rho_v.size)[0]
     fwd = integrate(family, beta, rho_v, th, x, t, cfg)
     if fwd.escaped:

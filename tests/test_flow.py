@@ -391,3 +391,105 @@ class TestLanePermutation:
         assert a.n_steps == b.n_steps
         # one call per step attempt (five stage times) or per first stage
         assert set(seen) == {(1, len(theta)), (5, len(theta))}
+
+
+def _stacked_field(family, beta, theta0, rho, channels, v):
+    """The C-ordered forcing and the np.stack rows of the batch field, forward time.
+
+    This is the field ``_batch_rhs`` builds, written the plain way: theta as
+    one (k, n, D) array, the channel rows stacked.
+    """
+    poly, dpoly = family.polynomial()
+    c = family.forcing_scale(beta)
+
+    def theta_at(ts):
+        return theta0 + ts[:, None, None] * rho
+
+    if channels == "full":
+        def forcing(ts):
+            g, g1, g2 = family.shape.triple(theta_at(ts), v)
+            return np.stack([c * g, c * g1, c * g2], axis=1)
+
+        def rhs(y, f):
+            cg, cg1, cg2 = f
+            x, d2 = y[0], y[2]
+            Fx = dpoly(x)
+            two_a2 = 2.0 * family.a2
+            return np.stack([poly(x) - cg, Fx, Fx * d2 - cg1, two_a2 * np.exp(y[1]),
+                             two_a2 * d2, two_a2 * d2 * d2 - cg2 + Fx * y[5]])
+        return forcing, rhs
+    if channels == "mobius":
+        half_a1, minus_a2 = 0.5 * family.a1, -family.a2
+
+        def forcing(ts):
+            return family.a0 - c * family.shape.g(theta_at(ts))
+
+        def rhs(y, cq):
+            p1, p2, q1, q2 = y
+            return np.stack([half_a1 * p1 + cq * q1, half_a1 * p2 + cq * q2,
+                             minus_a2 * p1 - half_a1 * q1, minus_a2 * p2 - half_a1 * q2])
+        return forcing, rhs
+
+    def forcing(ts):
+        return c * family.shape.g(theta_at(ts))
+
+    if channels == "x":
+        return forcing, lambda y, cg: (poly(y[0]) - cg)[None, :]
+    return forcing, lambda y, cg: np.stack([poly(y[0]) - cg, dpoly(y[0])])
+
+
+class TestAxisMajorLayout:
+    """The batch field builds theta axis-major and writes rows in place, with the same bits."""
+
+    FAMILIES = {
+        "bump": RadialLogistic(6.0, BumpProfile(0.28), [0.3, 0.65]),
+        "cos11": Cos11(100.0),
+        "flat": AutonomousRiccati(a2=-1.0, a0=1.0, beta_slope=0.5),
+    }
+    BETAS = {"bump": 0.78, "cos11": 176.01538, "flat": 0.4}
+
+    # 37 lanes: not a multiple of the 4-row blocks of a BLAS kernel
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("channels", ["x", "xl", "full", "mobius"])
+    @pytest.mark.parametrize("per_lane", [False, True])
+    def test_field_matches_the_stacked_field(self, name, channels, per_lane):
+        from snaflow.flow import _CHANNEL_COUNT, _batch_rhs
+
+        fam = self.FAMILIES[name]
+        n = 37
+        rng = np.random.default_rng(17)
+        theta0, x = rng.random((n, 2)), rng.uniform(-1.0, 1.2, n)
+        beta = self.BETAS[name]
+        if per_lane:
+            beta = beta * rng.uniform(0.5, 1.0, n)
+        v = np.array([0.6, 0.8])
+        forcing, rhs = _batch_rhs(fam, beta, theta0, RHO.rho, channels, v, False)
+        old_forcing, old_rhs = _stacked_field(fam, beta, theta0, RHO.rho, channels, v)
+        y = np.vstack([x, rng.uniform(-2.0, 2.0, (_CHANNEL_COUNT[channels] - 1, n))])
+        for ts in (0.1 + 0.01 * np.array([0.2, 0.3, 0.8, 8 / 9, 1.0]), np.array([0.37])):
+            f, want = forcing(ts), old_forcing(ts)
+            assert f.shape == want.shape and np.array_equal(f, want)
+            for f_stage, want_stage in zip(f, want):
+                assert np.array_equal(rhs(y, f_stage), old_rhs(y, want_stage))
+
+    @pytest.mark.parametrize("per_lane", [False, True])
+    def test_full_return_matches_the_stacked_field(self, per_lane):
+        # a b = 6 full-channel return across the bump's support edge, with
+        # rejected steps: the same step sequence and the same bits
+        fam = self.FAMILIES["bump"]
+        rng = np.random.default_rng(23)
+        n = 45
+        theta, x0 = rng.random((n, 2)), rng.uniform(-0.9, 1.2, n)
+        beta = 0.78 * rng.uniform(0.8, 1.0, n) if per_lane else 0.78
+        cfg = IntegratorConfig(rel_tol=1e-9)
+        t = 1.0 / math.pi
+        res = flow_batch(fam, beta, RHO, theta, x0, t, cfg, channels="full")
+        forcing, rhs = _stacked_field(fam, beta, theta, RHO.rho, "full", np.array([1.0, 0.0]))
+        y0 = np.zeros((6, n))
+        y0[0] = x0
+        y, active, esc_t, _, n_steps, n_rejected = _rk45_batch(forcing, rhs, y0, t, cfg)
+        assert np.array_equal(res.y, y)
+        assert np.array_equal(res.escaped, ~active)
+        assert np.array_equal(res.escape_times, esc_t, equal_nan=True)
+        assert (res.n_steps, res.n_rejected) == (n_steps, n_rejected)
+        assert n_rejected > 0
