@@ -92,12 +92,22 @@ def _meta_lines(cfg: ExperimentConfig, command: str):
     ]
 
 
+def _float_reprs(column) -> list:
+    """repr(float) of every value of ``column``, each distinct value formatted once.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
+    """
+    values = np.ascontiguousarray(column, dtype=float)
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    return text[where].tolist()
+
+
 def write_csv(path: str, cfg: ExperimentConfig, command: str, header, columns) -> None:
     """One CSV row per index of the equal-length ``columns``, each value as repr(float)."""
     lines = _meta_lines(cfg, command)
     lines.append(",".join(header))
-    rows = np.column_stack(columns).astype(float, copy=False).tolist()
-    lines.extend(",".join(map(repr, row)) for row in rows)
+    lines.extend(map(",".join, zip(*map(_float_reprs, columns), strict=True)))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -20,11 +20,12 @@ so it does for d >= 2, where a table holds m 4 N^d entries and each point
 evaluation sums over (N/2)^d frequencies: the consumers then flow the ODE.
 
 The interpolant is evaluated by ``np.einsum`` at points and, on uniformly
-shifted G grids (lifts), by the shift theorem: the phased coefficients are
-folded onto the frequencies of the G grid, exact for any N, and summed by one
-inverse FFT. Neither uses BLAS, so results do not depend on threads. Every
-table integration is one ``"mobius"`` ``flow_batch`` per chunk of at most
-CHUNK_LANES lanes.
+shifted G grids (lifts, the certificate), by the shift theorem: the phased
+coefficients, folded onto the frequencies of the G grid when N/2 + 1 > G
+(exact for any N), form the Hermitian half spectrum of the real grid values,
+which one real inverse FFT (``irfft``) sums. Neither uses BLAS, so results do
+not depend on threads. Every table integration is one ``"mobius"``
+``flow_batch`` per chunk of at most CHUNK_LANES lanes.
 """
 from __future__ import annotations
 
@@ -74,9 +75,10 @@ class FourierCocycle:
         self.coef = coef                    # (m, 4, N/2 + 1)
         self.freqs = np.arange(n // 2 + 1)
 
-    def _basis(self, theta) -> np.ndarray:
-        """exp(2 pi i k theta), (K, n_points)."""
-        return np.exp(2j * np.pi * np.outer(self.freqs, np.ravel(theta)))
+    def phases(self, theta) -> np.ndarray:
+        """exp(2 pi i k theta) at every point, (n_points, K): the basis of
+        ``at`` and the phases that move ``on_grid`` onto a shifted grid."""
+        return np.exp(2j * np.pi * np.outer(np.ravel(theta), self.freqs))
 
     def _evaluate(self, basis: np.ndarray) -> np.ndarray:
         """Re sum_k coef_k basis_k as one real contraction: (m, 4, n_points)."""
@@ -86,26 +88,12 @@ class FourierCocycle:
 
     def at(self, theta) -> np.ndarray:
         """Matrices of every piece at arbitrary section points, (m, 4, n)."""
-        return self._evaluate(self._basis(theta))
+        return self._evaluate(self.phases(theta).T)
 
-    def _grid(self, coef: np.ndarray, G: int, shifts) -> np.ndarray:
-        """Interpolant of ``coef`` (..., K) on the G grid moved by each shift:
-        (n_shifts, ..., G).
-
-        On the nodes g/G, exp(2 pi i k g/G) depends on k mod G only, so the
-        phased coefficients sum onto G slots and one inverse FFT evaluates
-        them; no frequency aliases, whatever N and G are.
-        """
-        shifts = np.ravel(shifts)
-        phase = np.exp(2j * np.pi * np.outer(shifts, self.freqs))
-        phased = coef[None] * phase.reshape((shifts.size,) + (1,) * (coef.ndim - 1) + (-1,))
-        pad = [(0, 0)] * (phased.ndim - 1) + [(0, -self.freqs.size % G)]
-        folded = np.pad(phased, pad).reshape(phased.shape[:-1] + (-1, G)).sum(axis=-2)
-        return (G * np.fft.ifft(folded, axis=-1)).real
-
-    def on_grid(self, piece: int, G: int, shifts) -> np.ndarray:
-        """Piece ``piece`` on the G grid moved by each shift: (n_shifts, 4, G)."""
-        return self._grid(self.coef[piece], G, shifts)
+    def on_grid(self, piece: int, G: int, phases: np.ndarray) -> np.ndarray:
+        """Piece ``piece`` on the G grid moved by each shift whose ``phases``
+        (n_shifts, K) holds: (4, n_shifts, G)."""
+        return _grid(self.coef[piece][:, None] * phases, G)
 
     def along_orbit(self, theta0, shift, n_returns: int):
         """Yield the (m, 4, n) table at theta0 + k shift for k = 0..n_returns-1.
@@ -119,7 +107,7 @@ class FourierCocycle:
         step = np.exp(2j * np.pi * self.freqs * shift)[:, None]
         for k in range(n_returns):
             if k % ORBIT_BLOCK == 0:
-                basis = self._basis(theta + k * shift)
+                basis = self.phases(theta + k * shift).T
             else:
                 basis = basis * step
             yield self._evaluate(basis)
@@ -127,7 +115,32 @@ class FourierCocycle:
     def midpoint_discrepancy(self, exact: np.ndarray) -> float:
         """sup |interpolant - exact| over the midpoint grid theta + 1/(2N);
         ``exact`` is the integrated (m, 4, N) midpoint table."""
-        return float(np.max(np.abs(self._grid(self.coef, self.n, 0.5 / self.n)[0] - exact)))
+        grid = _grid(self.coef * self.phases(0.5 / self.n)[0], self.n)
+        return float(np.max(np.abs(grid - exact)))
+
+
+def _grid(phased: np.ndarray, G: int) -> np.ndarray:
+    """Re sum_k F_k exp(2 pi i k g/G) on the G nodes g/G of the phased
+    coefficients F (..., K): (..., G).
+
+    On the nodes, exp(2 pi i k g/G) depends on k mod G only, so when K > G the
+    coefficients are first summed onto G slots; no frequency aliases, whatever
+    N and G are. The real part is the sum over the Hermitian spectrum
+    X_s = (F_s + conj F_{(G-s) mod G}) / 2, whose half s = 0..G/2 one real
+    inverse FFT evaluates.
+    """
+    K = phased.shape[-1]
+    if K > G:
+        pad = [(0, 0)] * (phased.ndim - 1) + [(0, -K % G)]
+        phased = np.pad(phased, pad).reshape(phased.shape[:-1] + (-1, G)).sum(axis=-2)
+        K = G
+    half = 0.5 * phased[..., :G // 2 + 1]
+    half[..., 0] = phased[..., 0].real
+    # slots t = ceil(G/2)..K-1 enter the half spectrum conjugated, at s = G - t
+    top = phased[..., (G + 1) // 2:]
+    if top.shape[-1]:
+        half[..., G - K + 1:] += 0.5 * top[..., ::-1].conj()
+    return np.fft.irfft(half, n=G, axis=-1, norm="forward")
 
 
 def tabulate(smap: SectionMap, m: int) -> FourierCocycle | None:

@@ -359,8 +359,9 @@ def lift_graph(family: ForcedField, beta: float, rho, graph: GraphSample,
 
     On a one-dimensional section the return is split into m = r grid_D
     pieces, r = ceil(S / grid_D), whose Möbius matrices ``cocycle.tabulate``
-    tabulates once; piece j is then applied to every level still short of its
-    phase, evaluated on that level's shifted grid. Escape rule as in the
+    tabulates once. The levels' grid phases are computed once per lift; piece
+    j is then applied to every level still short of its phase, evaluated on
+    that level's shifted grid by one real inverse FFT. Escape rule as in the
     pullback: q <= 0 in a piece, or x outside the window at a piece end.
     Without a table (d >= 2, or no certified N) all levels flow by the ODE in
     one ``flow_batch`` call, level u's lanes to their own end time u T/grid_D.
@@ -396,10 +397,11 @@ def lift_graph(family: ForcedField, beta: float, rho, graph: GraphSample,
         levels = grid_D - steps if backward else steps
         out_flat[:, levels] = res.y[0].reshape(grid_D - 1, n_sec).T
         return LiftedGraph(values=out, grid_D=grid_D, role=graph.role, beta=beta)
+    phases = table.phases(shifts[:, 0])
     for j in range(r * (grid_D - 1)):
         first = j // r          # rows first.. are still short of their phase
-        piece = table.on_grid(j, grid_D, shifts[first:, 0])
-        x[first:], escaped = _mobius_sweep(piece.transpose(1, 0, 2)[None], x[first:], cfg)
+        piece = table.on_grid(j, grid_D, phases[first:])
+        x[first:], escaped = _mobius_sweep(piece[None], x[first:], cfg)
         if escaped.any():
             raise FlowEscape("graph escaped during the lift")
         if (j + 1) % r == 0:

@@ -3,9 +3,11 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
-from snaflow.cli import main
+from snaflow import __version__
+from snaflow.cli import main, write_csv
 from snaflow.config import ConfigError, load_config
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -303,3 +305,25 @@ class TestSubcommands:
                 if not l.startswith("#")]
         assert rows[0].strip() == "theta_1,theta_2,value"
         assert len(rows) == 1 + 16 * 16
+
+
+class TestWriteCsv:
+    def _reference(self, cfg, header, columns):
+        # the row-wise formatting: repr of every element, one row at a time
+        lines = [f"# snaflow_version: {__version__}",
+                 "# command: test", f"# config_sha256: {cfg.sha256}", ",".join(header)]
+        rows = np.column_stack(columns).astype(float).tolist()
+        lines.extend(",".join(map(repr, row)) for row in rows)
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_bytes_match_row_wise_repr(self, tmp_path):
+        cfg = load_config(json.load(open(oracle_cfg(tmp_path))))
+        signed = np.array([0.0, -0.0, 0.0, -0.0, math.nan, math.inf, -math.inf, 0.1])
+        repeats = np.array([0.1 + 0.2, 0.3, 0.1 + 0.2, 1e-300, 1e300, 0.3, 5e-324, 2.5])
+        counts = np.array([16, 16, 1, 0, -3, 2**53, 7, 16])
+        for columns in ([signed, repeats, counts], [signed[:0], repeats[:0], counts[:0]]):
+            header = ["signed", "repeats", "counts"]
+            path = tmp_path / "t.csv"
+            write_csv(str(path), cfg, "test", header, columns)
+            assert path.read_bytes() == self._reference(cfg, header, columns)
+        assert path.read_text().endswith("signed,repeats,counts\n")

@@ -97,15 +97,17 @@ class TestInterpolant:
         assert np.max(np.abs(table.at(np.arange(n) / n) - values)) <= 1e-12
         for G in (3, 5, n, n + 1, 40):
             shifts = rng.random(4)
-            want = np.stack([table.at(np.arange(G) / G + s)[1] for s in shifts])
-            assert np.max(np.abs(table.on_grid(1, G, shifts) - want)) <= 1e-12
+            want = np.stack([table.at(np.arange(G) / G + s)[1] for s in shifts], axis=1)
+            got = table.on_grid(1, G, table.phases(shifts))
+            assert got.shape == (4, shifts.size, G)
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_nyquist_term_is_the_cosine(self):
         # alternating node values: the symmetric interpolant is cos(pi N theta)
         table = FourierCocycle(np.array([1.0, -1.0] * 4)[None, None])
         assert table.at([0.3 / 8])[0, 0, 0] == pytest.approx(math.cos(0.3 * math.pi), abs=1e-14)
-        assert table.on_grid(0, 5, [0.3 / 8])[0, 0, 0] == pytest.approx(math.cos(0.3 * math.pi),
-                                                                          abs=1e-14)
+        on_grid = table.on_grid(0, 5, table.phases([0.3 / 8]))
+        assert on_grid[0, 0, 0] == pytest.approx(math.cos(0.3 * math.pi), abs=1e-14)
 
     def test_orbit_recurrence_matches_fresh_exponentials(self):
         smap = SectionMap(Cos11(100.0), 176.01538, RHO, FIG_CFG)
@@ -156,7 +158,7 @@ class TestCertificate:
     def test_bump_doubles(self, monkeypatch):
         # a C^2 bump: coefficients decay like N^-3, so 64 nodes are not enough
         smap, table, calls = self._tabulate_counting(monkeypatch, make_radial(), 0.2, CFG)
-        assert table.n > 64
+        assert table.n == 1024
         # each doubling integrates only the midpoints of the new grid
         assert calls == [128] + [64 * 2**i for i in range(1, len(calls))]
         assert table.n == 64 * 2 ** (len(calls) - 1)
@@ -223,10 +225,13 @@ def _record_sources(monkeypatch):
 
 class TestConsumers:
     # grid_D = 8 < S = 12 puts two pieces in each cos11 level; the bump table
-    # needs more than 64 nodes
+    # needs more than 64 nodes. Those three grids are below K = N/2 + 1 and
+    # fold the spectrum; cos11 at grid_D = 80 >= 2K evaluates it unfolded, as
+    # figure1 does.
     @pytest.mark.parametrize("pair, grid_D", [
         ("cos11_pair", 16),
         ("cos11_pair", 8),
+        ("cos11_pair", 80),
         ("radial_pair", 16),
     ])
     def test_lifts_match_the_ode_lift(self, pair, grid_D, request, monkeypatch):
