@@ -25,7 +25,6 @@ from .fields import (
     LogisticHarvest,
     AutonomousRiccati,
     eval_field,
-    bump_value,
     radial_to_harvest,
 )
 from .flow import (

@@ -21,7 +21,7 @@ import numpy as np
 from .fields import RadialLogistic, eval_field
 from .flow import IntegratorConfig, times_dx
 from .bifurcation import estimate_beta_bounds
-from .section import SectionMap, _grid_nodes, _merged_images, _merged_returns
+from .section import _grid_nodes, _merged_images, _merged_returns
 from .torus import (
     RotationVector,
     as_rotation_vector,
@@ -309,16 +309,19 @@ class _Extreme:
 
 
 def _channels(y):
-    """Derived per-sample quantities from the (6, n) values of a full-channel return."""
-    log_dx = y[1]
-    return {
-        "x_next": y[0],
-        "log_dx": log_dx,
-        "dtheta": y[2],
-        "dtheta2": y[5],
-        "dxx": times_dx(y[3], log_dx),
-        "dtheta_dx": times_dx(y[4], log_dx),
-    }
+    """First and second derivatives from the (6, n) values of a full-channel return."""
+    return {"dtheta": y[2], "dtheta2": y[5],
+            "dxx": times_dx(y[3], y[1]), "dtheta_dx": times_dx(y[4], y[1])}
+
+
+def _stayed(group, result, region=None):
+    """(y, theta, x) of the lanes of one group's return that stayed in the
+    escape window and, given a region (lo, hi), whose image lies in it."""
+    (_, th, xs), (y, esc) = group, result
+    keep = ~esc
+    if region is not None:
+        keep &= (y[0] >= region[0]) & (y[0] <= region[1])
+    return y[:, keep], th[keep], xs[keep]
 
 
 def _region_samples(constants: AuditConstants, sample_n: int, seed: int,
@@ -383,17 +386,14 @@ def audit_A1_A3(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
                                                log_toward_lower=True)))
     res13 = _merged_returns(family, rho_v, cfg, groups13, "xl")
     res2 = _merged_returns(family, rho_v, cfg, groups2, "xl")
-    for k in range(len(groups2)):
-        (beta, th, xs), (y, esc) = groups13[2 * k], res13[2 * k]
-        ok = ~esc
-        ex1.offer(y[1][ok], th[ok], xs[ok], beta, "log_dx")
-        (beta, th, xs), (y, esc) = groups2[k], res2[k]
-        keep = (~esc) & (y[0] >= E_int[0]) & (y[0] <= E_int[1])
-        ex2.offer(y[1][keep], th[keep], xs[keep], beta, "log_dx")
-        (beta, th, xs), (y, esc) = groups13[2 * k + 1], res13[2 * k + 1]
-        keep = (~esc) & (y[0] >= G_int[0]) & (y[0] <= G_int[1])
-        ex3_lo.offer(y[1][keep], th[keep], xs[keep], beta, "log_dx")
-        ex3_hi.offer(y[1][keep], th[keep], xs[keep], beta, "log_dx")
+    for k, beta in enumerate(beta_grid):
+        y, th, xs = _stayed(groups13[2 * k], res13[2 * k])
+        ex1.offer(y[1], th, xs, beta, "log_dx")
+        y, th, xs = _stayed(groups2[k], res2[k], E_int)
+        ex2.offer(y[1], th, xs, beta, "log_dx")
+        y, th, xs = _stayed(groups13[2 * k + 1], res13[2 * k + 1], G_int)
+        ex3_lo.offer(y[1], th, xs, beta, "log_dx")
+        ex3_hi.offer(y[1], th, xs, beta, "log_dx")
 
     e1 = AuditEntry(
         "A1", "log dx of the fibre map stays below log_alpha_c on T^d x C",
@@ -672,28 +672,19 @@ def audit_A11_A16(family: RadialLogistic, rho, beta_grid, constants: AuditConsta
 
     for k, beta in enumerate(beta_grid):
         # the section samples (Gamma) and the C samples share one forward return
-        th_G, xs_G = _region_samples(constants, sample_n, seed + 17 * k + 5, G_int)
-        th_C, xs_C = _region_samples(constants, sample_n, seed + 17 * k + 6, C_int)
-        n_G = len(xs_G)
-        smap = SectionMap(family, beta, rho_v, cfg)
-        res = smap.step(np.concatenate([th_G, th_C]), np.concatenate([xs_G, xs_C]),
-                        channels="full")
-        ch = _channels(res.y)
-        ch_G = {name: v[:n_G] for name, v in ch.items()}
-        ch_C = {name: v[n_G:] for name, v in ch.items()}
-
-        keep = ((~res.escaped[:n_G]) & (ch_G["x_next"] >= G_int[0])
-                & (ch_G["x_next"] <= G_int[1]))
-        th, xs = th_G[keep], xs_G[keep]
-        ex_dth.offer(np.abs(ch_G["dtheta"][keep]), th, xs, beta, "dtheta")
-        ex_dth2.offer(np.abs(ch_G["dtheta2"][keep]), th, xs, beta, "dtheta2")
-        ex_mix_G.offer(np.abs(ch_G["dtheta_dx"][keep]), th, xs, beta, "dtheta_dx")
-        ex_dxx_G.offer(np.abs(ch_G["dxx"][keep]), th, xs, beta, "dxx")
-
-        ok = ~res.escaped[n_G:]
-        th, xs = th_C[ok], xs_C[ok]
-        ex_mix_C.offer(np.abs(ch_C["dtheta_dx"][ok]), th, xs, beta, "dtheta_dx")
-        ex_dxx_C.offer(np.abs(ch_C["dxx"][ok]), th, xs, beta, "dxx")
+        groups = [(beta, *_region_samples(constants, sample_n, seed + 17 * k + 5, G_int)),
+                  (beta, *_region_samples(constants, sample_n, seed + 17 * k + 6, C_int))]
+        res_G, res_C = _merged_returns(family, rho_v, cfg, groups, "full")
+        y, th, xs = _stayed(groups[0], res_G, G_int)
+        ch = _channels(y)
+        ex_dth.offer(np.abs(ch["dtheta"]), th, xs, beta, "dtheta")
+        ex_dth2.offer(np.abs(ch["dtheta2"]), th, xs, beta, "dtheta2")
+        ex_mix_G.offer(np.abs(ch["dtheta_dx"]), th, xs, beta, "dtheta_dx")
+        ex_dxx_G.offer(np.abs(ch["dxx"]), th, xs, beta, "dxx")
+        y, th, xs = _stayed(groups[1], res_C)
+        ch = _channels(y)
+        ex_mix_C.offer(np.abs(ch["dtheta_dx"]), th, xs, beta, "dtheta_dx")
+        ex_dxx_C.offer(np.abs(ch["dxx"]), th, xs, beta, "dxx")
 
     # reversed map on the bump-blind strip: theta - omega outside I_0. The
     # reversed returns of every beta share one batch; the forward ones above
@@ -701,13 +692,12 @@ def audit_A11_A16(family: RadialLogistic, rho, beta_grid, constants: AuditConsta
     groups = [(beta, *_region_samples(constants, sample_n, seed + 17 * k + 7, E_int,
                                       exclude_critical=True, shift=omega))
               for k, beta in enumerate(beta_grid)]
-    for (beta, th, xs), (y, esc) in zip(
-            groups, _merged_returns(family, rho_v, cfg, groups, "full", reverse=True)):
+    for group, res in zip(groups, _merged_returns(family, rho_v, cfg, groups, "full",
+                                                  reverse=True)):
+        y, th, xs = _stayed(group, res)
         ch = _channels(y)
-        ok = ~esc
-        ex_inv_dxx.offer(np.abs(ch["dxx"][ok]), th[ok], xs[ok], beta, "dxx_inverse")
-        ex_inv_mix.offer(np.abs(ch["dtheta_dx"][ok]), th[ok], xs[ok], beta,
-                         "dtheta_dx_inverse")
+        ex_inv_dxx.offer(np.abs(ch["dxx"]), th, xs, group[0], "dxx_inverse")
+        ex_inv_mix.offer(np.abs(ch["dtheta_dx"]), th, xs, group[0], "dtheta_dx_inverse")
 
     def log_entry(id_, statement, ex, bound_log, extra=None):
         measured_log = _log_abs(ex.value)
@@ -722,34 +712,28 @@ def audit_A11_A16(family: RadialLogistic, rho, beta_grid, constants: AuditConsta
             m.update(extra)
         return AuditEntry(id_, statement, "pass" if ok else "fail", m, ex.witness)
 
+    def two_case_entry(id_, statement, ex_C, bound_C, ex_G, bound_G):
+        # one bound on C and one on the section; the witness is the tighter case's
+        log_C, log_G = _log_abs(ex_C.value), _log_abs(ex_G.value)
+        return AuditEntry(
+            id_, statement, "pass" if (log_C < bound_C and log_G < bound_G) else "fail",
+            {"max_log_abs_on_C": log_C, "bound_log_on_C": bound_C,
+             "max_log_abs_on_section": log_G, "bound_log_on_section": bound_G,
+             "margin_log": min(bound_C - log_C, bound_G - log_G)},
+            ex_C.witness if bound_C - log_C <= bound_G - log_G else ex_G.witness,
+        )
+
     e11 = log_entry("A11", "base derivative of the fibre maps stays below S",
                     ex_dth, constants.log_S)
     e12 = log_entry("A12", "second base derivative stays below S^2",
                     ex_dth2, 2.0 * constants.log_S)
-    mC = constants.log_S + constants.log_alpha_c
-    mG = constants.log_S + 2.0 * constants.log_alpha_u
-    ok13 = _log_abs(ex_mix_C.value) < mC and _log_abs(ex_mix_G.value) < mG
-    e13 = AuditEntry(
+    e13 = two_case_entry(
         "A13", "mixed base/x derivative below S*alpha_c on C and S*alpha_u^2 on the section",
-        "pass" if ok13 else "fail",
-        {"max_log_abs_on_C": _log_abs(ex_mix_C.value), "bound_log_on_C": mC,
-         "max_log_abs_on_section": _log_abs(ex_mix_G.value), "bound_log_on_section": mG,
-         "margin_log": min(mC - _log_abs(ex_mix_C.value), mG - _log_abs(ex_mix_G.value))},
-        ex_mix_C.witness if (mC - _log_abs(ex_mix_C.value)) <= (mG - _log_abs(ex_mix_G.value))
-        else ex_mix_G.witness,
-    )
-    dC = constants.log_alpha_c
-    dG = 2.0 * constants.log_alpha_u
-    ok14 = _log_abs(ex_dxx_C.value) < dC and _log_abs(ex_dxx_G.value) < dG
-    e14 = AuditEntry(
+        ex_mix_C, constants.log_S + constants.log_alpha_c,
+        ex_mix_G, constants.log_S + 2.0 * constants.log_alpha_u)
+    e14 = two_case_entry(
         "A14", "second x-derivative below alpha_c on C and alpha_u^2 on the section",
-        "pass" if ok14 else "fail",
-        {"max_log_abs_on_C": _log_abs(ex_dxx_C.value), "bound_log_on_C": dC,
-         "max_log_abs_on_section": _log_abs(ex_dxx_G.value), "bound_log_on_section": dG,
-         "margin_log": min(dC - _log_abs(ex_dxx_C.value), dG - _log_abs(ex_dxx_G.value))},
-        ex_dxx_C.witness if (dC - _log_abs(ex_dxx_C.value)) <= (dG - _log_abs(ex_dxx_G.value))
-        else ex_dxx_G.witness,
-    )
+        ex_dxx_C, constants.log_alpha_c, ex_dxx_G, 2.0 * constants.log_alpha_u)
     e15 = log_entry("A15", "second x-derivative of the reversed map below 1/alpha_e "
                     "on the bump-blind expanding strip", ex_inv_dxx, -constants.log_alpha_e)
     e16 = log_entry("A16", "mixed derivative of the reversed map below S/alpha_e on the "
@@ -916,7 +900,7 @@ def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
             "A9", _A9, "not-applicable", {"j0_empty_for_all_sampled_beta": True}, None,
         )
 
-    entries += [a4a8[0], a4a8[1], e6, a4a8[2], a4a8[3], e9, a4a8[4]]
+    entries += [*a4a8, e6, e9]
     entries += audit_A11_A16(family, rho_v, beta_grid, constants, sample_n, cfg, seed)
 
     if C_prime is None:

@@ -182,11 +182,7 @@ def _epsilon_powers(v, path: str) -> list:
 def _thresholds(v, path: str) -> dict:
     if not isinstance(v, dict):
         raise ConfigError(f"{path}: expected an object")
-    names = {f.name for f in fields(ClassifyThresholds)}
-    for key in v:
-        if key not in names:
-            known = ", ".join(sorted(names))
-            raise ConfigError(f"{path}.{key}: unknown threshold (known: {known})")
+    _known(v, f"{path}.", {f.name for f in fields(ClassifyThresholds)})
     return {key: _num(x, f"{path}.{key}") for key, x in v.items()}
 
 
@@ -297,9 +293,10 @@ def load_config(d: dict) -> ExperimentConfig:
     if len(rho) != family.D:
         raise ConfigError(f"rho: needs {family.D} components for this family")
     # the section return time is 1/rho_D, and the section shift needs rho_D dominant
-    if not (0.0 < rho[-1] < math.inf and all(abs(r) <= rho[-1] for r in rho)):
-        raise ConfigError(f"rho: the last component must be positive and at least as "
-                          f"large in magnitude as every other, got {rho}")
+    if not (0.0 < rho[-1] < math.inf and 1.0 / rho[-1] < math.inf
+            and all(abs(r) <= rho[-1] for r in rho)):
+        raise ConfigError(f"rho: the last component must be positive, with 1/rho_D finite, "
+                          f"and at least as large in magnitude as every other, got {rho}")
     integrator = build_integrator(d.get("integrator", {}), family)
     beta = d.get("beta")
     beta_range = d.get("beta_range")

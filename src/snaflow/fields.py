@@ -7,10 +7,12 @@ Every built-in family is one Riccati equation in the fibre coordinate x,
 so a family is data: the coefficients, the exponent p, and a forcing shape g
 (a radial bump, the two-frequency cos^11 forcing, or none). The named
 families below are constructors of ``ForcedField``. Partials are analytic
-(nothing is finite-differenced here) and numpy-vectorised: ``theta`` has
-shape (n, D) and ``x`` shape (n,); scalars broadcast. Families are immutable;
-the bifurcation parameter ``beta`` is a call-site argument, never state, so
-concurrent sweeps need no locking.
+(nothing is finite-differenced here). The forcing shapes and
+``ForcedField.value`` are numpy-vectorised: ``theta`` has shape (n, D) and
+``x`` shape (n,); scalars broadcast. ``eval_field`` is the point evaluator of
+the value and all partials, built from the same primitives the integrator
+reads. Families are immutable; the bifurcation parameter ``beta`` is a
+call-site argument, never state, so concurrent sweeps need no locking.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ __all__ = [
     "LogisticHarvest",
     "AutonomousRiccati",
     "eval_field",
-    "bump_value",
     "radial_to_harvest",
     "unit_direction",
 ]
@@ -41,39 +42,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BumpProfile:
-    """Radial bump h(y) = (1 - (y/R)^2)^3 on [0, R), zero beyond.
-
-    h(0) = 1, h'(0) = 0, h''(0) = -6/R^2 < 0, h' < 0 on (0, R), and value,
-    first and second derivative all vanish at y = R, so h is C^2 on [0, inf).
-    """
+    """Support radius R of the radial bump h(y) = (1 - (y/R)^2)^3; see ``BumpShape``."""
 
     R_support: float
 
     def __post_init__(self):
         if not (self.R_support > 0.0):
             raise ValueError("bump support radius must be positive")
-
-    def triple(self, y):
-        """(h, h', h'') at y >= 0, vectorised."""
-        y = np.asarray(y, dtype=float)
-        if np.any(y < 0.0):
-            raise ValueError("bump argument must be nonnegative")
-        R2 = self.R_support**2
-        u = 1.0 - y * y / R2
-        inside = u > 0.0
-        u = np.where(inside, u, 0.0)
-        h = u**3
-        hp = np.where(inside, -6.0 * y / R2 * u * u, 0.0)
-        hpp = np.where(inside, -6.0 / R2 * u * u + 24.0 * y * y / (R2 * R2) * u, 0.0)
-        return h, hp, hpp
-
-
-def bump_value(profile: BumpProfile, y):
-    """Exact (h, h', h'') triple; the zero triple for y >= R."""
-    h, hp, hpp = profile.triple(y)
-    if np.ndim(y) == 0:
-        return float(h), float(hp), float(hpp)
-    return h, hp, hpp
 
 
 @dataclass(frozen=True)
@@ -100,7 +75,13 @@ class FieldEval:
 
 @dataclass(frozen=True)
 class BumpShape:
-    """g(theta) = h(|theta - center|), a polynomial in the nearest-lift offset."""
+    """g(theta) = h(|theta - center|) with h(y) = (1 - (y/R)^2)^3 on [0, R), zero beyond.
+
+    g is a polynomial in the nearest-lift offset. Along a unit ray from the
+    center, g = 1, d_v g = 0 and d_v^2 g = -6/R^2 < 0 at the center, g falls
+    strictly on the support, and g, d_v g and d_v^2 g all vanish at the
+    support radius and beyond, so g is C^2.
+    """
 
     bump: BumpProfile
     center: np.ndarray
@@ -168,10 +149,6 @@ class FlatShape:
         return one, np.zeros_like(one), np.zeros_like(one)
 
 
-def _like(x, v):
-    return np.broadcast_to(v, np.shape(x)) if np.ndim(x) else v
-
-
 @dataclass(frozen=True)
 class ForcedField:
     """F_beta(theta, x) = a2 x^2 + a1 x + a0 - beta^beta_power * scale * g(theta).
@@ -236,25 +213,6 @@ class ForcedField:
 
     def value(self, beta, theta, x):
         return self.polynomial()[0](x) - self.forcing_scale(beta) * self.shape.g(theta)
-
-    def dx(self, beta, theta, x):
-        return self.polynomial()[1](x)
-
-    def dxx(self, beta, theta, x):
-        return _like(x, 2.0 * self.a2)
-
-    def dtheta(self, beta, theta, x, direction):
-        return _like(x, -self.forcing_scale(beta) * self.shape.triple(theta, direction)[1])
-
-    def dtheta2(self, beta, theta, x, direction):
-        return _like(x, -self.forcing_scale(beta) * self.shape.triple(theta, direction)[2])
-
-    def dtheta_dx(self, beta, theta, x, direction):
-        return _like(x, 0.0)
-
-    def dbeta(self, beta, theta, x):
-        p = self.beta_power
-        return _like(x, -(self.scale * p * beta ** (p - 1)) * self.shape.g(theta))
 
 
 def _name(field: ForcedField, **attrs) -> None:
@@ -368,16 +326,18 @@ def eval_field(family: ForcedField, beta: float, theta, x: float, direction=None
     if th.size != family.D:
         raise ValueError(f"theta must have {family.D} components")
     v = unit_direction(direction, family.D)
-    t = th[None, :]
-    xs = np.asarray([float(x)])
+    # the primitives the integrator's rhs is built from (flow._batch_rhs)
+    poly, dpoly = family.polynomial()
+    s, p = family.forcing_scale(beta), family.beta_power
+    g, dg, ddg = (float(w[0]) for w in family.shape.triple(th[None, :], v))
     return FieldEval(
-        value=float(np.asarray(family.value(beta, t, xs))[0]),
-        dx=float(np.asarray(family.dx(beta, t, xs))[0]),
-        dxx=float(np.asarray(family.dxx(beta, t, xs))[0]),
-        dtheta=float(np.asarray(family.dtheta(beta, t, xs, v))[0]),
-        dtheta2=float(np.asarray(family.dtheta2(beta, t, xs, v))[0]),
-        dtheta_dx=float(np.asarray(family.dtheta_dx(beta, t, xs, v))[0]),
-        dbeta=float(np.asarray(family.dbeta(beta, t, xs))[0]),
+        value=float(poly(float(x)) - s * g),
+        dx=float(dpoly(float(x))),
+        dxx=2.0 * family.a2,
+        dtheta=float(-s * dg),
+        dtheta2=float(-s * ddg),
+        dtheta_dx=0.0,
+        dbeta=float(-(family.scale * p * beta ** (p - 1)) * g),
     )
 
 
@@ -388,6 +348,4 @@ def radial_to_harvest(family: RadialLogistic, r: float) -> LogisticHarvest:
     the beta-term is carried over unchanged (it is x-independent), which for
     r != 2 amounts to a linear rescaling of beta.
     """
-    if r <= 0.0:
-        raise ValueError("carrying capacity r must be positive")
     return LogisticHarvest(family.b, r, family.bump, family.center, family.beta_range)

@@ -221,8 +221,6 @@ def _batch_rhs(family: ForcedField, beta, theta0: np.ndarray, rho: np.ndarray,
     carry the sign of time. F_xx = 2 a2 is constant and F_{theta x} = 0 for
     every family, so the full channels carry no F_{theta x} terms.
     """
-    if channels not in _CHANNEL_COUNT:
-        raise ValueError(f"unknown channel set {channels!r}")
     sgn = -1.0 if reverse else 1.0
     rho_eff = (sgn * rho).tolist()
     theta0_t = np.ascontiguousarray(theta0.T)
@@ -498,18 +496,18 @@ def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final,
 
     ``theta0`` is (n, D) on T^D and ``x0`` is (n,) with no NaN. ``beta`` and
     ``t_final`` are each a float or an (n,) array, one value per lane. The end
-    times share one sign; negative ones integrate the reversed flow. All lanes
-    share one adaptive step sequence (the error norm is the maximum over the
-    batch), so a lane's result matches its own single-beta, single-end-time
-    call to the integration tolerance, not bit for bit. Lanes sorted by end
-    time drop out as the flow passes it: one ``_rk45_batch`` call per distinct
-    end time on the lanes still flowing, started from their base points moved
-    by the time already flowed and from the step size the previous call
-    reached. Channel values of escaped trajectories are frozen at the step
-    where the window was left, and ``escape_times`` holds each lane's first
-    escape time from t = 0; a lane whose end time is 0 returns its start,
-    not escaped. The ``"mobius"`` channels start from the identity matrix and
-    never escape; ``x0`` then only sizes the batch.
+    times are finite and share one sign; negative ones integrate the reversed
+    flow. All lanes share one adaptive step sequence (the error norm is the
+    maximum over the batch), so a lane's result matches its own single-beta,
+    single-end-time call to the integration tolerance, not bit for bit. Lanes
+    sorted by end time drop out as the flow passes it: one ``_rk45_batch``
+    call per distinct end time on the lanes still flowing, started from their
+    base points moved by the time already flowed and from the step size the
+    previous call reached. Channel values of escaped trajectories are frozen
+    at the step where the window was left, and ``escape_times`` holds each
+    lane's first escape time from t = 0; a lane whose end time is 0 returns
+    its start, not escaped. The ``"mobius"`` channels start from the identity
+    matrix and never escape; ``x0`` then only sizes the batch.
     """
     family.check_beta(beta)
     if channels not in _CHANNEL_COUNT:
@@ -527,6 +525,9 @@ def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final,
     t_final = np.asarray(t_final, dtype=float)
     if t_final.ndim and t_final.shape != (n,):
         raise ValueError(f"an array t_final needs one value per lane, shape ({n},)")
+    bad = np.flatnonzero(~np.isfinite(t_final))
+    if bad.size:
+        raise ValueError(f"t_final is {float(np.ravel(t_final)[bad[0]])} at lane {bad[0]}")
     reverse = bool((t_final < 0.0).any())
     if reverse and (t_final > 0.0).any():
         raise ValueError("t_final mixes forward and reversed lanes")
@@ -574,6 +575,8 @@ def integrate(family: ForcedField, beta: float, rho, theta0, x0: float, t_final:
     theta-independent families that time is refined by bisection.
     """
     family.check_beta(beta)
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final is {t_final}")
     state0 = [float(x0), 0.0, 0.0, 0.0, 0.0, 0.0]
     if t_final == 0.0:
         return AugmentedFlowState(*state0, t=t_final)

@@ -177,6 +177,10 @@ class TestConfigValidation:
         ("graphs", {"integrator": {"method": "rk45"}}, "integrator.method: unknown key"),
         ("graphs", {"integrator": {"rk4_step": 0.01}}, "integrator.rk4_step: unknown key"),
         ("graphs", {"threads": 2}, "threads: unknown key"),
+        # 1/rho_D overflows to inf: the section return time is no number
+        ("graphs", {"rho": [0.0, 1e-320]}, "rho: the last component must be positive, with"),
+        ("figure1", {"rho": [0.0, 1e-320]}, "rho: the last component must be positive, with"),
+        ("audit", {"rho": [0.0, 1e-320]}, "rho: the last component must be positive, with"),
     ])
     def test_malformed_block_is_a_config_error(self, tmp_path, capsys, subcommand, block,
                                                path):

@@ -6,46 +6,58 @@ import pytest
 from snaflow.fields import (
     AutonomousRiccati,
     BumpProfile,
+    BumpShape,
     Cos11,
     ForcedField,
     LogisticHarvest,
     RadialLogistic,
-    bump_value,
     eval_field,
     radial_to_harvest,
     unit_direction,
 )
+from snaflow.torus import TorusPoint
 
 
 def make_radial(b=4.0, R=0.3, center=(0.5, 0.8)):
     return RadialLogistic(b, BumpProfile(R), center)
 
 
+def _along_ray(R, ts):
+    """(g, d_v g, d_v^2 g) of the integrated bump of radius R at offsets ts
+    along the unit ray v = (1, 0) from its center."""
+    center = np.array([0.5, 0.5])
+    v = np.array([1.0, 0.0])
+    shape = BumpShape(BumpProfile(R), center)
+    return shape.triple(center + np.multiply.outer(np.asarray(ts, dtype=float), v), v)
+
+
 class TestBump:
     def test_center_triple(self):
-        h, hp, hpp = bump_value(BumpProfile(1.0), 0.0)
-        assert (h, hp) == (1.0, 0.0)
-        assert hpp == pytest.approx(-6.0)
+        for R in (0.3, 0.4, 0.45):
+            g, dg, ddg = _along_ray(R, [0.0])
+            assert (g[0], dg[0]) == (1.0, 0.0)
+            assert ddg[0] == pytest.approx(-6.0 / R**2, rel=1e-15)
 
     def test_support_boundary_is_c2(self):
-        assert bump_value(BumpProfile(0.5), 0.5) == (0.0, 0.0, 0.0)
-        assert bump_value(BumpProfile(0.5), 2.0) == (0.0, 0.0, 0.0)
+        # at R the offset may round a few ulps below R (0.95 - 0.5 < 0.45):
+        # zero to roundoff there, and exactly zero past it
+        for R in (0.3, 0.4, 0.45):
+            at, beyond = _along_ray(R, [R]), _along_ray(R, [1.001 * R, 1.2 * R, 0.49])
+            assert np.all(np.abs(at) <= 1e-12)
+            assert np.all(np.asarray(beyond) == 0.0)
 
     def test_half_radius(self):
-        R = 2.0
-        h, hp, _ = bump_value(BumpProfile(R), R / 2)
-        assert h == pytest.approx(0.421875)
-        assert hp == pytest.approx(-1.6875 / R)
-
-    def test_rejects_negative_argument(self):
-        with pytest.raises(ValueError):
-            bump_value(BumpProfile(1.0), -0.1)
+        R = 0.4
+        g, dg, ddg = _along_ray(R, [R / 2])
+        assert g[0] == pytest.approx(0.421875, rel=1e-14)
+        assert dg[0] == pytest.approx(-1.6875 / R, rel=1e-14)
+        assert ddg[0] == pytest.approx(1.125 / R**2, rel=1e-13)
 
     def test_monotone_decreasing_on_support(self):
-        prof = BumpProfile(0.7)
-        ys = np.linspace(1e-6, 0.7 - 1e-6, 500)
-        _, hp, _ = prof.triple(ys)
-        assert np.all(hp < 0.0)
+        R = 0.4
+        g, dg, _ = _along_ray(R, np.linspace(1e-6, R - 1e-6, 500))
+        assert np.all(np.diff(g) < 0.0)
+        assert np.all(dg < 0.0)
 
 
 class TestEvalField:
@@ -221,6 +233,35 @@ class TestOneFamily:
     def test_named_families_are_constructors(self, cls):
         assert issubclass(cls, ForcedField)
         assert not self.PARTIALS & set(vars(cls))
+
+    @pytest.mark.parametrize("family", [
+        RadialLogistic(4.0, BumpProfile(0.3), [0.5, 0.8]),
+        LogisticHarvest(4.0, 2.0, BumpProfile(0.45), [0.5, 0.5, 0.3]),
+        Cos11(b=100.0),
+        AutonomousRiccati(a2=-1.0, a0=4.0, beta_slope=-2.0, beta_power=2),
+    ], ids=["bump", "bump_harvest_3d", "cos11", "flat"])
+    def test_point_evaluator_reads_the_integrated_formulas(self, family):
+        # eval_field's value and partials equal, bit for bit, the rows the
+        # integrator's full-channel rhs forms at y = (x, 0, 0, 0, 0, 0)
+        from snaflow.flow import _batch_rhs
+
+        rng = np.random.default_rng(11)
+        lo, hi = family.beta_range
+        center = getattr(family, "center", np.full(family.D, 0.5))
+        for k in range(40):
+            beta = float(rng.uniform(lo, hi))
+            spread = 0.15 if k % 2 else 0.5   # half the points on the bump
+            th = TorusPoint(center + rng.uniform(-spread, spread, family.D)).coords
+            x = float(rng.uniform(-2.0, 2.0))
+            v = rng.normal(size=family.D)
+            v /= np.linalg.norm(v)
+            e = eval_field(family, beta, th, x, v)
+            forcing, rhs = _batch_rhs(family, beta, th[None, :], np.ones(family.D),
+                                      "full", v, False)
+            y = np.zeros((6, 1))
+            y[0] = x
+            rows = rhs(y, forcing(np.array([0.0]))[0])[[0, 1, 2, 5], 0]
+            assert np.array_equal([e.value, e.dx, e.dtheta, e.dtheta2], rows)
 
     def test_full_rhs_computes_bump_offsets_once(self, monkeypatch):
         # one forcing call covers every stage of a step attempt, and the bump

@@ -206,6 +206,20 @@ class TestDrivers:
             flow_batch(make_radial(), 0.4, RHO, np.zeros((3, 2)), [0.5, math.nan, math.nan],
                        1.0, CFG)
 
+    @pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+    def test_non_finite_end_time_is_a_value_error(self, end):
+        # a float end time and one lane of an array of them, in flow_batch and
+        # in both paths of integrate; an infinite end time would otherwise
+        # never return, and a NaN one would pass as finite
+        with pytest.raises(ValueError, match=f"t_final is {end} at lane 0"):
+            flow_batch(make_radial(), 0.4, RHO, np.zeros((3, 2)), np.zeros(3), end, CFG)
+        with pytest.raises(ValueError, match=f"t_final is {end} at lane 1"):
+            flow_batch(make_radial(), 0.4, RHO, np.zeros((3, 2)), np.zeros(3),
+                       [1.0, end, end], CFG)
+        for fam in (make_radial(), AutonomousRiccati(a2=-1.0, a0=1.0)):
+            with pytest.raises(ValueError, match=f"t_final is {end}"):
+                integrate(fam, 0.4, RHO, [0.1, 0.2], 0.5, end, CFG)
+
     @pytest.mark.parametrize("far", [math.inf, -math.inf])
     def test_infinite_start_is_outside_the_window(self, far):
         res = flow_batch(make_radial(), 0.4, RHO, np.zeros((2, 2)), [0.5, far], 1.0, CFG)
