@@ -24,6 +24,7 @@ from .fields import (
 )
 from .flow import IntegratorConfig
 from .fractal import MIN_POINTS
+from .section import SectionMap
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "canonical_hash"]
 
@@ -108,7 +109,7 @@ def build_family(d: dict, path: str = "family") -> ForcedField:
     try:
         if kind == "radial_logistic":
             b = _num(_need(d, "b", path), f"{path}.b")
-            R = _num(_need(d, "bump_radius", path), f"{path}.bump_radius", lo=0.0)
+            R = _num(_need(d, "bump_radius", path), f"{path}.bump_radius")
             return RadialLogistic(b, BumpProfile(R), _center(d, path), beta_range)
         if kind == "cos11":
             b = _num(_need(d, "b", path), f"{path}.b")
@@ -117,8 +118,8 @@ def build_family(d: dict, path: str = "family") -> ForcedField:
             return Cos11(b, beta_range)
         if kind == "logistic_harvest":
             b = _num(_need(d, "b", path), f"{path}.b")
-            r = _num(_need(d, "r", path), f"{path}.r", lo=0.0)
-            R = _num(_need(d, "bump_radius", path), f"{path}.bump_radius", lo=0.0)
+            r = _num(_need(d, "r", path), f"{path}.r")
+            R = _num(_need(d, "bump_radius", path), f"{path}.bump_radius")
             return LogisticHarvest(b, r, BumpProfile(R), _center(d, path), beta_range)
         if kind == "autonomous_riccati":
             return AutonomousRiccati(
@@ -298,6 +299,13 @@ def load_config(d: dict) -> ExperimentConfig:
         raise ConfigError(f"rho: the last component must be positive, with 1/rho_D finite, "
                           f"and at least as large in magnitude as every other, got {rho}")
     integrator = build_integrator(d.get("integrator", {}), family)
+    # the Möbius table is largest where the forcing is, at an end of the family's range
+    for end in family.beta_range:
+        try:
+            SectionMap(family, end, rho, integrator).sub_returns()
+        except ValueError as exc:
+            raise ConfigError(f"family, rho: {exc}, at beta = {end:g} (an end of the "
+                              f"family's beta_range)") from exc
     beta = d.get("beta")
     beta_range = d.get("beta_range")
     cfg = ExperimentConfig(

@@ -42,13 +42,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BumpProfile:
-    """Support radius R of the radial bump h(y) = (1 - (y/R)^2)^3; see ``BumpShape``."""
+    """Support radius R of the radial bump h(y) = (1 - (y/R)^2)^3; see ``BumpShape``.
+
+    0 < R <= 1/2: the support then stays inside the cell around the center,
+    where the nearest-lift offset is smooth. A larger R reaches the cut locus
+    |theta_i - center_i| = 1/2, where d_v g jumps.
+    """
 
     R_support: float
 
     def __post_init__(self):
-        if not (self.R_support > 0.0):
-            raise ValueError("bump support radius must be positive")
+        if not (0.0 < self.R_support <= 0.5):
+            raise ValueError(f"bump support radius must lie in (0, 1/2], got {self.R_support}")
 
 
 @dataclass(frozen=True)
@@ -171,8 +176,6 @@ class ForcedField:
     D: int = 2
 
     def __post_init__(self):
-        if self.theta_independent and self.a1 != 0.0:
-            raise ValueError("a theta-independent field needs a1 = 0 (shift x to remove it)")
         lo, hi = self.beta_range
         object.__setattr__(self, "beta_range", (float(lo), float(hi)))
 

@@ -384,15 +384,15 @@ def _rk45_batch(forcing, rhs, y0: np.ndarray, span: float, cfg: IntegratorConfig
 def _scalar_rhs(family: ForcedField, beta: float, reverse: bool):
     """Plain-float rhs of all six channels for a theta-independent family (list state)."""
     sgn = -1.0 if reverse else 1.0
-    a2 = family.a2 * sgn
-    rest = (family.a0 - family.forcing_scale(beta)) * sgn
-    two_a2 = 2.0 * a2
+    poly, dpoly = family.polynomial(sgn)
+    two_a2 = 2.0 * sgn * family.a2
+    c = sgn * family.forcing_scale(beta)
 
     def rhs(t, y):
         x = y[0]
-        fx = two_a2 * x
+        fx = dpoly(x)
         return [
-            a2 * x * x + rest,
+            poly(x) - c,
             fx,
             fx * y[2],
             two_a2 * math.exp(y[1]),

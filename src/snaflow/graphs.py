@@ -15,11 +15,11 @@ S = ceil(T max ||A||_F / pi) + 1 sub-returns (``SectionMap.sub_returns``), and
 every sweep applies those S Möbius maps in sequence (``_mobius_sweep``). A lane
 escapes when q = P21 x + P22 <= 0 in some sub-return (its orbit passed through
 x = infinity; with (p, q) turning by less than pi per sub-return, at most
-once) or when x lies outside the escape window at a sub-return end. Values
-live on a regular d-dimensional grid; the irrational shift never lands on
-nodes, so each sweep ends with a multilinear resample (fixed roll weights,
-since the shift is uniform across the grid). This holds for every family: a
-theta-independent one simply has the same P at every node.
+once) or when x lies outside the escape window at a sub-return end. A
+theta-independent family has the same P at every node. A sweep's image w sits
+at theta + omega, off the regular grid, so the new graph is w interpolated at
+theta - omega. One multilinear periodic gather (``_gather``) does every
+interpolation here: the sweeps, the defects, the lift's regrid and its starts.
 
 The sweeps apply one fixed map, so their changes fall to rounding level once
 the pullback converges. The one stop rule is a sweep that changes the graph
@@ -137,37 +137,38 @@ class LyapunovEstimate:
     map_scale: float
 
 
-def _roll_shift(v: np.ndarray, shift: np.ndarray, sign: int) -> np.ndarray:
-    """Multilinear roll of periodic grid values by a uniform shift.
+def _gather(v: np.ndarray, whole, frac) -> np.ndarray:
+    """Multilinear interpolation of periodic grid values v at the points whole + frac.
 
-    sign = -1 gathers the values at theta_i + shift; sign = +1 scatters
-    values attached at theta_i + shift back onto the nodes.
+    Points are on the grid's scale (node i of an axis sits at i); per axis, the
+    integer parts ``whole`` and fractions ``frac`` in [0, 1) broadcast to the result.
     """
-    n = v.shape[0]
-    shift = np.asarray(shift, dtype=float)
-    steps = np.floor(shift * n).astype(int)
-    fracs = shift * n - steps
-    axes = tuple(range(v.ndim))
-    out = np.zeros_like(v)
+    out = 0.0
     for corner in itertools.product((0, 1), repeat=v.ndim):
         weight = 1.0
         for a, c in enumerate(corner):
-            weight *= fracs[a] if c else (1.0 - fracs[a])
-        if weight == 0.0:
-            continue
-        roll = tuple(sign * (steps[a] + corner[a]) for a in axes)
-        out += weight * np.roll(v, shift=roll, axis=axes)
+            weight = weight * (frac[a] if c else 1.0 - frac[a])
+        out = out + weight * v[tuple((whole[a] + c) % v.shape[a] for a, c in enumerate(corner))]
     return out
 
 
-def resample_shifted_values(w: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Values w_i attached at theta_i + shift, resampled onto the grid nodes."""
-    return _roll_shift(w, shift, 1)
+def _at_shifts(v: np.ndarray, shifts) -> np.ndarray:
+    """v interpolated at theta_i + s for each row s of the (m, d) shifts: (m,) + v.shape."""
+    scaled = np.reshape(np.asarray(shifts, dtype=float), (-1, v.ndim)).T * v.shape[0]
+    scaled = scaled.reshape(scaled.shape + (1,) * v.ndim)
+    steps = np.floor(scaled)
+    nodes = np.ix_(*(np.arange(n) for n in v.shape))
+    return _gather(v, [s + i for s, i in zip(steps.astype(int), nodes)], scaled - steps)
 
 
 def interp_at_shift(v: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of grid values v at the nodes theta_i + shift."""
-    return _roll_shift(v, shift, -1)
+    return _at_shifts(v, shift)[0]
+
+
+def resample_shifted_values(w: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Values w_i attached at theta_i + shift, resampled onto the nodes: w at theta_i - shift."""
+    return interp_at_shift(w, -np.asarray(shift, dtype=float))
 
 
 def _mobius_pieces(table: np.ndarray, x: np.ndarray, cfg: IntegratorConfig):
@@ -236,7 +237,7 @@ def _pullback(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
         if escaped.any():
             bad = int(np.argmax(escaped))
             return Escaped(role, beta, k, int(escaped.sum()), nodes[bad])
-        v_new = resample_shifted_values(w.reshape(shape), smap.shift)
+        v_new = interp_at_shift(w.reshape(shape), -smap.shift)
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta < STOP_TOL:
@@ -385,7 +386,7 @@ def lift_graph(family: ForcedField, beta: float, rho, graph: GraphSample,
     steps = np.arange(1, grid_D)
     sgn = -1.0 if backward else 1.0
     shifts = wrap_unit(-sgn * (steps * seg)[:, None] * rho_v.rho[:-1])
-    x = np.stack([interp_at_shift(base_vals, s).ravel() for s in shifts])
+    x = _at_shifts(base_vals, shifts).reshape(grid_D - 1, n_sec)
     table = tabulate(smap, r * grid_D)
     if table is None:
         nodes = _grid_nodes(sec_shape, d)
@@ -412,16 +413,5 @@ def lift_graph(family: ForcedField, beta: float, rho, graph: GraphSample,
 
 def _regrid(values: np.ndarray, grid_D: int) -> np.ndarray:
     """Multilinear resample of a periodic grid onto grid_D nodes per axis."""
-    out = values
-    for axis in range(values.ndim):
-        n = out.shape[axis]
-        pos = np.arange(grid_D) * n / grid_D
-        i0 = np.floor(pos).astype(int) % n
-        frac = pos - np.floor(pos)
-        a = np.take(out, i0, axis=axis)
-        b = np.take(out, (i0 + 1) % n, axis=axis)
-        shape = [1] * out.ndim
-        shape[axis] = grid_D
-        f = frac.reshape(shape)
-        out = a * (1.0 - f) + b * f
-    return out
+    pos = np.ix_(*(np.arange(grid_D) * n / grid_D for n in values.shape))
+    return _gather(values, [np.floor(p).astype(int) for p in pos], [p - np.floor(p) for p in pos])

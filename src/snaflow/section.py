@@ -25,6 +25,8 @@ __all__ = [
     "lyapunov_relation_check",
 ]
 
+MAX_SUB_RETURNS = 2**20
+
 
 @dataclass(frozen=True)
 class ReturnMapEval(RatioChannels):
@@ -92,12 +94,21 @@ class SectionMap:
         A = [[a1/2, c], [-a2, -a1/2]] with |c| <= max(|a0|, |a0 - beta^p scale|),
         since every forcing shape has g in [0, 1]. (p, q) then turns by less
         than pi in each sub-return, and every sub-return matrix entry stays
-        below e^pi.
+        below e^pi. ValueError when S is not finite or exceeds MAX_SUB_RETURNS
+        (2^20 rows of (4, n) float64 are already 32 MiB per node).
         """
         fam = self.family
-        c_max = max(abs(fam.a0), abs(fam.a0 - fam.forcing_scale(self._table_beta())))
+        try:
+            forcing = fam.forcing_scale(self._table_beta())
+        except OverflowError:   # beta^p past the float range
+            forcing = math.inf if fam.scale else 0.0
+        c_max = max(abs(fam.a0), abs(fam.a0 - forcing))
         norm = math.sqrt(0.5 * fam.a1 * fam.a1 + c_max * c_max + fam.a2 * fam.a2)
-        return math.ceil(self.return_time * norm / math.pi) + 1
+        turns = self.return_time * norm / math.pi
+        if not turns <= MAX_SUB_RETURNS - 1:
+            raise ValueError(f"T max||A||_F / pi = {turns:.6g} needs more than the "
+                             f"{MAX_SUB_RETURNS} sub-returns a Möbius table may have")
+        return math.ceil(turns) + 1
 
     def mobius_table(self, theta_sec, m: int | None = None) -> np.ndarray:
         """Transfer matrices of the fibre maps at ``theta_sec``, shape (S, 4, n).

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,6 +183,29 @@ class TestConfigValidation:
         ("graphs", {"rho": [0.0, 1e-320]}, "rho: the last component must be positive, with"),
         ("figure1", {"rho": [0.0, 1e-320]}, "rho: the last component must be positive, with"),
         ("audit", {"rho": [0.0, 1e-320]}, "rho: the last component must be positive, with"),
+        # the Möbius table's sub-return count S overflows or passes its cap
+        ("graphs", {"family": {"kind": "radial_logistic", "b": 1e300, "bump_radius": 0.3,
+                               "center": [0.5, 0.8]}, "beta": 0.1},
+         "family, rho: T max||A||_F / pi = inf needs more than the 1048576 sub-returns"),
+        ("graphs", {"family": {"kind": "radial_logistic", "b": 4.0, "bump_radius": 0.3,
+                               "center": [0.5, 0.8], "beta_range": [0.0, 1e300]},
+                    "beta": 1e300},
+         "family, rho: T max||A||_F / pi = inf needs more than the 1048576 sub-returns"),
+        ("graphs", {"rho": [0.0, 1e-300]}, "family, rho: T max||A||_F / pi = 1.80063e+300 needs"),
+        ("figure1", {"rho": [0.0, 1e-300]}, "family, rho: T max||A||_F / pi = 1.80063e+300 needs"),
+        ("audit", {"rho": [0.0, 1e-300]}, "family, rho: T max||A||_F / pi = 1.80063e+300 needs"),
+        ("simulate", {"rho": [0.0, 1e-300]}, "family, rho: T max||A||_F / pi = 1.80063e+300 needs"),
+        ("graphs", {"family": {"kind": "autonomous_riccati", "a2": -1.0, "a0": 1.0,
+                               "beta_slope": -2.0, "beta_power": 2,
+                               "beta_range": [0.0, 1e300]}, "rho": [GOLDEN, 1.0], "beta": 0.5},
+         "family, rho: T max||A||_F / pi = inf needs"),
+        # past R = 1/2 the bump reaches the cut locus and its derivative jumps
+        ("graphs", {"family": {"kind": "radial_logistic", "b": 4.0, "bump_radius": 0.6,
+                               "center": [0.5, 0.8]}},
+         "family: bump support radius must lie in (0, 1/2], got 0.6"),
+        ("graphs", {"family": {"kind": "logistic_harvest", "b": 4.0, "r": -1.0,
+                               "bump_radius": 0.3, "center": [0.5, 0.8]}},
+         "family: carrying capacity r must be positive"),
     ])
     def test_malformed_block_is_a_config_error(self, tmp_path, capsys, subcommand, block,
                                                path):
@@ -331,3 +356,16 @@ class TestWriteCsv:
             write_csv(str(path), cfg, "test", header, columns)
             assert path.read_bytes() == self._reference(cfg, header, columns)
         assert path.read_text().endswith("signed,repeats,counts\n")
+
+
+class TestBenchSpans:
+    def test_every_traced_name_exists(self):
+        # bench/spans.py wraps named functions of the package for `run.py --trace 1`;
+        # installing it fails as soon as one of those names is renamed or deleted
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        paths = [os.path.join(root, "bench"), os.path.join(root, "src")]
+        code = (f"import sys; sys.path[:0] = {paths!r}; "
+                "import spans; spans.install(spans.Recorder())")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr

@@ -59,6 +59,17 @@ class TestBump:
         assert np.all(np.diff(g) < 0.0)
         assert np.all(dg < 0.0)
 
+    def test_radius_reaches_at_most_the_cut_locus(self):
+        # offset 1/2 is where the nearest lift jumps: at R = 1/2 the bump and
+        # its derivatives nearly vanish there and agree on both sides of it;
+        # a wider bump has a kink there
+        left, right = np.asarray(_along_ray(0.5, [0.5 - 1e-7, 0.5 + 1e-7])).T
+        assert np.all(np.abs(left) <= 1e-4)
+        assert np.all(np.abs(left - right) <= 1e-11)
+        for R in (0.5000001, 0.6, 5.0, 0.0, -0.1):
+            with pytest.raises(ValueError, match=r"must lie in \(0, 1/2\]"):
+                BumpProfile(R)
+
 
 class TestEvalField:
     def test_radial_at_unforced_equilibrium(self):

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from snaflow.fields import AutonomousRiccati, BumpProfile, Cos11, RadialLogistic
+from snaflow.fields import (
+    AutonomousRiccati,
+    BumpProfile,
+    Cos11,
+    FlatShape,
+    ForcedField,
+    RadialLogistic,
+)
 from snaflow.flow import (
     FlowBlowUp,
     IntegratorConfig,
@@ -53,6 +60,17 @@ class TestClosedFormOracles:
     def test_reversed_flow_retraces_tanh(self):
         st = integrate(TANH, 0.0, RHO, [0.0, 0.0], math.tanh(1.0), -1.0, CFG)
         assert st.x == pytest.approx(0.0, abs=1e-9)
+
+    def test_flat_field_with_a_linear_term(self):
+        # x' = -x^2 + 2x from x = 1: y = x - 1 solves y' = 1 - y^2, so x = 1 + tanh t
+        # and dx = sech^2 t, on the plain-float path and on the batch path alike
+        fam = ForcedField(-1.0, 2.0, 0.0, 0.0, FlatShape(), (0.0, 2.0), (-10.0, 10.0))
+        t = 2.5
+        st = integrate(fam, 0.0, RHO, [0.1, 0.2], 1.0, t, CFG)
+        res = flow_batch(fam, 0.0, RHO, np.array([[0.1, 0.2]]), [1.0], t, CFG, channels="full")
+        for x, log_dx in ((st.x, st.log_dx), (res.y[0, 0], res.y[1, 0])):
+            assert x == pytest.approx(1.0 + math.tanh(t), abs=1e-9)
+            assert log_dx == pytest.approx(-2.0 * math.log(math.cosh(t)), abs=1e-8)
 
 
 class TestCocycleAndInverse:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from snaflow.fields import AutonomousRiccati, BumpProfile, Cos11, RadialLogistic
 from snaflow.flow import IntegratorConfig
 from snaflow.graphs import (
     Escaped,
+    _at_shifts,
+    _gather,
     _mobius_sweep,
     _table_exponent,
     GraphPair,
@@ -22,7 +25,7 @@ from snaflow.graphs import (
     pushforward_repeller,
     resample_shifted_values,
 )
-from snaflow.torus import RotationVector
+from snaflow.torus import RotationVector, wrap_unit
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 RHO = RotationVector([GOLDEN, math.pi])
@@ -74,6 +77,57 @@ class TestInterpolation:
         v = rng.random((16, 16))
         w = interp_at_shift(v, np.array([0.25, 0.5]))
         assert w[0, 0] == v[4, 8]
+
+    @pytest.mark.parametrize("n", [16, 17, 96])
+    def test_gather_matches_periodic_np_interp(self, n):
+        rng = np.random.default_rng(n)
+        v, pts = rng.random(n), rng.random(200)
+        whole = np.floor(pts * n)
+        got = _gather(v, [whole.astype(int)], [pts * n - whole])
+        want = np.interp(pts, np.arange(n) / n, v, period=1.0)
+        # np.interp forms a slope over node spacings 1/n: its rounding grows with n
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_gather_matches_hand_written_bilinear(self):
+        rng = np.random.default_rng(2)
+        n = 17
+        v, pts = rng.random((n, n)), rng.random((2, 300)) * n
+        i, j = np.floor(pts).astype(int)
+        fx, fy = pts[0] - i, pts[1] - j
+        want = ((1 - fx) * (1 - fy) * v[i, j] + (1 - fx) * fy * v[i, (j + 1) % n]
+                + fx * (1 - fy) * v[(i + 1) % n, j] + fx * fy * v[(i + 1) % n, (j + 1) % n])
+        got = _gather(v, [i, j], [fx, fy])
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("d, n", [(1, 16), (1, 17), (1, 96), (2, 16), (2, 33)])
+    def test_resample_matches_an_independent_scatter(self, d, n):
+        # w_i sits at theta_i + shift: split it linearly onto its 2^d nodes
+        rng = np.random.default_rng(10 * d + n)
+        for shift in rng.random((5, d)):
+            w = rng.random((n,) * d)
+            scaled = shift * n
+            steps = np.floor(scaled).astype(int)
+            frac = scaled - steps
+            source = np.indices(w.shape).reshape(d, -1)
+            want = np.zeros_like(w)
+            for corner in itertools.product((0, 1), repeat=d):
+                weight = np.prod([f if c else 1.0 - f for f, c in zip(frac, corner)])
+                target = tuple((source + (steps + corner)[:, None]) % n)
+                np.add.at(want, target, weight * w.ravel())
+            got = resample_shifted_values(w, shift)
+            if d == 1:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_stacked_shifts_match_one_shift_at_a_time(self, d):
+        # the lift's level starts: one gather over all levels
+        rng = np.random.default_rng(d)
+        base = rng.random((24,) * d)
+        shifts = wrap_unit(-np.arange(1, 24)[:, None] / 24.0 * RHO.rho[:d] / RHO.rho[-1])
+        want = np.stack([interp_at_shift(base, s) for s in shifts])
+        assert np.array_equal(_at_shifts(base, shifts), want)
 
 
 class TestUnforcedGraphs:
