@@ -823,12 +823,13 @@ def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
 
     Each phase carries all its beta on per-lane parameters, so the audit pays
     about the largest step count of a phase rather than the sum over its beta:
-    the bounds make one return per bisection round for both boundaries; the
-    pinch probes batches of ``_PROBE_BATCH``, then twice as many, and so on,
-    one return each, until one probe registers a pinch set; the pinch masks one
-    x-channel return and the pinch sets one full-channel return; A1-A3 two
-    returns and A4-A8 one; A11-A16 one forward return per beta and one
-    reversed return.
+    the bounds make one return for the range's ends and then one per
+    ``bifurcation.BOUNDS_LEVELS`` bisection rounds for both boundaries, over
+    the nodes that can still fail; the pinch probes batches of
+    ``_PROBE_BATCH``, then twice as many, and so on, one return each, until
+    one probe registers a pinch set; the pinch masks one x-channel return and
+    the pinch sets one full-channel return; A1-A3 two returns and A4-A8 one;
+    A11-A16 one forward return per beta and one reversed return.
     """
     _require_radial(family)
     rho_v = as_rotation_vector(rho)

@@ -38,6 +38,8 @@ __all__ = [
 
 SWEEP_CAP = 5_000_000   # largest per-pullback sweep budget of the bisection
 CLOUD_POINTS = 100_000  # points of the lifted attractor cloud that classify box-counts
+BOUNDS_LEVELS = 4       # bisection rounds per return of estimate_beta_bounds (3 and 4
+                        # measured alike on the b = 6 audit, 5 slower)
 
 
 class BifurcationError(RuntimeError):
@@ -140,7 +142,7 @@ def locate_beta_c(family: ForcedField, rho, beta_range, grid_n: int, tol_beta: f
         raise BifurcationError(f"no invariant graphs at the low end beta={lo}")
     if exists(hi):
         raise BifurcationError(f"invariant graphs persist at the high end beta={hi}")
-    history = _bisect(lambda mids, _: [exists(float(mids[0]))], [lo], [hi], tol_beta)
+    history = _bisect(lambda mids, *_: [exists(float(mids[0]))], [lo], [hi], tol_beta)
     brackets = [(float(a), float(b)) for a, b in history[:, 0]]
 
     # monotone: in beta order, no existing record follows a non-existing one
@@ -169,10 +171,15 @@ def estimate_beta_bounds(family: RadialLogistic, rho, grid_n: int,
     never fires inside the family's beta range the matching endpoint is
     returned with its fired flag cleared.
 
-    The two bisections run in lockstep on per-lane beta: one return holds
-    both predicates at both ends of the range, then each round is one return
-    holding both midpoints. That is at most 1 + ceil(log2(range / tol_beta))
-    returns, where two separate bisections would make about twice as many.
+    The two bisections run in lockstep on per-lane beta, ``BOUNDS_LEVELS``
+    rounds per return (``_bisect``): one return holds both predicates at both
+    ends of the range, then each return holds every midpoint the next rounds
+    of both bisections could visit. That is at most
+    1 + ceil(ceil(log2(range / tol_beta)) / BOUNDS_LEVELS) returns. Each
+    node's scored image is non-increasing in beta (the forcing -beta^p scale g
+    is <= 0), so a node that passes at a bracket's upper end passes at every
+    midpoint below it: a return evaluates each predicate only at the nodes
+    that failed at its bracket's current upper end.
     """
     if not isinstance(family, RadialLogistic):
         raise TypeError("beta bounds are defined for the radial-bump quadratic family")
@@ -181,24 +188,37 @@ def estimate_beta_bounds(family: RadialLogistic, rho, grid_n: int,
     rho_v = as_rotation_vector(rho)
     e_top = -1.0 + math.exp(-family.b / (2.0 * rho_v.rho_D))
     lo, hi = family.beta_range
-    # bisection 0 (beta_minus) holds while no map sends 1-c into E; bisection 1
+    # predicate 0 (beta_minus) holds while no map sends 1-c into E; predicate 1
     # (beta_plus) holds while every map keeps 1+c above -1
     starts = np.array([1.0 - c, 1.0 + c])
     d = rho_v.D - 1
     nodes = _grid_nodes((grid_n,) * d, d)
+    every = np.arange(len(nodes))
+    failing = {}  # (predicate, beta) -> the evaluated nodes that fail there
 
-    def holds(betas, which):
-        # min over the grid of each (beta, start) pair's images, all in one return
-        groups = [(beta, nodes, np.full(len(nodes), x)) for beta, x in zip(betas, starts[which])]
-        img = np.array([im.min() for im in _merged_images(family, rho_v, cfg, groups)])
-        return np.where(which == 0, img > e_top, img >= -1.0)
+    def holds(betas, which, live):
+        # each (beta, predicate) pair's nodes `live`, all in one return
+        groups = [(beta, nodes[n], np.full(n.size, starts[w]))
+                  for beta, w, n in zip(betas, which, live)]
+        ok = []
+        for beta, w, n, img in zip(betas, which, live,
+                                   _merged_images(family, rho_v, cfg, groups)):
+            failing[w, beta] = n[~(img > e_top if w == 0 else img >= -1.0)]
+            ok.append(failing[w, beta].size == 0)
+        return np.array(ok)
 
-    ends = holds(np.array([lo, lo, hi, hi]), np.array([0, 1, 0, 1]))
+    ends = holds([lo, lo, hi, hi], [0, 1, 0, 1], [every] * 4)
     holds_lo, holds_hi = ends[:2], ends[2:]
     # the switch lies inside the range only where the predicate flips across it
     inside = np.flatnonzero(holds_lo & ~holds_hi)
-    history = _bisect(lambda mids, idx: holds(mids, inside[idx]),
-                      np.full(inside.size, lo), np.full(inside.size, hi), tol_beta)
+
+    def holds_below(mids, idx, tops):
+        which = inside[idx].tolist()
+        return holds(mids.tolist(), which,
+                     [failing[w, top] for w, top in zip(which, tops.tolist())])
+
+    history = _bisect(holds_below, np.full(inside.size, lo), np.full(inside.size, hi),
+                      tol_beta, levels=BOUNDS_LEVELS)
     found = dict(zip(inside.tolist(), 0.5 * history[-1].sum(axis=1)))
 
     def bound(which, fired_below):
@@ -213,28 +233,59 @@ def estimate_beta_bounds(family: RadialLogistic, rho, grid_n: int,
     return BetaBounds(beta_minus, beta_plus, minus_fired, plus_fired, c, tol_beta)
 
 
-def _bisect(holds, lo, hi, tol) -> np.ndarray:
+def _splits(lo, hi, mid, tol):
+    """Whether a bracket [lo, hi] with midpoint mid is still bisected."""
+    return (hi - lo > tol) & (mid > lo) & (mid < hi)
+
+
+def _bisect(holds, lo, hi, tol, levels: int = 1) -> np.ndarray:
     """Halve brackets [lo_i, hi_i], where holds at lo_i and not at hi_i, to width tol.
 
-    The brackets halve in lockstep: each round calls ``holds(mids, idx)`` once
-    for the open brackets ``idx`` at their midpoints ``mids``, so a caller
-    that evaluates several beta in one batch pays one batch per round. A
-    bracket closes at width tol, or early once its midpoint no longer splits
-    it in floats. Returns the brackets after every round, shape
-    (rounds + 1, k, 2); the last ones straddle the switches.
+    The brackets halve in lockstep, ``levels`` rounds per call of
+    ``holds(mids, idx, tops)``. One call answers every midpoint ``mids`` that
+    the next ``levels`` rounds could visit; ``idx`` names each one's bracket
+    and ``tops`` that bracket's current upper end. A caller that evaluates
+    several beta in one batch thus pays one batch per ``levels`` rounds. Each
+    midpoint is formed as the round would form it, ``0.5 * (a + b)`` of its
+    sub-bracket, so the rounds then read their answers in turn and the
+    brackets are those of ``levels = 1``. A bracket closes at width tol, or
+    early once its midpoint no longer splits it in floats. Returns the
+    brackets after every round, shape (rounds + 1, k, 2); the last ones
+    straddle the switches.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     history = [np.stack([lo, hi], axis=1)]
     while True:
-        mid = 0.5 * (lo + hi)
-        idx = np.flatnonzero((hi - lo > tol) & (mid > lo) & (mid < hi))
+        # the midpoint tree: sub-bracket [a, b] of bracket br at heap position
+        # pos splits into [a, mid] at 2 pos (holds is false at mid) and
+        # [mid, b] at 2 pos + 1 (holds is true); a closed one is left out
+        br, pos, a, b = np.arange(lo.size), np.ones(lo.size, dtype=int), lo, hi
+        tree = []
+        for _ in range(levels):
+            mid = 0.5 * (a + b)
+            keep = _splits(a, b, mid, tol)
+            br, pos, a, b, mid = br[keep], pos[keep], a[keep], b[keep], mid[keep]
+            tree.append((br, pos, mid))
+            br, pos = np.concatenate([br, br]), np.concatenate([2 * pos, 2 * pos + 1])
+            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        idx, pos, mids = (np.concatenate(col) for col in zip(*tree))
         if idx.size == 0:
             return np.array(history)
-        ok = np.asarray(holds(mid[idx], idx), dtype=bool)
-        lo[idx] = np.where(ok, mid[idx], lo[idx])
-        hi[idx] = np.where(ok, hi[idx], mid[idx])
-        history.append(np.stack([lo, hi], axis=1))
+        ok = np.asarray(holds(mids, idx, hi[idx]), dtype=bool)
+        answer = dict(zip(zip(idx.tolist(), pos.tolist()), ok.tolist()))
+        # the rounds walk down the tree: at[i] is bracket i's heap position
+        at = np.ones(lo.size, dtype=int)
+        for _ in range(levels):
+            mid = 0.5 * (lo + hi)
+            live = np.flatnonzero(_splits(lo, hi, mid, tol))
+            if live.size == 0:
+                break
+            ok = np.array([answer[i, at[i]] for i in live.tolist()])
+            lo[live] = np.where(ok, mid[live], lo[live])
+            hi[live] = np.where(ok, hi[live], mid[live])
+            at[live] = 2 * at[live] + ok
+            history.append(np.stack([lo, hi], axis=1))
 
 
 def _normalize_fibre(points: np.ndarray) -> np.ndarray:

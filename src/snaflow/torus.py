@@ -41,7 +41,7 @@ def wrap_unit(x):
 def nearest_lift_offset(a, b):
     """Per-axis signed offset a - b of the lift of a closest to b, in [-1/2, 1/2]."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return d - np.round(d)
+    return d - np.rint(d)
 
 
 @dataclass(frozen=True)

@@ -216,9 +216,9 @@ class TestBumpConvexity:
 
 class TestAuditCost:
     def test_merged_returns_and_one_pinch_mask_per_beta(self, monkeypatch):
-        # beta bounds: 1 + 17 returns; pinch probes (4, then 8): 2; pinch
-        # masks and sets: 1 each; A1-A3: 2; A4-A8: 1; A11-A16: 2 forward and
-        # 1 reversed; 28 in all
+        # beta bounds: 1 + ceil(17 / 4) returns; pinch probes (4, then 8): 2;
+        # pinch masks and sets: 1 each; A1-A3: 2; A4-A8: 1; A11-A16: 2 forward
+        # and 1 reversed; 16 in all
         calls = count_returns(monkeypatch)
         mask_betas = []
 
@@ -229,7 +229,7 @@ class TestAuditCost:
         monkeypatch.setattr(audit, "j0_region", recording_j0_region)
         report = run_audit(b6_family(), B6_RHO, b6_constants(), beta_grid=[0.0, 0.78],
                            grid_n=32, sample_n=20, cfg=CFG, seed=1)
-        assert len(calls) <= 30
+        assert len(calls) <= 16
         counts = report.entry("A6").measured["node_counts"]
         assert len(counts) == 5 and report.entry("A6").measured["first_nonempty_beta"]
         assert len(mask_betas) == len(set(mask_betas))

@@ -14,7 +14,7 @@ from snaflow.bifurcation import (
 from snaflow.fields import AutonomousRiccati, BumpProfile, RadialLogistic
 from snaflow.flow import FlowEscape, IntegratorConfig
 from snaflow.graphs import Escaped, graph_pair
-from snaflow.section import SectionMap, _map_exponent
+from snaflow.section import SectionMap, _map_exponent, _merged_images
 from snaflow.torus import RotationVector
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -99,6 +99,31 @@ class TestLocate:
             locate_beta_c(oracle_family(), RHO_UNIT, (0.8, 1.0), 16, 1e-3, CFG)
 
 
+class TestBisect:
+    @pytest.mark.parametrize("levels", [2, 3, 4, 5])
+    def test_midpoint_trees_give_the_rounds_brackets(self, levels):
+        # switches at 0.3, pi/10 and 0.7 + 1e-9 in brackets that close at
+        # different rounds: the trees change the calls, not the brackets
+        switch = np.array([0.3, math.pi / 10.0, 0.7 + 1e-9])
+        lo, hi = [0.0, 0.25, 0.5], [1.0, 0.5, 1.0]
+
+        def run(n):
+            calls = []
+
+            def holds(mids, idx, tops):
+                assert np.all(mids < tops)
+                calls.append(mids.size)
+                return mids < switch[idx]
+
+            return bifurcation._bisect(holds, lo, hi, 1e-6, levels=n), calls
+
+        ref, ref_calls = run(1)
+        history, calls = run(levels)
+        assert np.array_equal(history, ref)
+        assert len(ref_calls) == len(ref) - 1 == 20
+        assert len(calls) == math.ceil(len(ref_calls) / levels)
+
+
 class TestBetaBounds:
     def test_unforced_field_fires_neither(self):
         fam = RadialLogistic(4.0, BumpProfile(0.3), [0.5, 0.8])
@@ -117,10 +142,26 @@ class TestBetaBounds:
         assert bounds.beta_minus <= bounds.beta_plus + 1e-3
         assert bounds.beta_plus < 1.0  # the crossing happens before beta = 1
 
-    @pytest.mark.slow
-    def test_lockstep_matches_sequential_bisection(self, monkeypatch):
-        fam, rho = self.crossing_family()
-        tol, c = 1e-3, 0.2
+    def b6_family(self):
+        # the audit's b = 6 radial-bump family
+        return (RadialLogistic(6.0, BumpProfile(0.28), [0.3, 0.65]),
+                RotationVector([GOLDEN * 0.25, 0.25]))
+
+    @pytest.mark.parametrize("which", ["crossing", "b6"])
+    def test_images_non_increasing_in_beta(self, which):
+        # the premise of the bounds' node pruning: node by node, the scored
+        # images of 1 - c and 1 + c do not increase along a beta ladder (all in
+        # one return, so every lane takes the same steps)
+        fam, rho = self.crossing_family() if which == "crossing" else self.b6_family()
+        nodes = np.arange(64)[:, None] / 64.0
+        betas = np.linspace(0.0, 1.0, 9)
+        for x in (0.8, 1.2):
+            img = np.array(_merged_images(fam, rho, CFG, [(beta, nodes, np.full(64, x))
+                                                          for beta in betas]))
+            assert np.all(img[1:] <= img[:-1])
+            assert img[-1].min() < img[0].min()
+
+    def assert_matches_sequential_bisection(self, monkeypatch, fam, rho, grid_n, c, tol):
         calls = []
         step = SectionMap.step
 
@@ -129,16 +170,18 @@ class TestBetaBounds:
             return step(self, *args, **kwargs)
 
         monkeypatch.setattr(SectionMap, "step", counting_step)
-        bounds = estimate_beta_bounds(fam, rho, 64, CFG, c=c, tol_beta=tol)
+        bounds = estimate_beta_bounds(fam, rho, grid_n, CFG, c=c, tol_beta=tol)
         monkeypatch.undo()
         lo, hi = fam.beta_range
-        assert len(calls) <= 1 + math.ceil(math.log2((hi - lo) / tol))
+        rounds = math.ceil(math.log2((hi - lo) / tol))
+        assert len(calls) <= 1 + math.ceil(rounds / bifurcation.BOUNDS_LEVELS)
 
-        # reference: each predicate bisected on its own, one return per beta
-        nodes = np.arange(64)[:, None] / 64.0
+        # reference: each predicate bisected on its own over every node, one
+        # return per beta
+        nodes = np.arange(grid_n)[:, None] / grid_n
 
         def min_image(beta, x):
-            res = SectionMap(fam, beta, rho, CFG).step(nodes, np.full(64, x))
+            res = SectionMap(fam, beta, rho, CFG).step(nodes, np.full(grid_n, x))
             below = res.y[0] <= CFG.escape_low + 1e-9
             return np.where(res.escaped, np.where(below, -np.inf, np.inf), res.y[0]).min()
 
@@ -154,6 +197,17 @@ class TestBetaBounds:
         assert bounds.minus_fired and bounds.plus_fired
         assert bounds.beta_minus == bisect(lambda beta: min_image(beta, 1.0 - c) > e_top)
         assert bounds.beta_plus == bisect(lambda beta: min_image(beta, 1.0 + c) >= -1.0)
+
+    @pytest.mark.slow
+    def test_lockstep_matches_sequential_bisection(self, monkeypatch):
+        fam, rho = self.crossing_family()
+        self.assert_matches_sequential_bisection(monkeypatch, fam, rho, 64, 0.2, 1e-3)
+
+    @pytest.mark.slow
+    def test_audit_bounds_match_sequential_bisection(self, monkeypatch):
+        # the audit's own call: 128 nodes, c = 0.2, tol_beta = 1e-5
+        fam, rho = self.b6_family()
+        self.assert_matches_sequential_bisection(monkeypatch, fam, rho, 128, 0.2, 1e-5)
 
     def test_requires_radial_family(self):
         with pytest.raises(TypeError):

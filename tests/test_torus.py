@@ -10,6 +10,7 @@ from snaflow.torus import (
     TorusPoint,
     certify_diophantine,
     induce_frequency,
+    nearest_lift_offset,
     torus_distance,
     wrap_unit,
 )
@@ -133,6 +134,18 @@ class TestTorusDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             torus_distance([0.1], [0.1, 0.2])
+
+    def test_nearest_lift_offset_rounds_half_to_even(self):
+        # d minus d rounded half to even, exact ties included: the offsets
+        # of 0.5, 1.5, 2.5 and -0.5 are 0.5, -0.5, 0.5 and -0.5
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-3.0, 3.0, (5, 2, 2))
+        a[0] = [[0.5, 1.5], [2.5, -0.5]]
+        a[1] = [[-1.5, -2.5], [0.0, 3.0]]
+        b = np.array([0.0, 0.0])
+        d = a - b
+        assert np.array_equal(nearest_lift_offset(a, b), d - np.round(d))
+        assert np.array_equal(nearest_lift_offset(a[0], b), [[0.5, -0.5], [0.5, -0.5]])
 
     def test_triangle_inequality_bulk(self):
         rng = np.random.default_rng(7)
