@@ -11,6 +11,11 @@ files; every artifact embeds the config's sha256.
 Exit codes: 0 success, 2 config error (an output directory that cannot be
 made or written counts as one, and is made before any work), 3 numerical
 failure (escape or non-convergence where success was required).
+
+``config.load_config`` resolves every default and checks every input, for
+each subcommand, so the ``cmd_*`` functions only compute. Two rules follow: a
+default is checked like a given value, and a config error leaves no output
+directory, since ``main`` makes it only after the config has loaded.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .audit import GATE_DEFAULTS, AuditError, compute_constants, format_report, run_audit
+from .audit import AuditError, compute_constants, format_report, run_audit
 from .bifurcation import (
     BifurcationError,
     ClassifyThresholds,
@@ -33,19 +38,10 @@ from .bifurcation import (
     locate_beta_c,
 )
 from .config import ConfigError, ExperimentConfig, load_config
-from .fields import Cos11, RadialLogistic
 from .flow import FlowBlowUp, FlowEscape, flow_batch
 from .fractal import box_count, default_epsilons, graph_point_cloud
-from .graphs import Escaped, GraphPair, gap_stats, graph_pair, lift_graph
+from .graphs import Escaped, GraphPair, graph_pair, lift_graph
 from .section import _grid_nodes, lyapunov_relation_check
-
-GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
-FIGURE1 = {
-    "family": {"kind": "cos11", "b": 100.0},
-    "rho": [GOLDEN_MEAN, math.pi],
-    "beta": 176.01538,
-    "slices": [0.0, 1.0 / 3.0, 2.0 / 3.0],
-}
 
 
 class NumericalFailure(RuntimeError):
@@ -136,26 +132,15 @@ def _graphs_or_fail(cfg: ExperimentConfig, beta: float) -> GraphPair:
     return pair
 
 
-def _beta_or_fail(cfg: ExperimentConfig) -> float:
-    if cfg.beta is None:
-        raise ConfigError("beta: required for this subcommand")
-    return cfg.beta
-
-
 # ------------------------------------------------------------ subcommands
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: str) -> None:
-    sim = cfg.extras.get("simulate", {})
-    theta0 = sim.get("theta0", [0.0] * cfg.family.D)
-    x0 = sim.get("x0", 0.0)
-    t_final = sim.get("t_final", 1.0)
-    n_samples = sim.get("n_samples", 200)
-    beta = _beta_or_fail(cfg)
-    t_grid = np.linspace(0.0, t_final, n_samples + 1)
+    sim = cfg.extras["simulate"]
+    t_grid = np.linspace(0.0, sim["t_final"], sim["n_samples"] + 1)
     lanes = t_grid.size   # one lane per sample time, all on the same trajectory
-    res = flow_batch(cfg.family, beta, cfg.rho, np.tile(theta0, (lanes, 1)),
-                     np.full(lanes, float(x0)), t_grid, cfg.integrator, channels="full")
+    res = flow_batch(cfg.family, cfg.beta, cfg.rho, np.tile(sim["theta0"], (lanes, 1)),
+                     np.full(lanes, sim["x0"]), t_grid, cfg.integrator, channels="full")
     if res.escaped.any():
         raise NumericalFailure(
             f"trajectory escaped at t={res.escape_times[np.argmax(res.escaped)]}")
@@ -165,8 +150,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> None:
 
 
 def cmd_graphs(cfg: ExperimentConfig, out: str) -> None:
-    beta = _beta_or_fail(cfg)
-    pair = _graphs_or_fail(cfg, beta)
+    pair = _graphs_or_fail(cfg, cfg.beta)
     att, rep = pair.attractor, pair.repeller
     # near a collision the measured graphs may interlace within their own
     # defects; beyond that the pair is inconsistent
@@ -182,19 +166,16 @@ def cmd_graphs(cfg: ExperimentConfig, out: str) -> None:
     write_csv(os.path.join(out, "pair.csv"), cfg, "graphs",
               theta_headers + ["attractor", "repeller", "gap"],
               [*axes, att.values.ravel(), rep.values.ravel(), gap])
-    gmin, gmed, gmax, arg = gap_stats(pair)
     write_json(os.path.join(out, "gap_stats.json"), cfg, "graphs", {
-        "beta": beta,
-        "gap_min": gmin, "gap_median": gmed, "gap_max": gmax,
-        "argmin_theta": list(arg),
+        "beta": cfg.beta,
+        "gap_min": pair.gap_min, "gap_median": pair.gap_median, "gap_max": pair.gap_max,
+        "argmin_theta": list(pair.argmin_theta),
         "attractor": {"defect": att.defect, "iterations": att.iterations_used},
         "repeller": {"defect": rep.defect, "iterations": rep.iterations_used},
     })
 
 
 def cmd_bifurcate(cfg: ExperimentConfig, out: str) -> None:
-    if cfg.beta_range is None:
-        raise ConfigError("beta_range: required for bifurcate")
     trace = locate_beta_c(cfg.family, cfg.rho, cfg.beta_range, cfg.grid_n,
                           cfg.tol_beta, cfg.integrator,
                           n_iter_base=min(cfg.n_iter, 20_000))
@@ -208,13 +189,10 @@ def cmd_bifurcate(cfg: ExperimentConfig, out: str) -> None:
 
 
 def cmd_classify(cfg: ExperimentConfig, out: str) -> None:
-    if cfg.beta_range is None:
-        raise ConfigError("beta_range: required for classify")
     trace = locate_beta_c(cfg.family, cfg.rho, cfg.beta_range, cfg.grid_n,
                           cfg.tol_beta, cfg.integrator,
                           n_iter_base=min(cfg.n_iter, 20_000))
-    opts = cfg.extras.get("classify", {})
-    thr = ClassifyThresholds(**opts.get("thresholds", {}))
+    thr = ClassifyThresholds(**cfg.extras["classify"]["thresholds"])
     result = classify(cfg.family, cfg.rho, trace.beta_c, cfg.grid_n, cfg.integrator,
                       bracket_scale=cfg.beta_range[1] - cfg.beta_range[0],
                       tol_beta=cfg.tol_beta, thresholds=thr, seed=cfg.seed)
@@ -236,12 +214,11 @@ def cmd_lyapunov(cfg: ExperimentConfig, out: str) -> None:
     Each graph's defect is reported next to its exponents, not gated on: a
     converged pullback is the graph the other subcommands use too.
     """
-    beta = _beta_or_fail(cfg)
-    pair = _graphs_or_fail(cfg, beta)
-    payload = {"beta": beta}
+    pair = _graphs_or_fail(cfg, cfg.beta)
+    payload = {"beta": cfg.beta}
     for name, graph in (("attractor", pair.attractor), ("repeller", pair.repeller)):
         flow_l, map_l, resid = lyapunov_relation_check(
-            cfg.family, beta, cfg.rho, graph, cfg.integrator, defect_tol=math.inf)
+            cfg.family, cfg.beta, cfg.rho, graph, cfg.integrator, defect_tol=math.inf)
         payload[name] = {
             "lambda_flow": flow_l,
             "lambda_map": map_l,
@@ -252,22 +229,16 @@ def cmd_lyapunov(cfg: ExperimentConfig, out: str) -> None:
 
 
 def cmd_boxdim(cfg: ExperimentConfig, out: str) -> None:
-    beta = _beta_or_fail(cfg)
-    opts = cfg.extras.get("boxdim", {})
-    target = opts.get("target", "attractor")
-    n_points = opts.get("n_points", 100_000)
+    beta, opts = cfg.beta, cfg.extras["boxdim"]
+    target, n_points = opts["target"], opts["n_points"]
     pair = _graphs_or_fail(cfg, beta)
     graph = pair.repeller if target == "repeller" else pair.attractor
-    pows = opts.get("epsilons_pow")
-    if pows is None:
-        eps = default_epsilons() if target != "lift" else default_epsilons(9)
-    else:
-        eps = default_epsilons(pows[1], pows[0])
+    coarsest, finest = opts["epsilons_pow"]
     cloud = graph_point_cloud(cfg.family, beta, cfg.rho, graph, n_points,
                               cfg.integrator, seed=cfg.seed, lift=target == "lift")
-    if opts.get("normalize_fibre", False):
+    if opts["normalize_fibre"]:
         cloud = _normalize_fibre(cloud)
-    ladder = box_count(cloud, epsilons=eps)
+    ladder = box_count(cloud, epsilons=default_epsilons(finest, coarsest))
     write_csv(os.path.join(out, "ladder.csv"), cfg, "boxdim",
               ["epsilon", "count", "local_slope"],
               [ladder.epsilons, ladder.counts, np.append(ladder.local_slopes, math.nan)])
@@ -279,34 +250,18 @@ def cmd_boxdim(cfg: ExperimentConfig, out: str) -> None:
 
 
 def cmd_audit(cfg: ExperimentConfig, out: str) -> None:
-    opts = cfg.extras.get("audit")
-    if not opts:
-        raise ConfigError("audit: block required for the audit subcommand")
-    fam = cfg.family
-    if not isinstance(fam, RadialLogistic):
-        raise ConfigError("audit: family must be radial_logistic")
-    try:
-        constants = compute_constants(
-            b=fam.b,
-            c=opts.get("c", 0.2),
-            delta1=opts["delta1"],
-            delta2=opts["delta2"],
-            R_support=fam.bump.R_support,
-            rho=cfg.rho,
-            theta_bar=fam.center,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"audit.{exc.args[0]}: required field missing") from exc
-    except AuditError as exc:  # the constants are checked before any integration
-        raise ConfigError(f"audit: {exc}") from exc
+    opts, fam = cfg.extras["audit"], cfg.family
+    constants = compute_constants(b=fam.b, c=opts["c"], delta1=opts["delta1"],
+                                  delta2=opts["delta2"], R_support=fam.bump.R_support,
+                                  rho=cfg.rho, theta_bar=fam.center)
     report = run_audit(
         fam, cfg.rho, constants,
-        beta_grid=opts.get("beta_grid", [0.0, 0.25, 0.5, 0.75]),
+        beta_grid=opts["beta_grid"],
         grid_n=cfg.grid_n,
-        sample_n=opts.get("sample_n", 1000),
+        sample_n=opts["sample_n"],
         cfg=cfg.integrator,
         seed=cfg.seed,
-        **{key: opts[key] for key in (*GATE_DEFAULTS, "C_prime") if key in opts},
+        K=opts["K"], M=opts["M"], p=opts["p"], eta=opts["eta"], C_prime=opts["C_prime"],
     )
     print(format_report(report))
     write_json(os.path.join(out, "audit_report.json"), cfg, "audit", {
@@ -319,12 +274,9 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> None:
 
 
 def cmd_figure1(cfg: ExperimentConfig, out: str) -> None:
-    if not isinstance(cfg.family, Cos11):
-        raise ConfigError("family.kind: figure1 requires the cos11 family")
-    beta = cfg.beta if cfg.beta is not None else FIGURE1["beta"]
-    pair = _graphs_or_fail(cfg, beta)
+    pair = _graphs_or_fail(cfg, cfg.beta)
     lifts = {
-        name: lift_graph(cfg.family, beta, cfg.rho, graph, cfg.lift_grid, cfg.integrator)
+        name: lift_graph(cfg.family, cfg.beta, cfg.rho, graph, cfg.lift_grid, cfg.integrator)
         for name, graph in (("attractor", pair.attractor), ("repeller", pair.repeller))
     }
     n = cfg.lift_grid
@@ -332,7 +284,7 @@ def cmd_figure1(cfg: ExperimentConfig, out: str) -> None:
     for name, lifted in lifts.items():
         write_csv(os.path.join(out, f"{name}_lift.csv"), cfg, "figure1",
                   ["theta_1", "theta_2", "value"], [th1, th2, lifted.values.ravel()])
-    for slice_pos in FIGURE1["slices"]:
+    for slice_pos in (0.0, 1.0 / 3.0, 2.0 / 3.0):   # the fixed-theta_1 slice files
         i = int(round(slice_pos * n)) % n
         tag = f"{slice_pos:.4f}".replace(".", "p")
         write_csv(os.path.join(out, f"slice_theta1_{tag}.csv"), cfg, "figure1",
@@ -351,16 +303,6 @@ COMMANDS = {
     "audit": cmd_audit,
     "figure1": cmd_figure1,
 }
-
-
-def _figure1_defaults(raw: dict) -> dict:
-    merged = dict(raw)
-    merged.setdefault("family", FIGURE1["family"])
-    merged.setdefault("rho", FIGURE1["rho"])
-    merged.setdefault("beta", FIGURE1["beta"])
-    merged.setdefault("grid_n", 256)
-    merged.setdefault("lift_grid", 256)
-    return merged
 
 
 def main(argv=None) -> int:
@@ -382,15 +324,8 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
-    if not isinstance(raw, dict):
-        print("config error: top-level config must be a JSON object", file=sys.stderr)
-        return 2
-
-    if args.subcommand == "figure1":
-        raw = _figure1_defaults(raw)
-
     try:
-        cfg = load_config(raw)
+        cfg = load_config(raw, args.subcommand)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -403,7 +338,7 @@ def main(argv=None) -> int:
         return 2
     try:
         COMMANDS[args.subcommand](cfg, out)
-    except ConfigError as exc:
+    except ConfigError as exc:   # an artifact that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericalFailure, FlowEscape, FlowBlowUp, BifurcationError, AuditError) as exc:

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .audit import GATE_DEFAULTS, delta1_max, gate_exponent
+from .audit import GATE_DEFAULTS, AuditError, compute_constants, delta1_max, gate_exponent
 from .bifurcation import ClassifyThresholds
 from .fields import (
     AutonomousRiccati,
@@ -27,6 +27,15 @@ from .fractal import MIN_POINTS
 from .section import SectionMap
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "canonical_hash"]
+
+# the paper's two-frequency reference experiment: figure1's top-level defaults
+FIGURE1 = {
+    "family": {"kind": "cos11", "b": 100.0},
+    "rho": [(math.sqrt(5.0) - 1.0) / 2.0, math.pi],
+    "beta": 176.01538,
+    "grid_n": 256,
+    "lift_grid": 256,
+}
 
 
 class ConfigError(ValueError):
@@ -99,37 +108,36 @@ def _center(d: dict, path: str) -> list:
 
 
 def build_family(d: dict, path: str = "family") -> ForcedField:
+    """The family of ``d``; its constructor owns the default of every optional key."""
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object")
     kind = _need(d, "kind", path)
     if not isinstance(kind, str) or kind not in FAMILY_KEYS:
         raise ConfigError(f"{path}.kind: unknown family {kind!r}")
     _known(d, f"{path}.", ("kind", "beta_range") + FAMILY_KEYS[kind])
-    beta_range = tuple(_vec(d.get("beta_range", [0.0, 1.0]), f"{path}.beta_range", 2))
+    opt = {}
+    if "beta_range" in d:
+        opt["beta_range"] = tuple(_vec(d["beta_range"], f"{path}.beta_range", 2))
+
+    def num(key):
+        return _num(_need(d, key, path), f"{path}.{key}")
+
     try:
         if kind == "radial_logistic":
-            b = _num(_need(d, "b", path), f"{path}.b")
-            R = _num(_need(d, "bump_radius", path), f"{path}.bump_radius")
-            return RadialLogistic(b, BumpProfile(R), _center(d, path), beta_range)
+            return RadialLogistic(num("b"), BumpProfile(num("bump_radius")), _center(d, path),
+                                  **opt)
         if kind == "cos11":
-            b = _num(_need(d, "b", path), f"{path}.b")
-            if "beta_range" not in d:
-                beta_range = (0.0, 4.0 * b)
-            return Cos11(b, beta_range)
+            return Cos11(num("b"), **opt)
         if kind == "logistic_harvest":
-            b = _num(_need(d, "b", path), f"{path}.b")
-            r = _num(_need(d, "r", path), f"{path}.r")
-            R = _num(_need(d, "bump_radius", path), f"{path}.bump_radius")
-            return LogisticHarvest(b, r, BumpProfile(R), _center(d, path), beta_range)
+            return LogisticHarvest(num("b"), num("r"), BumpProfile(num("bump_radius")),
+                                   _center(d, path), **opt)
         if kind == "autonomous_riccati":
-            return AutonomousRiccati(
-                a2=_num(_need(d, "a2", path), f"{path}.a2"),
-                a0=_num(_need(d, "a0", path), f"{path}.a0"),
-                beta_slope=_num(d.get("beta_slope", 0.0), f"{path}.beta_slope"),
-                beta_power=_int(d.get("beta_power", 1), f"{path}.beta_power", lo=1),
-                beta_range=beta_range,
-                dim=_int(d.get("dim", 2), f"{path}.dim", lo=2),
-            )
+            a2, a0 = num("a2"), num("a0")
+            for key, check in (("beta_slope", _num), ("beta_power", lambda v, p: _int(v, p, lo=1)),
+                               ("dim", lambda v, p: _int(v, p, lo=2))):
+                if key in d:
+                    opt[key] = check(d[key], f"{path}.{key}")
+            return AutonomousRiccati(a2, a0, **opt)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -144,13 +152,10 @@ def build_integrator(d: dict, family: ForcedField, path: str = "integrator") -> 
     if escape is None:
         escape = list(family.default_escape())
     escape = _vec(escape, f"{path}.escape", 2)
+    tols = {key: _num(d[key], f"{path}.{key}", lo=0.0) for key in ("rel_tol", "abs_tol")
+            if key in d}
     try:
-        return IntegratorConfig(
-            rel_tol=_num(d.get("rel_tol", 1e-10), f"{path}.rel_tol", lo=0.0),
-            abs_tol=_num(d.get("abs_tol", 1e-12), f"{path}.abs_tol", lo=0.0),
-            escape_low=escape[0],
-            escape_high=escape[1],
-        )
+        return IntegratorConfig(**tols, escape_low=escape[0], escape_high=escape[1])
     except ConfigError:
         raise
     except ValueError as exc:
@@ -206,57 +211,99 @@ def _beta_grid(v, path: str, beta_range) -> list:
     return grid
 
 
-def _audit_bounds(block: dict) -> None:
+def _audit_bounds(block: dict, given: dict) -> None:
     """The audit block's cross-field bounds, so they fail before any integration."""
     if "delta1" in block and "delta2" in block and block["delta2"] >= block["delta1"]:
         raise ConfigError(f"audit.delta2: must be below delta1, got {block['delta2']}")
-    K, p = block.get("K", GATE_DEFAULTS["K"]), block.get("p", GATE_DEFAULTS["p"])
+    K, p = block["K"], block["p"]
     if gate_exponent(K, p) <= 0.0:
-        raise ConfigError(f"audit.{'K' if 'K' in block else 'p'}: K = {K} and p = {p} make "
+        raise ConfigError(f"audit.{'K' if 'K' in given else 'p'}: K = {K} and p = {p} make "
                           "the gate exponent 2q^2/p - 5(1-q^2)p, q = 1 - 1/K, not positive")
 
 
+_NO_DEFAULT = object()   # a key the subcommand requires (audit.delta1, audit.delta2)
+
+
 def _extras(d: dict, family: ForcedField, rho_D: float) -> dict:
-    """Validate the subcommand blocks, which take only the keys listed here."""
+    """The subcommand blocks, each key checked and each missing key defaulted.
+
+    A block takes only the keys listed here, each with its check and its
+    default; a default goes through the same check as a given value, and a
+    callable default reads the keys resolved before it. ``simulate``,
+    ``boxdim`` and ``classify`` are always resolved, ``audit`` when given.
+    """
     schema = {
         "simulate": {
-            "theta0": lambda v, p: _vec(v, p, family.D),
-            "x0": _num,
-            "t_final": _num,
-            "n_samples": lambda v, p: _int(v, p, lo=0),
+            "theta0": (lambda v, p: _vec(v, p, family.D), [0.0] * family.D),
+            "x0": (_num, 0.0),
+            "t_final": (_num, 1.0),
+            "n_samples": (lambda v, p: _int(v, p, lo=0), 200),
         },
         "boxdim": {
-            "target": lambda v, p: _choice(v, p, ("attractor", "repeller", "lift")),
-            "n_points": lambda v, p: _int(v, p, lo=MIN_POINTS),
-            "epsilons_pow": _epsilon_powers,
-            "normalize_fibre": _bool,
+            "target": (lambda v, p: _choice(v, p, ("attractor", "repeller", "lift")),
+                       "attractor"),
+            "n_points": (lambda v, p: _int(v, p, lo=MIN_POINTS), 100_000),
+            # a lift's cloud is coarser: its ladder stops at 2^-9
+            "epsilons_pow": (_epsilon_powers,
+                             lambda block: [3, 9] if block["target"] == "lift" else [3, 12]),
+            "normalize_fibre": (_bool, False),
         },
         "audit": {
-            "c": lambda v, p: _inside(v, p, 0.0, 0.25),
-            "delta1": lambda v, p: _inside(v, p, 0.0, delta1_max(rho_D)),
-            "delta2": lambda v, p: _num(v, p, positive=True),
-            "beta_grid": lambda v, p: _beta_grid(v, p, family.beta_range),
-            "sample_n": lambda v, p: _int(v, p, lo=1),
-            "K": lambda v, p: _int(v, p, lo=1),
-            "M": lambda v, p: _int(v, p, lo=2),
-            "p": lambda v, p: _num(v, p, lo=math.sqrt(2.0)),
-            "eta": _num,
-            "C_prime": lambda v, p: None if v is None else _num(v, p),
+            "c": (lambda v, p: _inside(v, p, 0.0, 0.25), 0.2),
+            "delta1": (lambda v, p: _inside(v, p, 0.0, delta1_max(rho_D)), _NO_DEFAULT),
+            "delta2": (lambda v, p: _num(v, p, positive=True), _NO_DEFAULT),
+            "beta_grid": (lambda v, p: _beta_grid(v, p, family.beta_range),
+                          [0.0, 0.25, 0.5, 0.75]),
+            "sample_n": (lambda v, p: _int(v, p, lo=1), 1000),
+            "K": (lambda v, p: _int(v, p, lo=1), GATE_DEFAULTS["K"]),
+            "M": (lambda v, p: _int(v, p, lo=2), GATE_DEFAULTS["M"]),
+            "p": (lambda v, p: _num(v, p, lo=math.sqrt(2.0)), GATE_DEFAULTS["p"]),
+            "eta": (_num, GATE_DEFAULTS["eta"]),
+            "C_prime": (lambda v, p: None if v is None else _num(v, p), None),
         },
-        "classify": {"thresholds": _thresholds},
+        "classify": {"thresholds": (_thresholds, {})},
     }
     extras = {}
-    for name, checks in schema.items():
-        if name not in d:
+    for name, keys in schema.items():
+        if name == "audit" and name not in d:
             continue
-        block = d[name]
-        if not isinstance(block, dict):
+        given = d.get(name, {})
+        if not isinstance(given, dict):
             raise ConfigError(f"{name}: expected an object")
-        _known(block, f"{name}.", checks)
-        extras[name] = {key: checks[key](v, f"{name}.{key}") for key, v in block.items()}
+        _known(given, f"{name}.", keys)
+        block = extras[name] = {}
+        # the given keys first, in their order, so a given value's error comes first
+        for key in [*given, *(k for k in keys if k not in given)]:
+            check, default = keys[key]
+            v = given[key] if key in given else default(block) if callable(default) else default
+            if v is not _NO_DEFAULT:
+                block[key] = check(v, f"{name}.{key}")
     if "audit" in extras:
-        _audit_bounds(extras["audit"])
+        _audit_bounds(extras["audit"], d["audit"])
     return extras
+
+
+def _require(cfg: ExperimentConfig, command: str | None) -> None:
+    """What ``command`` needs beyond a valid config, checked before any work."""
+    if command in ("simulate", "graphs", "lyapunov", "boxdim") and cfg.beta is None:
+        raise ConfigError("beta: required for this subcommand")
+    if command in ("bifurcate", "classify") and cfg.beta_range is None:
+        raise ConfigError(f"beta_range: required for {command}")
+    if command == "figure1" and not isinstance(cfg.family, Cos11):
+        raise ConfigError("family.kind: figure1 requires the cos11 family")
+    if command == "audit":
+        if not cfg.raw.get("audit"):
+            raise ConfigError("audit: block required for the audit subcommand")
+        fam, block = cfg.family, cfg.extras["audit"]
+        if not isinstance(fam, RadialLogistic):
+            raise ConfigError("audit: family must be radial_logistic")
+        try:
+            compute_constants(b=fam.b, c=block["c"], delta1=_need(block, "delta1", "audit"),
+                              delta2=_need(block, "delta2", "audit"),
+                              R_support=fam.bump.R_support, rho=cfg.rho,
+                              theta_bar=fam.center)
+        except AuditError as exc:
+            raise ConfigError(f"audit: {exc}") from exc
 
 
 @dataclass
@@ -285,9 +332,16 @@ def canonical_hash(raw: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def load_config(d: dict) -> ExperimentConfig:
+def load_config(d: dict, command: str | None = None) -> ExperimentConfig:
+    """Check ``d`` and resolve every default; with ``command``, also what it needs.
+
+    For ``figure1`` the reference experiment (``FIGURE1``) fills in the
+    top-level keys the config leaves out, and these are hashed with it.
+    """
     if not isinstance(d, dict):
-        raise ConfigError(": top-level config must be a JSON object")
+        raise ConfigError("top-level config must be a JSON object")
+    if command == "figure1":
+        d = {**FIGURE1, **d}
     _known(d, "", TOP_KEYS)
     family = build_family(_need(d, "family", ""), "family")
     rho = _vec(_need(d, "rho", ""), "rho")
@@ -307,6 +361,8 @@ def load_config(d: dict) -> ExperimentConfig:
             raise ConfigError(f"family, rho: {exc}, at beta = {end:g} (an end of the "
                               f"family's beta_range)") from exc
     beta = d.get("beta")
+    if beta is None and command == "figure1":
+        beta = FIGURE1["beta"]
     beta_range = d.get("beta_range")
     cfg = ExperimentConfig(
         raw=d,
@@ -333,4 +389,5 @@ def load_config(d: dict) -> ExperimentConfig:
         if not (lo <= b_lo and b_hi <= hi):
             raise ConfigError(f"beta_range: [{b_lo}, {b_hi}] outside the family's "
                               f"range [{lo}, {hi}]")
+    _require(cfg, command)
     return cfg

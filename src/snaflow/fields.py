@@ -244,13 +244,16 @@ class Cos11(ForcedField):
     """F_beta(theta, x) = -x^2 + b - beta * (2 - cos^11(2 pi theta_1) - cos^11(2 pi theta_2)) / 4.
 
     Two-frequency forcing with a unique forcing maximum at (1/2, 1/2); D = 2.
+    The default ``beta_range`` is (0, 4b).
     """
 
-    def __init__(self, b, beta_range=(0.0, 400.0)):
+    def __init__(self, b, beta_range=None):
         if b <= 0.0:
             raise ValueError("Cos11 requires b > 0")
         b = float(b)
         s = math.sqrt(b)
+        if beta_range is None:
+            beta_range = (0.0, 4.0 * b)
         super().__init__(-1.0, 0.0, b, 1.0, Cos11Shape(), (-s, 1.25 * s),
                          (-2.5 * s, 2.5 * s), beta_range)
         _name(self, b=b)

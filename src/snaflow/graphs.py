@@ -64,7 +64,6 @@ __all__ = [
     "pushforward_repeller",
     "graph_pair",
     "make_pair",
-    "gap_stats",
     "lyapunov_of_graph",
     "lift_graph",
     "interp_at_shift",
@@ -324,11 +323,6 @@ def make_pair(attractor: GraphSample, repeller: GraphSample,
         gap_max=float(gap.max()),
         argmin_theta=theta,
     )
-
-
-def gap_stats(pair: GraphPair):
-    """(gap_min, gap_median, gap_max, argmin_theta) of a computed pair."""
-    return pair.gap_min, pair.gap_median, pair.gap_max, pair.argmin_theta
 
 
 def lyapunov_of_graph(family: ForcedField, beta: float, rho, graph: GraphSample,

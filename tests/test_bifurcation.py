@@ -209,6 +209,21 @@ class TestBetaBounds:
         fam, rho = self.b6_family()
         self.assert_matches_sequential_bisection(monkeypatch, fam, rho, 128, 0.2, 1e-5)
 
+    def test_thresholds_are_told_apart(self):
+        # a shallow b = 2 family whose least image of 1 - c settles inside
+        # (-1, e_top] over a range of beta: beta_minus (image > e_top) then
+        # switches well before beta_plus (image of 1 + c >= -1)
+        fam = RadialLogistic(2.0, BumpProfile(0.3), [0.5, 0.5], (0.0, 3.0))
+        rho, cfg, c = RotationVector([GOLDEN, 1.0]), IntegratorConfig(rel_tol=1e-9), 0.2
+        bounds = estimate_beta_bounds(fam, rho, 32, cfg, c=c, tol_beta=1e-3)
+        assert bounds.minus_fired and bounds.plus_fired
+        assert bounds.beta_minus < bounds.beta_plus - 0.05
+        mid = 0.5 * (bounds.beta_minus + bounds.beta_plus)
+        nodes = np.arange(32)[:, None] / 32.0
+        least = min(_merged_images(fam, rho, cfg, [(mid, nodes, np.full(32, 1.0 - c))])[0])
+        e_top = -1.0 + math.exp(-fam.b / (2.0 * rho.rho_D))
+        assert -1.0 < least <= e_top
+
     def test_requires_radial_family(self):
         with pytest.raises(TypeError):
             estimate_beta_bounds(oracle_family(), RHO_UNIT, 64, CFG, c=0.2)

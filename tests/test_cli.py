@@ -98,8 +98,9 @@ class TestConfigValidation:
 
     def test_exit_code_two(self, tmp_path, capsys):
         path = write_cfg(tmp_path, {"family": {"kind": "nope"}, "rho": [0.1, 1.0]})
-        assert main(["graphs", "--config", path]) == 2
+        assert main(["graphs", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_zero_tol_beta_is_a_config_error(self, tmp_path, capsys):
         path = oracle_cfg(tmp_path, tol_beta=0)
@@ -107,6 +108,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config error: tol_beta:" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_unusable_out_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # an --out that names a regular file fails before any computation runs
@@ -132,8 +134,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("subcommand", ["graphs", "figure1"])
     def test_non_object_config_is_a_config_error(self, tmp_path, capsys, subcommand):
         path = write_cfg(tmp_path, [1, 2])
-        assert main([subcommand, "--config", path]) == 2
-        assert "top-level config must be a JSON object" in capsys.readouterr().err
+        assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: top-level config must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subcommand, block, path", [
         ("boxdim", {"boxdim": {"n_points": 500}}, "boxdim.n_points"),
@@ -214,6 +217,68 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"config error: {path}" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand, drop, block, message", [
+        ("simulate", ["beta"], {}, "beta: required for this subcommand"),
+        ("graphs", ["beta"], {}, "beta: required for this subcommand"),
+        ("lyapunov", ["beta"], {}, "beta: required for this subcommand"),
+        ("boxdim", ["beta"], {}, "beta: required for this subcommand"),
+        ("bifurcate", [], {}, "beta_range: required for bifurcate"),
+        ("classify", [], {}, "beta_range: required for classify"),
+        ("audit", [], {}, "audit: block required for the audit subcommand"),
+        ("audit", [], {"audit": {"delta1": 0.008}}, "audit.delta2: required field missing"),
+        ("figure1", [], {}, "family.kind: figure1 requires the cos11 family"),
+    ])
+    def test_missing_requirement_is_a_config_error(self, tmp_path, capsys, subcommand, drop,
+                                                   block, message):
+        # each subcommand's requirement fails before any work, like a malformed value
+        payload = json.load(open(radial_cfg(tmp_path, **block)))
+        for key in drop:
+            del payload[key]
+        assert main([subcommand, "--config", write_cfg(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand, payload, message", [
+        # the audit's default beta_grid reaches 0.75, past this family's range
+        ("audit", {"family": {"kind": "radial_logistic", "b": 6.0, "bump_radius": 0.28,
+                              "center": [0.3, 0.65], "beta_range": [0.0, 0.5]},
+                   "rho": [0.1545084971874737, 0.25], "grid_n": 16,
+                   "audit": {"c": 0.2, "delta1": 0.05, "delta2": 0.012, "sample_n": 4}},
+         "audit.beta_grid: 0.75 outside the family's range [0.0, 0.5]"),
+        # a null figure1 beta is the reference 176.01538, past this family's range
+        ("figure1", {"family": {"kind": "cos11", "b": 100.0, "beta_range": [0.0, 100.0]},
+                     "beta": None, "grid_n": 16, "lift_grid": 16},
+         "beta: 176.01538 outside the family's range [0.0, 100.0]"),
+    ])
+    def test_default_is_checked_like_a_given_value(self, tmp_path, capsys, subcommand,
+                                                   payload, message):
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", write_cfg(tmp_path, payload), "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_every_default_is_resolved(self):
+        cfg = load_config(dict(B6_AUDIT, audit={"delta1": 0.05, "delta2": 0.012}))
+        assert cfg.extras == {
+            "simulate": {"theta0": [0.0, 0.0], "x0": 0.0, "t_final": 1.0, "n_samples": 200},
+            "boxdim": {"target": "attractor", "n_points": 100_000, "epsilons_pow": [3, 12],
+                       "normalize_fibre": False},
+            "audit": {"delta1": 0.05, "delta2": 0.012, "c": 0.2,
+                      "beta_grid": [0.0, 0.25, 0.5, 0.75], "sample_n": 1000,
+                      "K": 50, "M": 2, "p": 2.0, "eta": 2.0, "C_prime": None},
+            "classify": {"thresholds": {}},
+        }
+        # a lift's ladder stops at 2^-9
+        lift = load_config(dict(B6_AUDIT, boxdim={"target": "lift"}))
+        assert lift.extras["boxdim"]["epsilons_pow"] == [3, 9]
+        assert "audit" not in lift.extras
 
     def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
         path = oracle_cfg(tmp_path)

@@ -15,7 +15,6 @@ from snaflow.graphs import (
     GraphPair,
     GraphSample,
     _regrid,
-    gap_stats,
     graph_pair,
     interp_at_shift,
     lift_graph,
@@ -145,17 +144,17 @@ class TestUnforcedGraphs:
     def test_gap_stats_of_constant_pair(self):
         att = pullback_attractor(make_radial(), 0.0, RHO, 64, 200, CFG)
         rep = pushforward_repeller(make_radial(), 0.0, RHO, 64, 200, CFG)
-        gmin, gmed, gmax, _ = gap_stats(make_pair(att, rep))
-        assert gmin == pytest.approx(2.0, abs=1e-6)
-        assert gmed == pytest.approx(2.0, abs=1e-6)
-        assert gmax == pytest.approx(2.0, abs=1e-6)
+        pair = make_pair(att, rep)
+        assert pair.gap_min == pytest.approx(2.0, abs=1e-6)
+        assert pair.gap_median == pytest.approx(2.0, abs=1e-6)
+        assert pair.gap_max == pytest.approx(2.0, abs=1e-6)
 
     def test_gap_stats_of_identical_graphs(self):
         att = pullback_attractor(make_radial(), 0.0, RHO, 64, 200, CFG)
         twin = GraphSample(att.values.copy(), "repeller", att.defect,
                            att.iterations_used, True, att.grid_n, 0.0, 0.0)
-        gmin, gmed, gmax, _ = gap_stats(make_pair(att, twin))
-        assert (gmin, gmed, gmax) == (0.0, 0.0, 0.0)
+        pair = make_pair(att, twin)
+        assert (pair.gap_min, pair.gap_median, pair.gap_max) == (0.0, 0.0, 0.0)
 
 
 class TestGraphPair:
