@@ -373,10 +373,10 @@ def audit_A1_A3(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     ex3_hi = _Extreme("max")
     # A1: T^d x C; A2: (T^d minus I_0) x E, image still in E; A3: Gamma with
     # image in Gamma. A1 and A3 at every beta share one return, the A2 lanes
-    # another. Some A2 lanes start a few ulps above the repeller x = -1: in a
-    # batch whose other lanes force small steps their drift per step rounds
-    # away, and they would stall in E while their own return leaves it. The
-    # A2 lanes never see the bump, so their field is the same at every beta.
+    # another. The A2 lanes never see the bump, so their field is the same at
+    # every beta and they flow in closed form (flow._riccati_flow): a lane a
+    # few ulps above the repeller x = -1 leaves E, as in exact arithmetic,
+    # whatever the other lanes of its batch do.
     groups13, groups2 = [], []
     for k, beta in enumerate(beta_grid):
         groups13 += [(beta, *_region_samples(constants, sample_n, seed + 11 * k, C_int)),

@@ -206,11 +206,12 @@ class ForcedField:
     def polynomial(self, sign: float = 1.0):
         """(x -> sign (a2 x^2 + a1 x + a0), its x-derivative) with bound coefficients.
 
-        ``sign = -1`` gives the reversed field; a zero a1 adds no term.
+        ``sign = -1`` gives the reversed field; a zero a1 adds no term. An
+        (n,) array ``sign`` gives each lane its own time scale.
         """
         a2, a1, a0 = sign * self.a2, sign * self.a1, sign * self.a0
         two_a2 = 2.0 * a2
-        if a1 == 0.0:
+        if self.a1 == 0.0:
             return (lambda x: a2 * x * x + a0), (lambda x: two_a2 * x)
         return (lambda x: a2 * x * x + a1 * x + a0), (lambda x: two_a2 * x + a1)
 

@@ -80,16 +80,39 @@ plain-float driver (2 shared cores), so the batch driver leaves no headroom
 under the bound, and that check has run twice as slow on a loaded machine.
 The plain-float driver also locates escape times by bisection, to within
 5.4e-12 of the exact time on x' = -x^2 - 1; the batch driver does not.
+
+A forcing with compact support (``BumpShape``: the radial and logistic
+families) vanishes off the bump, and there the field is the autonomous
+Riccati equation a2 x^2 + a1 x + a0, whose flow has a closed form. With
+two real roots it is written a (x - r1)(x - r2), r1 attracting, and
+x(t) = r2 + (r1 - r2) p / (p + (1 - p) e^{-kappa t}), p = (x0 - r2)/(r1 - r2):
+at p = 0 and p = 1 this keeps the equilibria r2 and r1 exactly (a cosh/sinh
+matrix form moved -1 to -1 + 1.2e-10). ``flow_batch`` therefore cuts each
+lane's span at its chord times through the support (``_chords``), carries
+the legs off the bump in closed form and composes their channels by the
+chain rule (``_riccati_leg``), and runs DP5 only on the chords, each lane on
+its own clock over t in [0, 1] (``_flow_legs``), so that no step of any lane
+contains a crossing of the support's edge. There the C^2 bump's g'' has a
+kink, and one shared whole-span step had to resolve it wherever any lane
+crossed: the forward A11-A16 return of the b = 6 audit at beta = 0.78 made
+2,313 attempts, 797 of them rejected, and the seed-1 audit's 16 returns
+10,814 (1,122 rejected), against 5,205 (148) on the chords, where that
+A11-A16 return makes 465 attempts, 43 of them rejected. The legs follow the
+classical advice to integrate between a forcing's breakpoints (Hairer,
+Norsett & Wanner, Solving ODEs I, II.6). Lanes that never meet the bump make
+no DP5 step. The ``"mobius"`` channels, the cos11 and flat shapes, and
+polynomials without two real roots keep the whole-span path.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import ForcedField, unit_direction
-from .torus import TorusPoint, as_rotation_vector
+from .fields import BumpShape, ForcedField, unit_direction
+from .torus import TorusPoint, as_rotation_vector, nearest_lift_offset
 
 __all__ = [
     "IntegratorConfig",
@@ -207,7 +230,7 @@ _C_STEP = np.array(_C[1:6])
 
 
 def _batch_rhs(family: ForcedField, beta, theta0: np.ndarray, rho: np.ndarray,
-               channels: str, direction, reverse: bool):
+               channels: str, direction, reverse: bool, clock=None):
     """Build (forcing, rhs) for the batch drivers. theta0 has shape (n, D).
 
     Along a fibre theta = theta0 + t rho does not depend on the state, so the
@@ -223,9 +246,16 @@ def _batch_rhs(family: ForcedField, beta, theta0: np.ndarray, rho: np.ndarray,
     lane and broadcasts against the shape function's values. The coefficients
     carry the sign of time. F_xx = 2 a2 is constant and F_{theta x} = 0 for
     every family, so the full channels carry no F_{theta x} terms.
+
+    ``clock``, an (n,) array of positive durations, gives each lane its own
+    unit of time: lane i's field and base velocity are multiplied by
+    clock[i], so t in [0, 1] covers clock[i] of its flow (the chord legs of
+    ``_flow_legs``). Not for ``"mobius"``.
     """
     sgn = -1.0 if reverse else 1.0
-    rho_eff = (sgn * rho).tolist()
+    if clock is not None:
+        sgn = sgn * clock
+    rho_eff = [sgn * r for r in rho.tolist()]
     theta0_t = np.ascontiguousarray(theta0.T)
     shape_g, shape_triple = family.shape.g, family.shape.triple
 
@@ -345,8 +375,10 @@ def _rk45_batch(forcing, rhs, y0: np.ndarray, span: float, cfg: IntegratorConfig
     # stage may overflow, and the error ratio then rejects the step
     with np.errstate(over="ignore", invalid="ignore"):
         while t < span and active.any():
-            h = min(h, span - t)
-            if h < h_min:
+            # a step clipped to the end of the span is not a collapse
+            if h >= span - t:
+                h = span - t
+            elif h < h_min:
                 raise FlowBlowUp(t, t + h_min)
             f = forcing(t + _C_STEP * h)
             if k1 is None:
@@ -493,6 +525,204 @@ def _as_base(theta, D) -> np.ndarray:
     return th
 
 
+def _riccati_roots(family: ForcedField, sgn: float):
+    """(r1, r2, kappa) with sgn (a2 x^2 + a1 x + a0) = a (x - r1)(x - r2), where r1
+    attracts and kappa = -a (r1 - r2) > 0; None without two distinct real roots.
+
+    The roots are the vertex -a1/(2 a2) plus and minus the half-width, the
+    small one taken as the product of the roots over the big one: both
+    are exact on the radial family (+-1) and the logistic one's 0.
+    """
+    a2, a1, a0 = sgn * family.a2, sgn * family.a1, sgn * family.a0
+    if a2 == 0.0:
+        return None
+    vertex, product = -a1 / (2.0 * a2), a0 / a2
+    half_sq = vertex * vertex - product
+    if not half_sq > 0.0:
+        return None
+    big = vertex + math.copysign(math.sqrt(half_sq), vertex)
+    small = product / big
+    r1, r2 = (big, small) if a2 * (big - small) < 0.0 else (small, big)
+    return r1, r2, -a2 * (r1 - r2)
+
+
+def _chords(shape: BumpShape, theta0: np.ndarray, vel: np.ndarray, span: np.ndarray):
+    """Entry and exit times of the lanes' paths theta0 + t vel, 0 <= t <= span, through
+    the bump's support: (t_in, t_out), each (n, C), sorted and NaN-padded.
+
+    The support is the union of the disjoint balls |theta - center - k| < R,
+    k in Z^D. The path is cut into P pieces over which no coordinate moves by
+    more than 1, so over a piece whose offsets from the center span [lo, hi]
+    in coordinate j only the balls at k_j = floor(lo - R) + 1 and + 2 can be
+    met: 2^D candidates per piece. A candidate's chord is the root pair of
+    |w0 - k + t vel|^2 = R^2 clipped to [0, span]; the same ball met from
+    two pieces gives the same bits and is kept once. C is the largest number
+    of chords of a lane.
+    """
+    n, D = theta0.shape
+    R = shape.bump.R_support
+    w0 = nearest_lift_offset(theta0, shape.center)
+    speed2 = float(vel @ vel)
+    pieces = max(1, math.ceil(float(span.max(initial=0.0)) * float(np.abs(vel).max())))
+    corners = np.array(list(itertools.product((1.0, 2.0), repeat=D)))
+    lanes, ins, outs = [], [], []
+    for p in range(pieces):
+        ends = (w0 + np.multiply.outer(span * (p / pieces), vel),
+                w0 + np.multiply.outer(span * ((p + 1) / pieces), vel))
+        k = np.floor(np.minimum(*ends) - R)[:, None, :] + corners
+        w = w0[:, None, :] - k
+        b = w @ vel
+        disc = b * b - speed2 * ((w * w).sum(axis=-1) - R * R)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        t_a = np.maximum((-b - root) / speed2, 0.0)
+        t_b = np.minimum((-b + root) / speed2, span[:, None])
+        i, j = np.nonzero((disc > 0.0) & (t_b > t_a))
+        lanes.append(i)
+        ins.append(t_a[i, j])
+        outs.append(t_b[i, j])
+    lane, t_in, t_out = (np.concatenate(a) for a in (lanes, ins, outs))
+    order = np.lexsort((t_out, t_in, lane))
+    lane, t_in, t_out = lane[order], t_in[order], t_out[order]
+    new = np.ones(lane.size, dtype=bool)
+    new[1:] = (lane[1:] != lane[:-1]) | (t_in[1:] != t_in[:-1]) | (t_out[1:] != t_out[:-1])
+    lane, t_in, t_out = lane[new], t_in[new], t_out[new]
+    rank = np.arange(lane.size) - np.searchsorted(lane, lane)
+    C = int(rank.max()) + 1 if lane.size else 0
+    table_in, table_out = np.full((n, C), np.nan), np.full((n, C), np.nan)
+    table_in[lane, rank] = t_in
+    table_out[lane, rank] = t_out
+    return table_in, table_out
+
+
+def _riccati_flow(y: np.ndarray, p, dt, roots):
+    """y's channels (m, k) after a forcing-free leg of duration dt, and the leg's q.
+
+    With p = (x0 - r2)/(r1 - r2), e = exp(-kappa dt) and q = p + (1 - p) e,
+    x = r2 + (r1 - r2) p/q; the leg's own log dx is -kappa dt - 2 log q and
+    its d^2_x/d_x ratio -2 (1 - e)/((r1 - r2) q). log q is summed from log p
+    and log(1 - p) - kappa dt, so the equilibria p = 0 and p = 1 give
+    log dx = kappa dt and -kappa dt exactly, with no exp/log rounding and no
+    underflow. Off the bump F_theta = F_thth = 0, so the leg's own d_theta
+    channels are 0, and leg A (y) followed by leg B (the closed form)
+    composes as y1 = yA1 + yB1, y2 = e^yB1 yA2, y3 = yB3 e^yA1 + yA3,
+    y4 = yB3 yA2 + yA4 and y5 = e^yB1 (yB3 yA2^2 + yA5).
+    """
+    r1, r2, kappa = roots
+    delta = r1 - r2
+    kt = kappa * dt
+    q = p + (1.0 - p) * np.exp(-kt)
+    out = np.empty_like(y)
+    out[0] = r2 + delta * np.where(p == 0.0, 0.0, p / q)
+    if y.shape[0] == 1:
+        return out, q
+    la, lb = np.log(np.abs(p)), np.log(np.abs(1.0 - p)) - kt
+    hi, lo = np.maximum(la, lb), np.minimum(la, lb)
+    log_q = hi + np.log1p(np.where(p * (1.0 - p) >= 0.0, 1.0, -1.0) * np.exp(lo - hi))
+    log_dx = -kt - 2.0 * log_q
+    out[1] = y[1] + log_dx
+    if y.shape[0] == 6:
+        dx = np.exp(log_dx)
+        ratio = 2.0 * np.expm1(-kt) / (delta * q)
+        out[2] = dx * y[2]
+        out[3] = ratio * np.exp(y[1]) + y[3]
+        out[4] = ratio * y[2] + y[4]
+        out[5] = dx * (ratio * y[2] * y[2] + y[5])
+    return out, q
+
+
+def _riccati_leg(y: np.ndarray, dt: np.ndarray, roots, cfg: IntegratorConfig):
+    """Carry the states y (m, k) over dt (k,) > 0 where the forcing vanishes.
+
+    The field is then the autonomous a (x - r1)(x - r2) (``_riccati_roots``),
+    flowed in closed form (``_riccati_flow``). x is monotone on the leg, and
+    a lane escapes iff x ends outside the window or q changes sign (x passes
+    through infinity). An escaped lane is frozen at its window crossing,
+    timed by the closed form, with x the first float beyond the boundary it
+    crossed; without a boundary on that side the pole is a ``FlowBlowUp``.
+    Returns (y, escaped, escape times from the leg start).
+    """
+    r1, r2, kappa = roots
+    delta = r1 - r2
+    lo, hi = cfg.escape_low, cfg.escape_high
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = (y[0] - r2) / delta
+        out, q = _riccati_flow(y, p, dt, roots)
+        # q falls through 0 only from beyond the repeller (p < 0); at p = 0
+        # it is 0 once exp(-kappa dt) underflows
+        escaped = (out[0] < lo) | (out[0] > hi) | ((p < 0.0) & (q <= 0.0))
+        t_esc = np.full(dt.size, np.nan)
+        if escaped.any():
+            pe = p[escaped]
+            up = delta * pe * (pe - 1.0) < 0.0     # dx/dt > 0
+            bound = np.where(up, hi, lo)
+            pole = ~np.isfinite(bound)
+            if pole.any():
+                t_pole = np.log((pe[pole] - 1.0) / pe[pole]) / kappa
+                raise FlowBlowUp(float(t_pole.min()), float(t_pole.max()))
+            pb = (bound - r2) / delta
+            t_c = np.clip(np.log(pb * (1.0 - pe) / (pe * (1.0 - pb))) / kappa, 0.0, dt[escaped])
+            frozen, _ = _riccati_flow(y[:, escaped], pe, t_c, roots)
+            frozen[0] = np.nextafter(bound, np.where(up, np.inf, -np.inf))
+            out[:, escaped] = frozen
+            t_esc[escaped] = t_c
+    return out, escaped, t_esc
+
+
+def _flow_legs(family: ForcedField, roots, beta, rho: np.ndarray, theta0: np.ndarray,
+               y: np.ndarray, span: np.ndarray, cfg: IntegratorConfig, channels: str,
+               direction, reverse: bool):
+    """``flow_batch`` on a compactly supported forcing: closed form off the bump,
+    DP5 only along each lane's chords through it.
+
+    Each lane's span is cut at its chord times (``_chords``). Round r carries
+    every lane still flowing in closed form up to its r-th chord
+    (``_riccati_leg``), then integrates the r-th chords of all lanes that
+    have one in one ``_rk45_batch`` call over t in [0, 1], each lane on its
+    own clock (``_batch_rhs``'s ``clock``: its chord length), so that no
+    step of any lane contains a crossing of the support's edge, where g''
+    has its kink. Returns (y, escape times, n_steps, n_rejected).
+    """
+    n = y.shape[1]
+    vel = -rho if reverse else rho
+    t_in, t_out = _chords(family.shape, theta0, vel, span)
+    esc_t = np.full(n, np.nan)
+    outside = (span > 0.0) & ((y[0] < cfg.escape_low) | (y[0] > cfg.escape_high))
+    esc_t[outside] = 0.0
+    live = (span > 0.0) & ~outside
+    t = np.zeros(n)
+    h, n_steps, n_rej = None, 0, 0
+    rounds = t_in.shape[1]
+    for r in range(rounds + 1):
+        stop = span if r == rounds else np.where(np.isnan(t_in[:, r]), span, t_in[:, r])
+        leg = np.flatnonzero(live & (stop > t))
+        if leg.size:
+            y[:, leg], esc, t_esc = _riccati_leg(y[:, leg], stop[leg] - t[leg], roots, cfg)
+            esc_t[leg[esc]] = t[leg[esc]] + t_esc[esc]
+            live[leg[esc]] = False
+            t[leg] = stop[leg]
+        if r == rounds:
+            break
+        lanes = np.flatnonzero(live & ~np.isnan(t_in[:, r]))
+        if not lanes.size:
+            continue
+        start, length = t_in[lanes, r], t_out[lanes, r] - t_in[lanes, r]
+        forcing, rhs = _batch_rhs(family, beta[lanes] if np.ndim(beta) else beta,
+                                  theta0[lanes] + start[:, None] * vel, rho, channels,
+                                  direction, reverse, clock=length)
+        try:
+            y[:, lanes], active, tau, h, steps, rej = _rk45_batch(forcing, rhs, y[:, lanes],
+                                                                  1.0, cfg, h0=h)
+        except FlowBlowUp as exc:
+            raise FlowBlowUp(float((start + exc.t_low * length).min()),
+                             float((start + exc.t_high * length).max())) from None
+        out = lanes[~active]
+        esc_t[out] = start[~active] + tau[~active] * length[~active]
+        live[out] = False
+        t[lanes] = t_out[lanes, r]
+        n_steps, n_rej = n_steps + steps, n_rej + rej
+    return y, esc_t, n_steps, n_rej
+
+
 def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final,
                cfg: IntegratorConfig, channels: str = "x", direction=None) -> FlowBatchResult:
     """Integrate a batch of fibres, each from t = 0 to its own end time.
@@ -500,21 +730,29 @@ def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final,
     ``theta0`` is (n, D) on T^D and ``x0`` is (n,) with no NaN. ``beta`` and
     ``t_final`` are each a float or an (n,) array, one value per lane. The end
     times are finite and share one sign; negative ones integrate the reversed
-    flow. All lanes share one adaptive step sequence (the error norm is the
-    maximum over the batch), so a lane's result matches its own single-beta,
-    single-end-time call to the integration tolerance, not bit for bit. Lanes
-    sorted by end time drop out as the flow passes it: one ``_rk45_batch``
-    call per distinct end time on the lanes still flowing, started from their
-    base points moved by the time already flowed and from the step size the
-    previous call reached. Channel values of escaped trajectories are frozen
-    at the step where the window was left. ``escape_times`` holds, per lane,
-    the end of the first accepted step that ended outside the window: not the
-    crossing time, which lies inside that step (one ``"full"`` lane of
-    x' = -x^2 - 1 from x = 0 is late by 1.63e-3 at window +-10, 1.30e-5 at
-    +-1e3 and 2.05e-9 at +-1e7). The time is measured from t = 0; a lane
-    whose end time is 0 returns
-    its start, not escaped. The ``"mobius"`` channels start from the identity
-    matrix and never escape; ``x0`` then only sizes the batch.
+    flow. Lanes share adaptive step sequences (the error norm is the maximum
+    over the lanes of a driver call), so a lane's result matches its own
+    single-beta, single-end-time call to the integration tolerance, not bit
+    for bit. On a bump forcing (module docstring) each lane flows in closed
+    form off the bump, so a lane that never meets it gives the same bits in
+    any batch, and the lanes' r-th chords through it share one driver call.
+    Otherwise lanes sorted by end time drop
+    out as the flow passes it: one ``_rk45_batch`` call per distinct end time
+    on the lanes still flowing, started from their base points moved by the
+    time already flowed and from the step size the previous call reached.
+
+    Channel values of escaped trajectories are frozen where the window was
+    left, x beyond the boundary it crossed. ``escape_times`` holds, per lane,
+    the time it left the window, measured from t = 0. It is exact on a
+    closed-form leg: the window crossing of the closed form, with the state
+    frozen there and x the first float beyond the boundary. On a DP5 leg (a
+    chord, or any lane of a whole-span flow) it is the end of the first
+    accepted step that ended outside the window, not the crossing, which
+    lies inside that step (one ``"full"`` lane of x' = -x^2 - 1 from x = 0 is
+    late by 1.63e-3 at window +-10, 1.30e-5 at +-1e3 and 2.05e-9 at +-1e7).
+    A lane whose end time is 0 returns its start, not escaped. The
+    ``"mobius"`` channels start from the identity matrix and never escape;
+    ``x0`` then only sizes the batch.
     """
     family.check_beta(beta)
     if channels not in _CHANNEL_COUNT:
@@ -550,6 +788,12 @@ def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final,
     v = unit_direction(direction, family.D) if channels == "full" else None
     sgn = -1.0 if reverse else 1.0
     span = np.broadcast_to(np.abs(t_final), (n,))
+    roots = (_riccati_roots(family, sgn)
+             if channels != "mobius" and isinstance(family.shape, BumpShape) else None)
+    if roots is not None:
+        y, esc_t, n_steps, n_rej = _flow_legs(family, roots, beta, rho_v, theta0, y, span,
+                                              cfg, channels, v, reverse)
+        return FlowBatchResult(y, ~np.isnan(esc_t), sgn * esc_t, n_steps, n_rej)
     # a float t_final leaves the lanes in place: no sort, and no copies by it
     order = np.argsort(span, kind="stable") if t_final.ndim else slice(None)
     span, theta0, y = span[order], theta0[order], y[:, order]

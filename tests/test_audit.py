@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from snaflow import audit
+from snaflow import audit, flow
 from snaflow.audit import (
     AuditError,
     audit_bump_convexity,
@@ -233,6 +233,53 @@ class TestAuditCost:
         counts = report.entry("A6").measured["node_counts"]
         assert len(counts) == 5 and report.entry("A6").measured["first_nonempty_beta"]
         assert len(mask_betas) == len(set(mask_betas))
+
+    def test_step_budget(self, monkeypatch):
+        # DP5 runs only on the lanes' chords through the bump: the returns
+        # above make 7,478 step attempts in all (14,320 when every return
+        # integrated its whole time T); the budget leaves 14% for drift. The
+        # A2 lanes and the reversed A15/A16 lanes never meet the bump, so
+        # their returns make no step at all
+        import snaflow.section as section
+
+        returns = []
+        real = section.flow_batch
+
+        def spy(*args, **kwargs):
+            res = real(*args, **kwargs)
+            returns.append((kwargs.get("channels", "x"), res.n_steps))
+            return res
+
+        monkeypatch.setattr(section, "flow_batch", spy)
+        calls = count_returns(monkeypatch)
+        run_audit(b6_family(), B6_RHO, b6_constants(), beta_grid=[0.0, 0.78],
+                  grid_n=32, sample_n=20, cfg=CFG, seed=1)
+        assert len(returns) == len(calls) == 16
+        assert sum(steps for _, steps in returns) <= 8500
+        # A1-A3's second "xl" return is A2's; A15/A16's is the last "full" one
+        assert [steps for ch, steps in returns if ch == "xl"][1] == 0
+        assert [steps for ch, steps in returns if ch == "full"][-1] == 0
+
+    def test_hairline_lane_leaves_the_strip_in_any_batch(self):
+        # a bump-free lane a few ulps above the repeller -1: exp(-2bT) is far
+        # below the float spacing there, so in exact arithmetic it leaves the
+        # strip E; its return is the same bits alone and in a batch whose
+        # other lanes cross the bump and force small steps
+        cons = b6_constants()
+        smap = SectionMap(b6_family(), 0.78, B6_RHO, CFG)
+        theta = np.array([[0.4], [0.1], [0.7], [0.9]])
+        x = np.array([-1.0 + 8.9e-16, 0.9, -0.5, 1.1])
+        chords, _ = flow._chords(smap.family.shape, smap.base_points(theta), B6_RHO.rho,
+                                 np.full(4, smap.return_time))
+        assert np.isnan(chords[0]).all() and not np.isnan(chords[1:, 0]).any()
+        alone = smap.step(theta[:1], x[:1], channels="xl")
+        mixed = smap.step(theta, x, channels="xl")
+        assert alone.n_steps == 0 and mixed.n_steps > 20
+        assert np.array_equal(alone.y[:, 0], mixed.y[:, 0])
+        assert alone.y[0, 0] > cons.e_top
+        # at the repeller itself log dx is 2bT, exactly
+        at_repeller = smap.step(theta[:1], [-1.0], channels="xl")
+        assert at_repeller.y[0, 0] == -1.0 and at_repeller.y[1, 0] == 2.0 * 6.0 * 4.0
 
     def test_array_beta_gives_one_mask_per_value(self):
         cons = b6_constants()

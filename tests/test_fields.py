@@ -298,11 +298,24 @@ class TestOneFamily:
             rhs(np.zeros((6, 8)), f_stage)
         assert len(calls) == 1
         # a whole return: one call per step attempt, plus one for the first k1
+        # of each driver call, one per round of chords through the bump
+        import snaflow.flow as flow_module
+
+        rounds = []
+        real_driver = flow_module._rk45_batch
+
+        def counted_driver(*args, **kwargs):
+            rounds.append(1)
+            return real_driver(*args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "_rk45_batch", counted_driver)
         calls.clear()
         res = flow_batch(make_radial(), 0.5, rho, theta0, np.zeros(8), 0.5,
                          IntegratorConfig(), channels="full")
-        assert not res.escaped.any() and res.n_steps > 1
-        assert len(calls) == res.n_steps + 1
+        chords, _ = flow_module._chords(make_radial().shape, theta0, rho, np.full(8, 0.5))
+        assert not res.escaped.any() and res.n_steps > len(rounds)
+        assert len(rounds) == chords.shape[1] >= 1
+        assert len(calls) == res.n_steps + len(rounds)
 
 
 class TestUnitDirection:

@@ -186,9 +186,21 @@ class TestDrivers:
         assert res.escaped[1]
         assert math.isfinite(res.escape_times[1])
 
-    def test_rejected_steps_are_counted(self):
-        # a full-channel b = 6 return across the bump's support edge, where
-        # the C^2 bump's g'' kink forces rejections; n_steps counts attempts
+    def test_rejected_steps_are_counted(self, monkeypatch):
+        # a full-channel b = 6 return through the bump with rejected steps:
+        # n_steps counts attempts, and both counts are the sums over the
+        # driver calls, one per round of chords
+        import snaflow.flow as flow_module
+
+        counts = []
+        real_driver = flow_module._rk45_batch
+
+        def driver_spy(*args, **kwargs):
+            out = real_driver(*args, **kwargs)
+            counts.append(out[-2:])
+            return out
+
+        monkeypatch.setattr(flow_module, "_rk45_batch", driver_spy)
         fam = RadialLogistic(6.0, BumpProfile(0.28), [0.3, 0.65])
         rho = [GOLDEN * 0.25, 0.25]
         theta = np.array([[0.3, 0.2], [0.35, 0.25], [0.25, 0.3]])
@@ -197,6 +209,7 @@ class TestDrivers:
                          channels="full")
         assert not res.escaped.any()
         assert 0 < res.n_rejected < res.n_steps
+        assert counts and (res.n_steps, res.n_rejected) == tuple(np.sum(counts, axis=0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("channels", ["x", "full"])
@@ -251,10 +264,9 @@ class TestDrivers:
 
 class TestPerLaneBeta:
     # three beta per family, each on its own 24 lanes, over one return time;
-    # the radial x-range reaches below the repeller so some lanes escape. At
-    # the default rel_tol 1e-10 the radial d^2_theta channel alone is off by
-    # about 2e-8 (its bump is C^2, so g'' has a kink at the support edge), and
-    # two step sequences would differ by twice that: compare at 1e-11.
+    # the radial x-range reaches below the repeller so some lanes escape. Two
+    # step sequences differ by up to twice the error of each, so the lanes
+    # run at rel_tol 1e-11 for a comparison at 1e-8.
     TIGHT = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
     CASES = {
         "radial": (make_radial(), (0.0, 0.4, 0.9), TIGHT, (-1.6, 1.3)),
@@ -287,21 +299,44 @@ class TestPerLaneBeta:
             assert 0 < mixed.escaped.sum() < beta.size
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_float_beta_keeps_the_scalar_coefficient(self, name):
+    def test_float_beta_keeps_the_scalar_coefficient(self, name, monkeypatch):
         # a float beta runs the field  poly(x) - scale beta^p g(theta)  with one
         # float coefficient: bit for bit _rk45_batch on that field written out,
-        # its forcing at a step's stage times ts and its state part
+        # its forcing at a step's stage times ts and its state part. On the
+        # radial bump that field runs on each chord leg, where each lane's
+        # clock (its chord length) scales the float coefficient
+        import snaflow.flow as flow_module
+
         fam, beta, cfg, theta, x0 = self.lanes(name)
-        b = float(beta[0])
+        b = float(beta[-1])
         res = flow_batch(fam, b, RHO, theta, x0, 1.0 / math.pi, cfg)
-        poly, _ = fam.polynomial()
         c = fam.scale * b**fam.beta_power
-        y, active, _, _, _, _ = _rk45_batch(
-            lambda ts: c * fam.shape.g(theta + ts[:, None, None] * RHO.rho),
-            lambda y, cg: (poly(y[0]) - cg)[None, :],
-            x0[None, :], 1.0 / math.pi, cfg)
-        assert np.array_equal(res.y, y)
-        assert np.array_equal(res.escaped, ~active)
+
+        def written_out(theta0, sign):
+            poly, _ = fam.polynomial(sign)
+            vel = np.asarray(sign)[..., None] * RHO.rho
+            return (lambda ts: (sign * c) * fam.shape.g(theta0 + ts[:, None, None] * vel),
+                    lambda y, cg: (poly(y[0]) - cg)[None, :])
+
+        if name == "cos11":
+            y, active, _, _, _, _ = _rk45_batch(*written_out(theta, 1.0), x0[None, :],
+                                                1.0 / math.pi, cfg)
+            assert np.array_equal(res.y, y)
+            assert np.array_equal(res.escaped, ~active)
+            return
+        coefficients = []
+
+        def chord_field(family, beta_, theta0, rho, channels, v, reverse, clock=None):
+            assert beta_ == b and clock is not None and not reverse
+            coefficients.append(clock)
+            return written_out(theta0, 1.0 * clock)
+
+        monkeypatch.setattr(flow_module, "_batch_rhs", chord_field)
+        want = flow_batch(fam, b, RHO, theta, x0, 1.0 / math.pi, cfg)
+        assert len(coefficients) >= 2
+        assert np.array_equal(res.y, want.y)
+        assert np.array_equal(res.escaped, want.escaped)
+        assert np.array_equal(res.escape_times, want.escape_times, equal_nan=True)
 
     def test_array_beta_needs_one_value_per_lane(self):
         with pytest.raises(ValueError, match="one value per lane"):
@@ -403,16 +438,24 @@ class TestLanePermutation:
         theta = rng.random((12, 2))[rng.integers(0, 12, 40)]
         x0 = rng.uniform(*x_range, len(theta))
 
-        seen = []
+        import snaflow.flow as flow_module
+
+        seen, driven = [], []
         shape_cls = type(fam.shape)
         method = "triple" if channels == "full" else "g"
         real = getattr(shape_cls, method)
+        real_driver = flow_module._rk45_batch
 
         def spy(shape, th, *args):
             seen.append(th.shape[:-1])
             return real(shape, th, *args)
 
+        def driver_spy(forcing, rhs, y0, *args, **kwargs):
+            driven.append(y0.shape[1])
+            return real_driver(forcing, rhs, y0, *args, **kwargs)
+
         monkeypatch.setattr(shape_cls, method, spy)
+        monkeypatch.setattr(flow_module, "_rk45_batch", driver_spy)
         t = (-1.0 if reverse else 1.0) / math.pi
         perm = rng.permutation(len(theta))
         a = flow_batch(fam, beta, RHO, theta, x0, t, cfg, channels=channels)
@@ -421,21 +464,31 @@ class TestLanePermutation:
         assert np.array_equal(a.escaped[perm], b.escaped)
         assert np.array_equal(a.escape_times[perm], b.escape_times, equal_nan=True)
         assert a.n_steps == b.n_steps
-        # one call per step attempt (five stage times) or per first stage
-        assert set(seen) == {(1, len(theta)), (5, len(theta))}
+        # one call per step attempt (five stage times) or per first stage, over
+        # every lane of the driver call: the whole batch on cos11 and on the
+        # Möbius channels, each round of chords through the bump on the radial
+        # family (off the bump the radial lanes flow in closed form)
+        assert sum(s[0] == 5 for s in seen) == a.n_steps + b.n_steps
+        assert set(seen) == {(k, m) for m in driven for k in (1, 5)}
+        if name == "cos11" or channels == "mobius":
+            assert set(driven) == {len(theta)}
+        else:
+            assert len(driven) >= 4 and max(driven) < len(theta)
 
 
-def _stacked_field(family, beta, theta0, rho, channels, v):
-    """The C-ordered forcing and the np.stack rows of the batch field, forward time.
+def _stacked_field(family, beta, theta0, rho, channels, v, sign=1.0):
+    """The C-ordered forcing and the np.stack rows of the batch field.
 
     This is the field ``_batch_rhs`` builds, written the plain way: theta as
-    one (k, n, D) array, the channel rows stacked.
+    one (k, n, D) array, the channel rows stacked. ``sign`` is the time scale:
+    -1.0 for reversed time, or one signed value per lane (a chord's clock).
     """
-    poly, dpoly = family.polynomial()
-    c = family.forcing_scale(beta)
+    poly, dpoly = family.polynomial(sign)
+    c = sign * family.forcing_scale(beta)
+    vel = np.asarray(sign)[..., None] * rho
 
     def theta_at(ts):
-        return theta0 + ts[:, None, None] * rho
+        return theta0 + ts[:, None, None] * vel
 
     if channels == "full":
         def forcing(ts):
@@ -446,11 +499,12 @@ def _stacked_field(family, beta, theta0, rho, channels, v):
             cg, cg1, cg2 = f
             x, d2 = y[0], y[2]
             Fx = dpoly(x)
-            two_a2 = 2.0 * family.a2
+            two_a2 = 2.0 * sign * family.a2
             return np.stack([poly(x) - cg, Fx, Fx * d2 - cg1, two_a2 * np.exp(y[1]),
                              two_a2 * d2, two_a2 * d2 * d2 - cg2 + Fx * y[5]])
         return forcing, rhs
     if channels == "mobius":
+        assert sign == 1.0
         half_a1, minus_a2 = 0.5 * family.a1, -family.a2
 
         def forcing(ts):
@@ -484,7 +538,7 @@ class TestAxisMajorLayout:
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     @pytest.mark.parametrize("channels", ["x", "xl", "full", "mobius"])
     @pytest.mark.parametrize("per_lane", [False, True])
-    def test_field_matches_the_stacked_field(self, name, channels, per_lane):
+    def test_field_matches_the_stacked_field(self, name, channels, per_lane, clocked=False):
         from snaflow.flow import _CHANNEL_COUNT, _batch_rhs
 
         fam = self.FAMILIES[name]
@@ -495,8 +549,11 @@ class TestAxisMajorLayout:
         if per_lane:
             beta = beta * rng.uniform(0.5, 1.0, n)
         v = np.array([0.6, 0.8])
-        forcing, rhs = _batch_rhs(fam, beta, theta0, RHO.rho, channels, v, False)
-        old_forcing, old_rhs = _stacked_field(fam, beta, theta0, RHO.rho, channels, v)
+        # a clock gives each lane its own time scale, here in reversed time
+        clock = rng.uniform(1e-3, 0.4, n) if clocked else None
+        forcing, rhs = _batch_rhs(fam, beta, theta0, RHO.rho, channels, v, clocked, clock)
+        old_forcing, old_rhs = _stacked_field(fam, beta, theta0, RHO.rho, channels, v,
+                                              -clock if clocked else 1.0)
         y = np.vstack([x, rng.uniform(-2.0, 2.0, (_CHANNEL_COUNT[channels] - 1, n))])
         for ts in (0.1 + 0.01 * np.array([0.2, 0.3, 0.8, 8 / 9, 1.0]), np.array([0.37])):
             f, want = forcing(ts), old_forcing(ts)
@@ -504,24 +561,257 @@ class TestAxisMajorLayout:
             for f_stage, want_stage in zip(f, want):
                 assert np.array_equal(rhs(y, f_stage), old_rhs(y, want_stage))
 
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("channels", ["x", "xl", "full"])
     @pytest.mark.parametrize("per_lane", [False, True])
-    def test_full_return_matches_the_stacked_field(self, per_lane):
-        # a b = 6 full-channel return across the bump's support edge, with
-        # rejected steps: the same step sequence and the same bits
+    def test_clocked_field_matches_the_stacked_field(self, name, channels, per_lane):
+        self.test_field_matches_the_stacked_field(name, channels, per_lane, clocked=True)
+
+    @pytest.mark.parametrize("per_lane", [False, True])
+    def test_full_return_matches_the_stacked_field(self, monkeypatch, per_lane):
+        # b = 6 full-channel returns, forward and reversed, with lanes of 0, 1
+        # and 2 chords through the bump and rejected steps: with the stacked
+        # field on every chord leg, the same step sequences and the same bits
+        import snaflow.flow as flow_module
+
         fam = self.FAMILIES["bump"]
         rng = np.random.default_rng(23)
         n = 45
         theta, x0 = rng.random((n, 2)), rng.uniform(-0.9, 1.2, n)
         beta = 0.78 * rng.uniform(0.8, 1.0, n) if per_lane else 0.78
         cfg = IntegratorConfig(rel_tol=1e-9)
-        t = 1.0 / math.pi
-        res = flow_batch(fam, beta, RHO, theta, x0, t, cfg, channels="full")
-        forcing, rhs = _stacked_field(fam, beta, theta, RHO.rho, "full", np.array([1.0, 0.0]))
-        y0 = np.zeros((6, n))
-        y0[0] = x0
-        y, active, esc_t, _, n_steps, n_rejected = _rk45_batch(forcing, rhs, y0, t, cfg)
-        assert np.array_equal(res.y, y)
-        assert np.array_equal(res.escaped, ~active)
-        assert np.array_equal(res.escape_times, esc_t, equal_nan=True)
-        assert (res.n_steps, res.n_rejected) == (n_steps, n_rejected)
-        assert n_rejected > 0
+
+        def stacked_rhs(family, beta, theta0, rho, channels, v, reverse, clock=None):
+            sign = -1.0 if reverse else 1.0
+            return _stacked_field(family, beta, theta0, rho, channels, v,
+                                  sign if clock is None else sign * clock)
+
+        for t in (1.0 / math.pi, -1.0 / math.pi):
+            res = flow_batch(fam, beta, RHO, theta, x0, t, cfg, channels="full")
+            with monkeypatch.context() as patched:
+                patched.setattr(flow_module, "_batch_rhs", stacked_rhs)
+                want = flow_batch(fam, beta, RHO, theta, x0, t, cfg, channels="full")
+            assert np.array_equal(res.y, want.y)
+            assert np.array_equal(res.escaped, want.escaped)
+            assert np.array_equal(res.escape_times, want.escape_times, equal_nan=True)
+            assert (res.n_steps, res.n_rejected) == (want.n_steps, want.n_rejected)
+            assert res.n_rejected > 0
+            chords, _ = flow_module._chords(fam.shape, theta, math.copysign(1.0, t) * RHO.rho,
+                                            np.full(n, abs(t)))
+            assert set(np.count_nonzero(~np.isnan(chords), axis=1)) == {0, 1, 2}
+
+
+def _whole_span(fam, beta, rho, theta, x0, t_final, channels, direction=None):
+    """The reference flow: ``_rk45_batch`` on ``_batch_rhs`` over each lane's
+    whole span at rel_tol 1e-13, one driver call per distinct end time."""
+    from snaflow.flow import _CHANNEL_COUNT, _batch_rhs
+    from snaflow.fields import unit_direction
+
+    cfg = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+    n = len(x0)
+    t_final = np.broadcast_to(np.asarray(t_final, dtype=float), (n,))
+    beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,))
+    reverse = bool((t_final < 0.0).any())
+    v = unit_direction(direction, fam.D) if channels == "full" else None
+    y = np.zeros((_CHANNEL_COUNT[channels], n))
+    y[0] = x0
+    escaped = np.zeros(n, dtype=bool)
+    for end in np.unique(np.abs(t_final)):
+        on = np.abs(t_final) == end
+        forcing, rhs = _batch_rhs(fam, beta[on], theta[on], np.asarray(rho, dtype=float),
+                                  channels, v, reverse)
+        y[:, on], active, _, _, _, _ = _rk45_batch(forcing, rhs, y[:, on], end, cfg)
+        escaped[on] = ~active
+    return y, escaped
+
+
+class TestBumpLegs:
+    """Off the bump's support a radial lane flows in closed form; DP5 runs only on its chords."""
+
+    RADIAL = make_radial()           # R = 0.3 at (0.5, 0.8); RHO: 0, 1 or 2 chords per return
+    B6 = RadialLogistic(6.0, BumpProfile(0.28), [0.3, 0.65])
+    B6_RHO = np.array([GOLDEN * 0.25, 0.25])
+
+    @staticmethod
+    def chord_counts(fam, theta, vel, span):
+        from snaflow.flow import _chords
+
+        t_in, _ = _chords(fam.shape, theta, np.asarray(vel, dtype=float),
+                          np.broadcast_to(np.abs(np.asarray(span, dtype=float)), (len(theta),)))
+        return np.count_nonzero(~np.isnan(t_in), axis=1)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("channels", ["x", "full"])
+    def test_unforced_equilibria_are_exact(self, reverse, channels):
+        from snaflow.section import SectionMap, _grid_nodes
+
+        smap = SectionMap(self.RADIAL, 0.0, RHO, CFG, reverse=reverse)
+        nodes = _grid_nodes((64,), 1)
+        counts = self.chord_counts(self.RADIAL, smap.base_points(nodes),
+                                   -RHO.rho if reverse else RHO.rho, smap.return_time)
+        assert set(counts) == {0, 1, 2}
+        for x in (-1.0, 1.0):
+            res = smap.step(nodes, np.full(64, x), channels=channels)
+            assert not res.escaped.any()
+            assert np.all(res.y[0] == x)
+
+    def test_equilibria_keep_exact_log_dx_past_underflow(self):
+        # b = 100 over T = 4: exp(-2bT) = exp(-800) underflows to 0, yet the
+        # equilibria keep log dx = -+2bT exactly, forward and reversed
+        fam = RadialLogistic(100.0, BumpProfile(0.1), [0.5, 0.5])
+        rho = self.B6_RHO
+        theta = np.random.default_rng(4).random((200, 2))
+        blind = (self.chord_counts(fam, theta, rho, 4.0) == 0) & (
+            self.chord_counts(fam, theta, -rho, 4.0) == 0)
+        theta = theta[blind][:1]
+        assert len(theta) == 1
+        for t, x, log_dx in ((4.0, -1.0, 800.0), (4.0, 1.0, -800.0),
+                             (-4.0, 1.0, 800.0), (-4.0, -1.0, -800.0)):
+            res = flow_batch(fam, 0.5, rho, theta, [x], t, CFG, channels="xl")
+            assert res.n_steps == 0 and not res.escaped[0]
+            assert (res.y[0, 0], res.y[1, 0]) == (x, log_dx)
+
+    def test_lanes_off_the_support_make_no_step(self):
+        rng = np.random.default_rng(8)
+        theta = rng.random((400, 2))
+        theta[:, 1] = 0.0
+        blind = self.chord_counts(self.RADIAL, theta, RHO.rho, 1.0 / math.pi) == 0
+        assert 20 <= blind.sum() < 400
+        x0 = rng.uniform(-0.9, 1.2, blind.sum())
+        for channels in ("x", "xl", "full"):
+            res = flow_batch(self.RADIAL, 0.9, RHO, theta[blind], x0, 1.0 / math.pi, CFG,
+                             channels=channels)
+            assert (res.n_steps, res.n_rejected) == (0, 0)
+            assert not res.escaped.any()
+            if channels == "full":
+                # the forcing never acts: no base derivatives
+                assert not res.y[[2, 4, 5]].any()
+        # in a batch with lanes through the bump they keep their bits
+        x0 = rng.uniform(-0.9, 1.2, 60)
+        mixed = flow_batch(self.RADIAL, 0.9, RHO, theta[:60], x0, 1.0 / math.pi, CFG,
+                           channels="full")
+        alone = flow_batch(self.RADIAL, 0.9, RHO, theta[:60][blind[:60]], x0[blind[:60]],
+                           1.0 / math.pi, CFG, channels="full")
+        assert mixed.n_steps > 0 and alone.n_steps == 0
+        assert np.array_equal(mixed.y[:, blind[:60]], alone.y)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_escape_time_is_the_closed_form_crossing(self, reverse):
+        # x' = -b (x^2 - 1) below the repeller -1 (reversed: above the
+        # attractor 1) runs off to infinity: |x| = coth(acoth|x0| - b t)
+        # crosses 10 at (atanh(1/|x0|) - atanh(1/10))/b
+        fam, b = self.RADIAL, self.RADIAL.b
+        rng = np.random.default_rng(2)
+        theta = rng.random((200, 2))
+        t = (-1.0 if reverse else 1.0) / math.pi
+        theta = theta[self.chord_counts(fam, theta, -RHO.rho if reverse else RHO.rho,
+                                        t) == 0][:5]
+        x0 = np.array([1.2, 1.5, 2.0, 4.0, 9.0]) * (1.0 if reverse else -1.0)
+        res = flow_batch(fam, 0.5, RHO, theta, x0, t, CFG, channels="full")
+        want = (np.arctanh(1.0 / np.abs(x0)) - math.atanh(0.1)) / b
+        assert res.escaped.all() and res.n_steps == 0
+        assert np.all(np.abs(np.abs(res.escape_times) - want) <= 1e-14 * want + 1e-15)
+        assert np.all(np.sign(res.escape_times) == np.sign(t))
+        # frozen strictly beyond the boundary it crossed, as the section's
+        # escape score reads it
+        if reverse:
+            assert np.all(res.y[0] > CFG.escape_high) and np.all(res.y[0] < 10.0 + 1e-14)
+        else:
+            assert np.all(res.y[0] < CFG.escape_low) and np.all(res.y[0] > -10.0 - 1e-14)
+        # without a window the pole is a blow-up, bracketed at its exact time
+        with pytest.raises(FlowBlowUp) as exc:
+            flow_batch(fam, 0.5, RHO, theta[:1], x0[:1], t,
+                       CFG.with_escape(-math.inf, math.inf))
+        pole = math.atanh(1.0 / abs(x0[0])) / b
+        assert exc.value.t_low == pytest.approx(pole, rel=1e-14)
+        assert exc.value.t_high == pytest.approx(pole, rel=1e-14)
+
+    CASES = {
+        # 0, 1 and 2 chords per lane over one return
+        "radial": (RADIAL, RHO.rho, 1.0 / math.pi, (-1.3, 1.3), 0.9),
+        # the bump straddles the section theta_2 = 0: chords start at t = 0 or
+        # end at the span's end
+        "straddle": (RadialLogistic(4.0, BumpProfile(0.3), [0.4, 0.05]), RHO.rho,
+                     1.0 / math.pi, (-1.3, 1.3), 0.9),
+        # the b = 6 audit drive over T = 4
+        "b6": (B6, B6_RHO, 4.0, (-0.99, 1.2), 0.78),
+        # D = 3
+        "3d": (RadialLogistic(4.0, BumpProfile(0.35), [0.5, 0.4, 0.7]),
+               np.array([GOLDEN, math.sqrt(2.0) - 1.0, 2.0]), 0.5, (-1.3, 1.3), 0.9),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("channels", ["x", "xl", "full"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("per_lane", [False, True])
+    def test_chord_legs_match_the_whole_span_flow(self, name, channels, reverse, per_lane):
+        fam, rho, T, x_range, beta = self.CASES[name]
+        rng = np.random.default_rng(31)
+        n = 40
+        theta = rng.random((n, fam.D))
+        theta[:, -1] = 0.0
+        x0 = rng.uniform(*x_range, n)
+        t = np.full(n, T)
+        if per_lane:
+            beta = beta * rng.uniform(0.5, 1.0, n)
+            t = T * rng.choice([0.25, 0.6, 1.0], n)
+        t = -t if reverse else t
+        vel = -rho if reverse else rho
+        counts = self.chord_counts(fam, theta, vel, t)
+        assert 0 in counts and 1 in counts
+        want, want_escaped = _whole_span(fam, beta, rho, theta, x0, t, channels)
+        res = flow_batch(fam, beta, rho, theta, x0, t, CFG, channels=channels)
+        _assert_same_flow(res, want, want_escaped)
+        if name == "radial" and not per_lane:
+            assert 2 in counts
+        if name == "straddle":
+            from snaflow.flow import _chords
+
+            t_in, t_out = _chords(fam.shape, theta, vel, np.abs(t))
+            assert (t_in[:, 0] == 0.0).any() and (t_out == np.abs(t)[:, None]).any()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_grazing_chord(self, reverse):
+        # a lane that passes the center at R (1 - 1e-13) has a chord of about
+        # 1e-7 of the return time; lanes at R (1 -+ 1e-3) have a short chord or none
+        fam = self.RADIAL
+        R = fam.bump.R_support
+        u = RHO.rho / np.linalg.norm(RHO.rho)
+        normal = np.array([-u[1], u[0]])
+        T = 1.0 / math.pi
+        offsets = R * np.array([1.0 - 1e-13, 1.0 - 1e-3, 1.0 + 1e-3, 0.5])
+        theta = fam.center + offsets[:, None] * normal - 0.4 * T * np.linalg.norm(RHO.rho) * u
+        vel = -RHO.rho if reverse else RHO.rho
+        if reverse:
+            theta = theta + T * RHO.rho
+        from snaflow.flow import _chords
+
+        t_in, t_out = _chords(fam.shape, theta, vel, np.full(4, T))
+        length = t_out[:, 0] - t_in[:, 0]
+        assert 0.0 < length[0] < 1e-6 * T and np.isnan(length[2])
+        t = -T if reverse else T
+        x0 = np.array([0.3, -0.5, 0.8, 0.1])
+        for channels in ("x", "xl", "full"):
+            want, want_escaped = _whole_span(fam, 0.9, RHO.rho, theta, x0, t, channels)
+            res = flow_batch(fam, 0.9, RHO, theta, x0, t, CFG, channels=channels)
+            _assert_same_flow(res, want, want_escaped)
+
+
+def _assert_same_flow(res, want, want_escaped):
+    """Same escaped lanes, left on the same side; channels within 1e-8 max(1, |ref|)."""
+    assert np.array_equal(res.escaped, want_escaped)
+    esc = want_escaped
+    assert np.array_equal(res.y[0, esc] < CFG.escape_low, want[0, esc] < CFG.escape_low)
+    assert np.array_equal(res.y[0, esc] > CFG.escape_high, want[0, esc] > CFG.escape_high)
+    ok = ~esc
+    got, ref = res.y[:, ok], want[:, ok]
+    assert np.all(np.abs(got - ref) <= 1e-8 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_steps_clipped_to_close_end_times_are_not_a_collapse():
+    # two lanes whose end times lie closer than h_min = 1e-14 max(span, 1):
+    # the second driver call's span is one rounding step, not a blow-up
+    res = flow_batch(Cos11(100.0), 1.0, [0.618, 3.14], np.zeros((2, 2)), [0.0, 0.0],
+                     [0.1, 0.1 + 1e-16], IntegratorConfig())
+    assert not res.escaped.any()
+    assert res.y[0, 0] == res.y[0, 1] or abs(res.y[0, 0] - res.y[0, 1]) < 1e-14
