@@ -372,26 +372,24 @@ def audit_A1_A3(family: RadialLogistic, rho, beta_grid, constants: AuditConstant
     ex3_lo = _Extreme("min")
     ex3_hi = _Extreme("max")
     # A1: T^d x C; A2: (T^d minus I_0) x E, image still in E; A3: Gamma with
-    # image in Gamma. A1 and A3 at every beta share one return, the A2 lanes
-    # another. The A2 lanes never see the bump, so their field is the same at
-    # every beta and they flow in closed form (flow._riccati_flow): a lane a
-    # few ulps above the repeller x = -1 leaves E, as in exact arithmetic,
-    # whatever the other lanes of its batch do.
-    groups13, groups2 = [], []
+    # image in Gamma. All three at every beta share one return. The A2 lanes
+    # never see the bump, so their field is the same at every beta and they
+    # flow in closed form (flow._riccati_flow), the same bits in any batch: a
+    # lane a few ulps above the repeller x = -1 leaves E, as in exact
+    # arithmetic, whatever the other lanes of its batch do.
+    groups = []
     for k, beta in enumerate(beta_grid):
-        groups13 += [(beta, *_region_samples(constants, sample_n, seed + 11 * k, C_int)),
-                     (beta, *_region_samples(constants, sample_n, seed + 11 * k + 2, G_int))]
-        groups2.append((beta, *_region_samples(constants, sample_n, seed + 11 * k + 1, E_int,
-                                               exclude_critical=True,
-                                               log_toward_lower=True)))
-    res13 = _merged_returns(family, rho_v, cfg, groups13, "xl")
-    res2 = _merged_returns(family, rho_v, cfg, groups2, "xl")
+        groups += [(beta, *_region_samples(constants, sample_n, seed + 11 * k, C_int)),
+                   (beta, *_region_samples(constants, sample_n, seed + 11 * k + 1, E_int,
+                                           exclude_critical=True, log_toward_lower=True)),
+                   (beta, *_region_samples(constants, sample_n, seed + 11 * k + 2, G_int))]
+    res = _merged_returns(family, rho_v, cfg, groups, "xl")
     for k, beta in enumerate(beta_grid):
-        y, th, xs = _stayed(groups13[2 * k], res13[2 * k])
+        y, th, xs = _stayed(groups[3 * k], res[3 * k])
         ex1.offer(y[1], th, xs, beta, "log_dx")
-        y, th, xs = _stayed(groups2[k], res2[k], E_int)
+        y, th, xs = _stayed(groups[3 * k + 1], res[3 * k + 1], E_int)
         ex2.offer(y[1], th, xs, beta, "log_dx")
-        y, th, xs = _stayed(groups13[2 * k + 1], res13[2 * k + 1], G_int)
+        y, th, xs = _stayed(groups[3 * k + 2], res[3 * k + 2], G_int)
         ex3_lo.offer(y[1], th, xs, beta, "log_dx")
         ex3_hi.offer(y[1], th, xs, beta, "log_dx")
 
@@ -828,7 +826,7 @@ def run_audit(family: RadialLogistic, rho, constants: AuditConstants, beta_grid,
     the nodes that can still fail; the pinch probes batches of
     ``_PROBE_BATCH``, then twice as many, and so on, one return each, until
     one probe registers a pinch set; the pinch masks one x-channel return and
-    the pinch sets one full-channel return; A1-A3 two returns and A4-A8 one;
+    the pinch sets one full-channel return; A1-A3 one return and A4-A8 one;
     A11-A16 one forward return per beta and one reversed return.
     """
     _require_radial(family)

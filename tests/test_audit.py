@@ -217,8 +217,8 @@ class TestBumpConvexity:
 class TestAuditCost:
     def test_merged_returns_and_one_pinch_mask_per_beta(self, monkeypatch):
         # beta bounds: 1 + ceil(17 / 4) returns; pinch probes (4, then 8): 2;
-        # pinch masks and sets: 1 each; A1-A3: 2; A4-A8: 1; A11-A16: 2 forward
-        # and 1 reversed; 16 in all
+        # pinch masks and sets: 1 each; A1-A3: 1; A4-A8: 1; A11-A16: 2 forward
+        # and 1 reversed; 15 in all
         calls = count_returns(monkeypatch)
         mask_betas = []
 
@@ -229,36 +229,54 @@ class TestAuditCost:
         monkeypatch.setattr(audit, "j0_region", recording_j0_region)
         report = run_audit(b6_family(), B6_RHO, b6_constants(), beta_grid=[0.0, 0.78],
                            grid_n=32, sample_n=20, cfg=CFG, seed=1)
-        assert len(calls) <= 16
+        assert len(calls) <= 15
         counts = report.entry("A6").measured["node_counts"]
         assert len(counts) == 5 and report.entry("A6").measured["first_nonempty_beta"]
         assert len(mask_betas) == len(set(mask_betas))
 
-    def test_step_budget(self, monkeypatch):
-        # DP5 runs only on the lanes' chords through the bump: the returns
-        # above make 7,478 step attempts in all (14,320 when every return
-        # integrated its whole time T); the budget leaves 14% for drift. The
-        # A2 lanes and the reversed A15/A16 lanes never meet the bump, so
-        # their returns make no step at all
+    @staticmethod
+    def audit_returns(monkeypatch, **kwargs):
+        """(channels, step attempts) of each flow_batch call of a b = 6 run_audit."""
         import snaflow.section as section
 
         returns = []
         real = section.flow_batch
 
-        def spy(*args, **kwargs):
-            res = real(*args, **kwargs)
-            returns.append((kwargs.get("channels", "x"), res.n_steps))
+        def spy(*args, **kw):
+            res = real(*args, **kw)
+            returns.append((kw.get("channels", "x"), res.n_steps))
             return res
 
         monkeypatch.setattr(section, "flow_batch", spy)
         calls = count_returns(monkeypatch)
-        run_audit(b6_family(), B6_RHO, b6_constants(), beta_grid=[0.0, 0.78],
-                  grid_n=32, sample_n=20, cfg=CFG, seed=1)
-        assert len(returns) == len(calls) == 16
-        assert sum(steps for _, steps in returns) <= 8500
-        # A1-A3's second "xl" return is A2's; A15/A16's is the last "full" one
-        assert [steps for ch, steps in returns if ch == "xl"][1] == 0
+        run_audit(b6_family(), B6_RHO, b6_constants(), beta_grid=[0.0, 0.78], seed=1,
+                  **kwargs)
+        assert len(calls) == len(returns)
+        return returns
+
+    def test_step_budget(self, monkeypatch):
+        # DP5 runs only on the lanes' chords through the bump, and a chord
+        # lane stops steering the step once the forcing-free flow proves it
+        # escapes: the returns make 4,093 step attempts in all (7,478 when
+        # escaping lanes were integrated to the window, 14,320 when every
+        # return integrated its whole time T); the budget leaves 14% for
+        # drift. The reversed A15/A16 lanes never meet the bump, so their
+        # return makes no step at all
+        returns = self.audit_returns(monkeypatch, grid_n=32, sample_n=20, cfg=CFG)
+        assert len(returns) == 15
+        assert sum(steps for _, steps in returns) <= 4700
+        # A1-A3 share one "xl" return; A15/A16's is the last "full" one
+        assert [ch for ch, _ in returns].count("xl") == 1
         assert [steps for ch, steps in returns if ch == "full"][-1] == 0
+
+    def test_bench_size_audit_budget(self, monkeypatch):
+        # the benchmark's audit (grid 64, 40 samples, rel_tol 1e-9, seed 1):
+        # 15 returns and 2,773 step attempts, against 16 and 5,205 when A2 had
+        # a return of its own and escaping chord lanes set the shared step
+        returns = self.audit_returns(monkeypatch, grid_n=64, sample_n=40,
+                                     cfg=IntegratorConfig(rel_tol=1e-9))
+        assert len(returns) == 15
+        assert sum(steps for _, steps in returns) < 3000
 
     def test_hairline_lane_leaves_the_strip_in_any_batch(self):
         # a bump-free lane a few ulps above the repeller -1: exp(-2bT) is far

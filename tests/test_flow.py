@@ -625,6 +625,20 @@ def _whole_span(fam, beta, rho, theta, x0, t_final, channels, direction=None):
     return y, escaped
 
 
+def _reference_at(fam, beta, rho, theta, x0, times):
+    """x of the reference "x" flow (rel_tol 1e-13, window +-10) of each lane at its
+    own time: one ``_rk45_batch`` call over t in [0, 1], each lane on a clock of
+    its |time|, so the steps may straddle the support's edge."""
+    from snaflow.flow import _batch_rhs
+
+    cfg = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+    times = np.asarray(times, dtype=float)
+    forcing, rhs = _batch_rhs(fam, beta, theta, np.asarray(rho, dtype=float), "x", None,
+                              bool(times[0] < 0.0), clock=np.abs(times))
+    y, _, _, _, _, _ = _rk45_batch(forcing, rhs, np.asarray(x0, dtype=float)[None, :], 1.0, cfg)
+    return y[0]
+
+
 class TestBumpLegs:
     """Off the bump's support a radial lane flows in closed form; DP5 runs only on its chords."""
 
@@ -795,6 +809,166 @@ class TestBumpLegs:
             want, want_escaped = _whole_span(fam, 0.9, RHO.rho, theta, x0, t, channels)
             res = flow_batch(fam, 0.9, RHO, theta, x0, t, CFG, channels=channels)
             _assert_same_flow(res, want, want_escaped)
+
+    # ---- escapes proven on chords (flow._escape_proof)
+
+    @staticmethod
+    def without_proofs(monkeypatch, *args, **kwargs):
+        """``flow_batch`` with the escape proof switched off: the DP5 chords then
+        carry every lane until it leaves the window, as before the rule."""
+        import snaflow.flow as flow_module
+
+        with monkeypatch.context() as patched:
+            patched.setattr(flow_module, "_escape_proof", lambda *a, **k: None)
+            return flow_batch(*args, **kwargs)
+
+    def escaping_lanes(self, reverse, beta, n=40):
+        """b = 6 lanes from anywhere on T^2, half of them started near or just
+        beyond the repeller (-1 forward, 1 reversed), where the forcing drives
+        lanes out through the bump."""
+        rng = np.random.default_rng(11)
+        theta = rng.random((n, 2))
+        x0 = np.concatenate([rng.uniform(-1.3, -1.0, n // 4), rng.uniform(-1.0, -0.5, n // 4),
+                             rng.uniform(-1.6, 1.2, n - n // 2)])
+        if beta is None:
+            beta = rng.uniform(0.78, 1.0, n)
+        return theta, -x0 if reverse else x0, beta
+
+    @pytest.mark.parametrize("beta", [0.78, 1.0, None])
+    @pytest.mark.parametrize("channels", ["x", "xl", "full"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_proven_escapes_match_the_whole_span_flow(self, monkeypatch, beta, channels,
+                                                      reverse):
+        # a chord lane beyond the repeller that the forcing-free flow carries
+        # out of the window within its remaining time is frozen at once: the
+        # same escapes as the reference on the same side, the other lanes as
+        # close to it as the chord legs always were, and an escape time that
+        # is an upper bound on the crossing
+        fam, rho = self.B6, self.B6_RHO
+        theta, x0, beta = self.escaping_lanes(reverse, beta)
+        sgn = -1.0 if reverse else 1.0
+        t = 4.0 * sgn
+        res = flow_batch(fam, beta, rho, theta, x0, t, CFG, channels=channels)
+        off = self.without_proofs(monkeypatch, fam, beta, rho, theta, x0, t, CFG,
+                                  channels=channels)
+        want, want_escaped = _whole_span(fam, beta, rho, theta, x0, t, channels)
+        _assert_same_flow(res, want, want_escaped)
+        assert np.array_equal(res.escaped, off.escaped)
+        bound = CFG.escape_high if reverse else CFG.escape_low
+        beyond = np.nextafter(bound, sgn * -math.inf)
+        proven = (res.y[0] == beyond) & (off.y[0] != beyond)
+        assert proven.sum() >= 3 and res.n_steps < off.n_steps
+        stamp = res.escape_times[proven]
+        assert np.all(sgn * stamp > 0.0) and np.all(sgn * stamp <= 4.0)
+        # not earlier than the crossing: the reference flowed to each stamp
+        # has left the window, or sits on its boundary to its accuracy
+        x_at = _reference_at(fam, beta if np.isscalar(beta) else beta[proven], rho,
+                             theta[proven], x0[proven], stamp)
+        assert np.all(sgn * (x_at - bound) <= 1e-9)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_no_proof_without_a_window_on_the_escaping_side(self, monkeypatch, reverse):
+        # the comparison needs a boundary to cross: without one the pole stays
+        # a FlowBlowUp, as it is on the closed-form legs
+        from snaflow.flow import _escape_proof, _riccati_roots
+
+        fam, rho = self.B6, self.B6_RHO
+        sgn = -1.0 if reverse else 1.0
+        cfg = CFG.with_escape(-10.0, math.inf) if reverse else CFG.with_escape(-math.inf, 10.0)
+        one = np.ones(3)
+        assert _escape_proof(fam, _riccati_roots(fam, sgn), 1.0, sgn, one, one, cfg) is None
+        assert _escape_proof(fam, _riccati_roots(fam, sgn), 1.0, sgn, one, one, CFG) is not None
+        theta, x0, _ = self.escaping_lanes(reverse, 1.0)
+        res = flow_batch(fam, 1.0, rho, theta, x0, 4.0 * sgn, CFG)
+        off = self.without_proofs(monkeypatch, fam, 1.0, rho, theta, x0, 4.0 * sgn, CFG)
+        beyond = np.nextafter(sgn * -10.0, sgn * -math.inf)
+        lane = np.flatnonzero((res.y[0] == beyond) & (off.y[0] != beyond))[:1]
+        assert lane.size    # a lane proven with the window
+        with pytest.raises(FlowBlowUp):
+            flow_batch(fam, 1.0, rho, theta[lane], x0[lane], 4.0 * sgn, cfg)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_no_proof_where_the_forcing_pushes_the_other_way(self, monkeypatch, reverse):
+        # at beta < 0 the forcing pushes lanes back toward the attractor, so
+        # the forcing-free flow bounds nothing: every lane is integrated, the
+        # same bits and step counts as without the rule
+        from snaflow.flow import _escape_proof, _riccati_roots
+
+        fam = RadialLogistic(6.0, BumpProfile(0.28), [0.3, 0.65], beta_range=(-1.0, 1.0))
+        sgn = -1.0 if reverse else 1.0
+        roots = _riccati_roots(fam, sgn)
+        assert _escape_proof(fam, roots, -0.78, sgn, np.ones(2), np.ones(2), CFG) is None
+        theta, x0, _ = self.escaping_lanes(reverse, None)
+        beta = np.full(len(x0), -0.78)
+        res = flow_batch(fam, beta, self.B6_RHO, theta, x0, 4.0 * sgn, CFG, channels="xl")
+        off = self.without_proofs(monkeypatch, fam, beta, self.B6_RHO, theta, x0, 4.0 * sgn,
+                                  CFG, channels="xl")
+        assert res.escaped.any() and res.n_steps > 0
+        assert np.array_equal(res.y, off.y) and (res.n_steps, res.n_rejected) == (
+            off.n_steps, off.n_rejected)
+        assert np.array_equal(res.escape_times, off.escape_times, equal_nan=True)
+        # per lane: a lane whose forcing pushes the other way is never frozen
+        prove = _escape_proof(fam, roots, np.array([-0.78, 0.78]), sgn, np.ones(2),
+                              np.ones(2), CFG)
+        y, active, esc_t = np.full((1, 2), -1.5 * sgn), np.ones(2, dtype=bool), np.full(2, np.nan)
+        assert prove(y, active, esc_t, 0.0)
+        assert active.tolist() == [True, False] and y[0, 0] == -1.5 * sgn
+
+    def test_no_proof_past_the_remaining_time(self, monkeypatch):
+        # two lanes beyond the repeller on chords of length 0.5, one with 3 more
+        # time units after its chord: only that one has time for the
+        # forcing-free crossing, t_c = 1.19 from x = -1.001
+        from snaflow.flow import _crossing_time, _escape_proof, _riccati_roots
+
+        fam = self.B6
+        roots = _riccati_roots(fam, 1.0)
+        r1, r2, kappa = roots
+        x = -1.001
+        t_c = float(_crossing_time((x - r2) / (r1 - r2), (-10.0 - r2) / (r1 - r2), kappa))
+        assert 0.5 < t_c < 3.5
+        prove = _escape_proof(fam, roots, 0.78, 1.0, np.full(2, 0.5), np.array([0.0, 3.0]), CFG)
+        y, active, esc_t = np.full((2, 2), x), np.ones(2, dtype=bool), np.full(2, np.nan)
+        assert prove(y, active, esc_t, 0.0)
+        assert active.tolist() == [True, False]
+        assert y[0, 0] == x and y[0, 1] == np.nextafter(-10.0, -math.inf) and y[1, 1] == x
+        assert esc_t[1] == pytest.approx(t_c / 0.5, rel=1e-15)
+        # nor at a chord's end: the closed-form leg that follows times it exactly
+        assert not prove(np.full((2, 2), x), np.ones(2, dtype=bool), esc_t, 1.0)
+        # in a flow: a lane started just beyond the repeller inside the bump,
+        # whose span ends long before it could cross, is never frozen
+        theta = np.array([fam.center, [0.1, 0.2]])
+        res = flow_batch(fam, 0.78, self.B6_RHO, theta, [x, 0.5], 0.01, CFG)
+        off = self.without_proofs(monkeypatch, fam, 0.78, self.B6_RHO, theta, [x, 0.5], 0.01,
+                                  CFG)
+        assert not res.escaped.any() and res.y[0, 0] < x
+        assert np.array_equal(res.y, off.y) and res.n_steps == off.n_steps > 0
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_escaping_lanes_barely_cost_steps(self, monkeypatch, reverse):
+        # lanes that the forcing drives out through the bump at beta = 1 add
+        # few step attempts to a "full" batch once they are frozen: 1.2 times
+        # the batch without them, against 2.1 times when they were carried to
+        # the window
+        fam, rho = self.B6, self.B6_RHO
+        sgn = -1.0 if reverse else 1.0
+        cfg = IntegratorConfig(rel_tol=1e-9)
+        rng = np.random.default_rng(7)
+        theta = rng.random((80, 2))
+        theta[:, 1] = 0.0
+        x0 = sgn * rng.uniform(0.0, 1.2, 80)
+        t = 4.0 * sgn
+        stay = ~flow_batch(fam, 1.0, rho, theta, x0, t, cfg, channels="full").escaped
+        theta_out = rng.random((80, 2))
+        theta_out[:, 1] = 0.0
+        x_out = sgn * rng.uniform(-1.0, -0.6, 80)
+        leave = self.without_proofs(monkeypatch, fam, 1.0, rho, theta_out, x_out, t, cfg,
+                                    channels="full").escaped
+        assert stay.sum() > 60 and leave.sum() >= 8
+        alone = flow_batch(fam, 1.0, rho, theta[stay], x0[stay], t, cfg, channels="full")
+        mixed = flow_batch(fam, 1.0, rho, np.vstack([theta[stay], theta_out[leave]]),
+                           np.concatenate([x0[stay], x_out[leave]]), t, cfg, channels="full")
+        assert np.count_nonzero(mixed.escaped) == leave.sum()
+        assert mixed.n_steps <= 1.5 * alone.n_steps
 
 
 def _assert_same_flow(res, want, want_escaped):
