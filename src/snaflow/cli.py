@@ -142,8 +142,8 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> None:
     res = flow_batch(cfg.family, cfg.beta, cfg.rho, np.tile(sim["theta0"], (lanes, 1)),
                      np.full(lanes, sim["x0"]), t_grid, cfg.integrator, channels="full")
     if res.escaped.any():
-        raise NumericalFailure(
-            f"trajectory escaped at t={res.escape_times[np.argmax(res.escaped)]}")
+        t_esc = res.escape_times[np.argmax(res.escaped)]
+        raise NumericalFailure(f"trajectory left the escape window by t={t_esc}")
     write_csv(os.path.join(out, "trajectory.csv"), cfg, "simulate",
               ["t", "x", "log_dx", "dtheta", "dtheta2"],
               [t_grid, res.y[0], res.y[1], res.y[2], res.y[5]])

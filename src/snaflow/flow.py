@@ -56,35 +56,24 @@ distinct ones (the audit's merged returns put 2-16 lanes on each section
 node) cut the audit's median from 2.58 to 2.25 s over ten paired runs, less
 than the 0.45 s between the quartiles of those runs.
 
-Two drivers share the Dormand-Prince 5(4) tableau: a numpy driver over a
-batch of trajectories with one shared adaptive step (the error norm is taken
-over the whole batch), and a plain-float driver that serves only
-``integrate`` on theta-independent families, one trajectory with all six
-channels, where per-call numpy overhead would dominate. Both are
-deterministic. Everything else, the pullbacks of theta-independent families
-included, runs on the batch driver.
+One driver, ``_rk45_batch``, integrates every DP5 leg: a batch of
+trajectories with one shared adaptive step (the error norm is taken over the
+whole batch), deterministic. ``integrate`` is one lane of ``flow_batch``;
+there is no plain-float path.
 
-The numpy integrator takes beta as one float or as one value per lane. Lanes at
+The integrator takes beta as one float or as one value per lane. Lanes at
 different beta share the adaptive step, so a batch that mixes several beta
 costs about the largest of their step counts rather than the sum of separate
 calls. Each lane agrees with its own single-beta call to the integration
 tolerance.
 
-The plain-float driver stays for the oracle timing guard: on the flat
-shape the forcing was never the cost, and a one-lane ``"full"`` batch step
-attempt costs about 130 us against about 44 us for a plain-float one. The
-closed-form oracle loop of acceptance criterion 1 (bound 1 s, 7,759 step
-attempts) took 0.96-1.10 s over 5 runs with ``integrate``'s theta-independent
-branch sent through a one-lane ``flow_batch``, against 0.33-0.35 s on the
-plain-float driver (2 shared cores), so the batch driver leaves no headroom
-under the bound, and that check has run twice as slow on a loaded machine.
-The plain-float driver also locates escape times by bisection, to within
-5.4e-12 of the exact time on x' = -x^2 - 1; the batch driver does not.
-
 A forcing with compact support (``BumpShape``: the radial and logistic
-families) vanishes off the bump, and there the field is the autonomous
-Riccati equation a2 x^2 + a1 x + a0, whose flow has a closed form. With
-two real roots it is written a (x - r1)(x - r2), r1 attracting, and
+families) vanishes off the bump, and a flat one (``FlatShape``, g = 1) is the
+constant beta^p scale everywhere. Off the bump, and everywhere on a flat field
+at a float beta, the field is the autonomous Riccati equation
+a2 x^2 + a1 x + a0 (a0 less beta^p scale on a flat field), whose flow has a
+closed form. With two real roots it is written a (x - r1)(x - r2), r1
+attracting, and
 x(t) = r2 + (r1 - r2) p / (p + (1 - p) e^{-kappa t}), p = (x0 - r2)/(r1 - r2):
 at p = 0 and p = 1 this keeps the equilibria r2 and r1 exactly (a cosh/sinh
 matrix form moved -1 to -1 + 1.2e-10). ``flow_batch`` therefore cuts each
@@ -100,8 +89,10 @@ crossed: the forward A11-A16 return of the b = 6 audit at beta = 0.78 made
 A11-A16 return makes 465 attempts, 43 of them rejected. The legs follow the
 classical advice to integrate between a forcing's breakpoints (Hairer,
 Norsett & Wanner, Solving ODEs I, II.6). Lanes that never meet the bump make
-no DP5 step. The ``"mobius"`` channels, the cos11 and flat shapes, and
-polynomials without two real roots keep the whole-span path.
+no DP5 step, and neither does a flat field, which has no breakpoints: each
+lane is one closed-form leg over its span. The ``"mobius"`` channels, the
+cos11 shape, a flat field at an array beta and polynomials without two
+distinct real roots keep the whole-span DP5 path.
 
 Escapes are also proven on the chords (``_escape_proof``). Every built-in
 bump has g >= 0, so where the forcing coefficient pushes away from the
@@ -157,8 +148,6 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-# relative width of the time bracket at which the escape bisection stops
-_ESCAPE_TIME_TOL = 1e-12
 
 
 class FlowBlowUp(RuntimeError):
@@ -215,7 +204,13 @@ class RatioChannels:
 
 @dataclass(frozen=True)
 class AugmentedFlowState(RatioChannels):
-    """Fibre value and variational channels at time t (see module docstring)."""
+    """Fibre value and variational channels at time t (see module docstring).
+
+    ``escape_time``, set when ``escaped``, is ``flow_batch``'s stamp: a time by
+    which x left the window, exact on a closed-form leg, the end of the first
+    step outside the window on a DP5 leg, and an upper bound where an escape
+    is proven.
+    """
 
     x: float
     log_dx: float
@@ -440,106 +435,6 @@ def _rk45_batch(forcing, rhs, y0: np.ndarray, span: float, cfg: IntegratorConfig
     return y, active, esc_t, h, n_steps, n_rejected
 
 
-def _scalar_rhs(family: ForcedField, beta: float, reverse: bool):
-    """Plain-float rhs of all six channels for a theta-independent family (list state)."""
-    sgn = -1.0 if reverse else 1.0
-    poly, dpoly = family.polynomial(sgn)
-    two_a2 = 2.0 * sgn * family.a2
-    c = sgn * family.forcing_scale(beta)
-
-    def rhs(t, y):
-        x = y[0]
-        fx = dpoly(x)
-        return [
-            poly(x) - c,
-            fx,
-            fx * y[2],
-            two_a2 * math.exp(y[1]),
-            two_a2 * y[2],
-            two_a2 * y[2] * y[2] + fx * y[5],
-        ]
-    return rhs
-
-
-def _rk45_scalar(rhs, t0: float, y0: list, span: float, cfg: IntegratorConfig):
-    """Float driver, same tableau and controller as the batch driver."""
-    m = len(y0)
-    y = list(y0)
-    t = 0.0
-    h_min = 1e-14 * max(abs(t0) + span, 1.0)
-    h = span
-    lo, hi = cfg.escape_low, cfg.escape_high
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
-    if y[0] < lo or y[0] > hi:
-        return y, False, t0, h, 0
-    k = [None] * 7
-    k[0] = rhs(t0, y)
-    n_steps = 0
-    while t < span:
-        h = min(h, span - t)
-        if h < h_min:
-            raise FlowBlowUp(t0 + t, t0 + t + h_min)
-        bad = False
-        for s in range(1, 7):
-            a = _A[s]
-            ys = [y[j] + h * sum(a[i] * k[i][j] for i in range(s)) for j in range(m)]
-            if s == 6:
-                y_new = ys
-            try:
-                k[s] = rhs(t0 + t + _C[s] * h, ys)
-            except OverflowError:
-                bad = True
-                break
-            if not all(math.isfinite(v) for v in k[s]):
-                bad = True
-                break
-        if bad:
-            k[0] = rhs(t0 + t, y)
-            h *= _MIN_FACTOR
-            n_steps += 1
-            continue
-        ratio = 0.0
-        for j in range(m):
-            e = h * sum(_E[i] * k[i][j] for i in range(7))
-            sc = atol + rtol * max(abs(y[j]), abs(y_new[j]))
-            r = abs(e) / sc
-            if r > ratio:
-                ratio = r
-        n_steps += 1
-        if ratio <= 1.0:
-            y_prev = y
-            t_prev = t
-            y = y_new
-            t += h
-            if y[0] < lo or y[0] > hi:
-                t_esc = _refine_escape_scalar(rhs, t0, t_prev, y_prev, t, cfg)
-                return y, False, t_esc, h, n_steps
-            k[0] = k[6]
-            fac = _MAX_FACTOR if ratio == 0.0 else min(_MAX_FACTOR, _SAFETY * ratio**-0.2)
-            h *= fac
-        else:
-            h *= max(_MIN_FACTOR, _SAFETY * ratio**-0.2)
-    return y, True, None, h, n_steps
-
-
-def _refine_escape_scalar(rhs, t0, t_in, y_in, t_out, cfg):
-    """Bisect the first window crossing inside (t_in, t_out] by re-integration."""
-    lo_t, hi_t = t_in, t_out
-    tol = _ESCAPE_TIME_TOL * max(1.0, abs(t0 + t_out))
-    wlo, whi = cfg.escape_low, cfg.escape_high
-    unbounded = cfg.with_escape(-math.inf, math.inf)
-    for _ in range(80):
-        if hi_t - lo_t <= tol:
-            break
-        mid = 0.5 * (lo_t + hi_t)
-        y, _, _, _, _ = _rk45_scalar(rhs, t0 + t_in, list(y_in), mid - t_in, unbounded)
-        if wlo <= y[0] <= whi:
-            lo_t = mid
-        else:
-            hi_t = mid
-    return t0 + 0.5 * (lo_t + hi_t)
-
-
 def _as_base(theta, D) -> np.ndarray:
     th = theta.coords if isinstance(theta, TorusPoint) else np.atleast_1d(np.asarray(theta, dtype=float))
     if th.ndim == 1:
@@ -549,15 +444,17 @@ def _as_base(theta, D) -> np.ndarray:
     return th
 
 
-def _riccati_roots(family: ForcedField, sgn: float):
-    """(r1, r2, kappa) with sgn (a2 x^2 + a1 x + a0) = a (x - r1)(x - r2), where r1
-    attracts and kappa = -a (r1 - r2) > 0; None without two distinct real roots.
+def _riccati_roots(family: ForcedField, sgn: float, offset: float = 0.0):
+    """(r1, r2, kappa) with sgn (a2 x^2 + a1 x + a0 - offset) = a (x - r1)(x - r2),
+    where r1 attracts and kappa = -a (r1 - r2) > 0; None without two distinct real
+    roots. ``offset`` is a flat field's constant forcing beta^p scale, and 0 for
+    the legs off a bump, where the forcing vanishes.
 
     The roots are the vertex -a1/(2 a2) plus and minus the half-width, the
     small one taken as the product of the roots over the big one: both
     are exact on the radial family (+-1) and the logistic one's 0.
     """
-    a2, a1, a0 = sgn * family.a2, sgn * family.a1, sgn * family.a0
+    a2, a1, a0 = sgn * family.a2, sgn * family.a1, sgn * (family.a0 - offset)
     if a2 == 0.0:
         return None
     vertex, product = -a1 / (2.0 * a2), a0 / a2
@@ -750,7 +647,8 @@ def _flow_legs(family: ForcedField, roots, beta, rho: np.ndarray, theta0: np.nda
                y: np.ndarray, span: np.ndarray, cfg: IntegratorConfig, channels: str,
                direction, reverse: bool):
     """``flow_batch`` on a compactly supported forcing: closed form off the bump,
-    DP5 only along each lane's chords through it.
+    DP5 only along each lane's chords through it. A flat field has no chords:
+    each lane is one closed-form leg over its span.
 
     Each lane's span is cut at its chord times (``_chords``). Round r carries
     every lane still flowing in closed form up to its r-th chord
@@ -763,7 +661,10 @@ def _flow_legs(family: ForcedField, roots, beta, rho: np.ndarray, theta0: np.nda
     """
     n = y.shape[1]
     vel = -rho if reverse else rho
-    t_in, t_out = _chords(family.shape, theta0, vel, span)
+    if isinstance(family.shape, BumpShape):
+        t_in, t_out = _chords(family.shape, theta0, vel, span)
+    else:
+        t_in = t_out = np.empty((n, 0))
     esc_t = np.full(n, np.nan)
     outside = (span > 0.0) & ((y[0] < cfg.escape_low) | (y[0] > cfg.escape_high))
     esc_t[outside] = 0.0
@@ -818,10 +719,11 @@ def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final,
     for bit. On a bump forcing (module docstring) each lane flows in closed
     form off the bump, so a lane that never meets it gives the same bits in
     any batch, and the lanes' r-th chords through it share one driver call.
-    Otherwise lanes sorted by end time drop
-    out as the flow passes it: one ``_rk45_batch`` call per distinct end time
-    on the lanes still flowing, started from their base points moved by the
-    time already flowed and from the step size the previous call reached.
+    On a flat field at a float beta every lane is one closed-form leg.
+    Otherwise lanes sorted by end time drop out as the flow passes it: one
+    ``_rk45_batch`` call per distinct end time on the lanes still flowing,
+    started from their base points moved by the time already flowed and from
+    the step size the previous call reached.
 
     Channel values of escaped trajectories are frozen where the window was
     left, x beyond the boundary it crossed. ``escape_times`` holds, per lane,
@@ -878,8 +780,12 @@ def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final,
     v = unit_direction(direction, family.D) if channels == "full" else None
     sgn = -1.0 if reverse else 1.0
     span = np.broadcast_to(np.abs(t_final), (n,))
-    roots = (_riccati_roots(family, sgn)
-             if channels != "mobius" and isinstance(family.shape, BumpShape) else None)
+    roots = None
+    if channels != "mobius":
+        if isinstance(family.shape, BumpShape):
+            roots = _riccati_roots(family, sgn)
+        elif family.theta_independent and not np.ndim(beta):
+            roots = _riccati_roots(family, sgn, family.forcing_scale(beta))
     if roots is not None:
         y, esc_t, n_steps, n_rej = _flow_legs(family, roots, beta, rho_v, theta0, y, span,
                                               cfg, channels, v, reverse)
@@ -909,26 +815,15 @@ def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final,
 
 def integrate(family: ForcedField, beta: float, rho, theta0, x0: float, t_final: float,
               cfg: IntegratorConfig, direction=None) -> AugmentedFlowState:
-    """Flow one fibre with all six augmented channels to t_final.
+    """Flow one fibre with all six augmented channels to t_final: lane 0 of a
+    one-lane ``flow_batch(..., channels="full")``.
 
     Negative t_final integrates the reversed flow. On escape the returned
-    state carries an escape time: the first time x left [escape_low,
-    escape_high] for theta-independent families, where it is refined by
-    bisection, and on the closed-form legs of a bump forcing; otherwise one
-    of ``flow_batch``'s later stamps.
+    state carries ``flow_batch``'s escape time, a time by which x left
+    [escape_low, escape_high]: the exact crossing on a closed-form leg (off a
+    bump, or anywhere on a flat field), the end of the first step outside
+    the window on a DP5 leg, and an upper bound where an escape is proven.
     """
-    family.check_beta(beta)
-    if not math.isfinite(t_final):
-        raise ValueError(f"t_final is {t_final}")
-    state0 = [float(x0), 0.0, 0.0, 0.0, 0.0, 0.0]
-    if t_final == 0.0:
-        return AugmentedFlowState(*state0, t=t_final)
-    if family.theta_independent:
-        reverse = t_final < 0.0
-        rhs = _scalar_rhs(family, beta, reverse)
-        y, ok, t_esc, _, _ = _rk45_scalar(rhs, 0.0, state0, abs(t_final), cfg)
-        t_esc_signed = None if ok else (-t_esc if reverse else t_esc)
-        return AugmentedFlowState(*y, t=t_final, escaped=not ok, escape_time=t_esc_signed)
     rho_v = as_rotation_vector(rho).rho
     res = flow_batch(family, beta, rho_v, _as_base(theta0, rho_v.size), [x0], t_final, cfg,
                      channels="full", direction=direction)

@@ -30,7 +30,13 @@ MAX_SUB_RETURNS = 2**20
 
 @dataclass(frozen=True)
 class ReturnMapEval(RatioChannels):
-    """One fibre-map evaluation with its tracked derivatives."""
+    """One fibre-map evaluation with its tracked derivatives.
+
+    ``escape_time``, set when ``escaped``, is ``flow_batch``'s stamp: a time by
+    which x left the window, exact on a closed-form leg, the end of the first
+    step outside the window on a DP5 leg, and an upper bound where an escape
+    is proven.
+    """
 
     x_next: float
     log_dx: float

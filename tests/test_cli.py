@@ -316,28 +316,27 @@ class TestSubcommands:
         import snaflow.flow as flow
 
         calls = []
-        for name in ("_rk45_batch", "_rk45_scalar"):
-            original = getattr(flow, name)
+        original = flow._rk45_batch
 
-            def counting(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(flow, name, counting)
+        monkeypatch.setattr(flow, "_rk45_batch", counting)
         sim = {"theta0": [0.1, 0.2], "x0": 0.5, "t_final": 0.8, "n_samples": 10}
         path = make_cfg(tmp_path, beta=beta, simulate=sim)
         assert main(["simulate", "--config", path]) == 0
         monkeypatch.undo()
         cfg = load_config(json.loads(open(path).read()))
-        # the flat oracle flows on through its 10 sample times, one driver
-        # call each; the bump family integrates each chord of the trajectory
-        # through the bump once, for all samples in one driver call
+        # the bump family integrates each chord of the trajectory through the
+        # bump once, for all samples in one driver call; the flat oracle (roots
+        # +-sqrt(0.5)) flows in closed form and makes no driver call
         if make_cfg is radial_cfg:
             chords, _ = flow._chords(cfg.family.shape, np.array([sim["theta0"]]),
                                      np.array(cfg.rho), np.array([sim["t_final"]]))
             assert chords.shape[1] >= 2 and len(calls) == chords.shape[1]
         else:
-            assert len(calls) == 10
+            assert len(calls) == 0
         with open(tmp_path / "out" / "trajectory.csv") as fh:
             rows = [[float(v) for v in line.split(",")] for line in fh
                     if not line.startswith(("#", "t,"))]
@@ -363,6 +362,23 @@ class TestSubcommands:
             "center": [0.5, 0.5]}, rho=[GOLDEN, 1.2], grid_n=64)
         assert main(["graphs", "--config", path]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_escaping_simulate_gives_exit_three(self, tmp_path, capsys):
+        # x' = -x^2 + 0.5 from x0 = -2, below the repeller -c (c = sqrt(0.5)),
+        # reaches -20 at (atanh(c/2) - atanh(c/20))/c: the samples after it
+        # escape, stamped with that exact crossing
+        sim = {"theta0": [0.1, 0.2], "x0": -2.0, "t_final": 1.0, "n_samples": 10}
+        path = oracle_cfg(tmp_path, beta=0.25, simulate=sim,
+                          integrator={"escape": [-20.0, 20.0]})
+        assert main(["simulate", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        prefix = "numerical failure: trajectory left the escape window by t="
+        assert err.startswith(prefix)
+        c = math.sqrt(0.5)
+        want = (math.atanh(c / 2.0) - math.atanh(c / 20.0)) / c
+        assert float(err[len(prefix):]) == pytest.approx(want, rel=1e-12)
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
 
     def test_determinism_byte_identical(self, tmp_path):
         path = radial_cfg(tmp_path, grid_n=128)

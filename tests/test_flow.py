@@ -10,10 +10,12 @@ from snaflow.fields import (
     FlatShape,
     ForcedField,
     RadialLogistic,
+    unit_direction,
 )
 from snaflow.flow import (
     FlowBlowUp,
     IntegratorConfig,
+    _batch_rhs,
     _rk45_batch,
     check_cocycle,
     flow_batch,
@@ -63,12 +65,18 @@ class TestClosedFormOracles:
 
     def test_flat_field_with_a_linear_term(self):
         # x' = -x^2 + 2x from x = 1: y = x - 1 solves y' = 1 - y^2, so x = 1 + tanh t
-        # and dx = sech^2 t, on the plain-float path and on the batch path alike
+        # and dx = sech^2 t, in closed form (integrate) and on the DP5 driver
+        # run directly over the batch field, which the closed form bypasses
         fam = ForcedField(-1.0, 2.0, 0.0, 0.0, FlatShape(), (0.0, 2.0), (-10.0, 10.0))
-        t = 2.5
-        st = integrate(fam, 0.0, RHO, [0.1, 0.2], 1.0, t, CFG)
-        res = flow_batch(fam, 0.0, RHO, np.array([[0.1, 0.2]]), [1.0], t, CFG, channels="full")
-        for x, log_dx in ((st.x, st.log_dx), (res.y[0, 0], res.y[1, 0])):
+        t, theta = 2.5, np.array([[0.1, 0.2]])
+        st = integrate(fam, 0.0, RHO, theta[0], 1.0, t, CFG)
+        forcing, rhs = _batch_rhs(fam, 0.0, theta, RHO.rho, "full", unit_direction(None, 2),
+                                  False)
+        y0 = np.zeros((6, 1))
+        y0[0] = 1.0
+        y, active, _, _, n_steps, _ = _rk45_batch(forcing, rhs, y0, t, CFG)
+        assert active[0] and n_steps > 0
+        for x, log_dx in ((st.x, st.log_dx), (y[0, 0], y[1, 0])):
             assert x == pytest.approx(1.0 + math.tanh(t), abs=1e-9)
             assert log_dx == pytest.approx(-2.0 * math.log(math.cosh(t)), abs=1e-8)
 
@@ -165,12 +173,31 @@ class TestVariationalChannels:
 
 class TestDrivers:
     def test_batch_matches_scalar_path(self):
-        # the numpy driver and the plain-float driver agree on the oracle
+        # a one-lane batch and integrate agree on the oracle
         fam = TANH
         res = flow_batch(fam, 0.0, RHO, np.array([[0.1, 0.2]]), [0.0], 1.0, CFG, channels="full")
         st = integrate(fam, 0.0, RHO, [0.1, 0.2], 0.0, 1.0, CFG)
         assert res.y[0, 0] == pytest.approx(st.x, abs=1e-12)
         assert res.y[1, 0] == pytest.approx(st.log_dx, abs=1e-11)
+
+    @pytest.mark.parametrize("fam, beta", [
+        (make_radial(), 0.4),
+        (Cos11(1.0), 1.5),
+        (AutonomousRiccati(a2=-1.0, a0=1.0, beta_slope=-2.0), 0.25),
+    ])
+    @pytest.mark.parametrize("t", [0.8, -0.8])
+    def test_integrate_is_one_lane_of_flow_batch(self, fam, beta, t):
+        # integrate has no path of its own: every channel and the escape
+        # stamp are lane 0 of a one-lane full-channel batch, bit for bit
+        theta, direction = np.array([[0.45, 0.7]]), [0.6, 0.8]
+        for x0 in (0.3, -3.0, 3.0):   # inside, and escaping forward and reversed
+            st = integrate(fam, beta, RHO, theta[0], x0, t, CFG, direction=direction)
+            res = flow_batch(fam, beta, RHO, theta, [x0], t, CFG, channels="full",
+                             direction=direction)
+            assert [st.x, st.log_dx, st.dtheta, st.dxx_ratio, st.dtheta_dx_ratio,
+                    st.dtheta2] == res.y[:, 0].tolist()
+            assert st.escaped == res.escaped[0]
+            assert st.escape_time == (res.escape_times[0] if st.escaped else None)
 
     def test_unknown_channel_set_is_a_value_error(self):
         with pytest.raises(ValueError, match="unknown channel set 'bogus'"):
@@ -240,8 +267,8 @@ class TestDrivers:
     @pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
     def test_non_finite_end_time_is_a_value_error(self, end):
         # a float end time and one lane of an array of them, in flow_batch and
-        # in both paths of integrate; an infinite end time would otherwise
-        # never return, and a NaN one would pass as finite
+        # in integrate on a bump and a flat family; an infinite end time would
+        # otherwise never return, and a NaN one would pass as finite
         with pytest.raises(ValueError, match=f"t_final is {end} at lane 0"):
             flow_batch(make_radial(), 0.4, RHO, np.zeros((3, 2)), np.zeros(3), end, CFG)
         with pytest.raises(ValueError, match=f"t_final is {end} at lane 1"):
@@ -709,29 +736,44 @@ class TestBumpLegs:
         assert mixed.n_steps > 0 and alone.n_steps == 0
         assert np.array_equal(mixed.y[:, blind[:60]], alone.y)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_escape_time_is_the_closed_form_crossing(self, reverse):
+    @pytest.mark.parametrize("flat, reverse", [
+        pytest.param(False, False, id="False"),
+        pytest.param(False, True, id="True"),
+        pytest.param(True, False, id="flat-False"),
+        pytest.param(True, True, id="flat-True"),
+    ])
+    def test_escape_time_is_the_closed_form_crossing(self, flat, reverse):
         # x' = -b (x^2 - 1) below the repeller -1 (reversed: above the
         # attractor 1) runs off to infinity: |x| = coth(acoth|x0| - b t)
-        # crosses 10 at (atanh(1/|x0|) - atanh(1/10))/b
-        fam, b = self.RADIAL, self.RADIAL.b
+        # crosses 10 at (atanh(1/|x0|) - atanh(1/10))/b. The radial family is
+        # that field off its bump (b = 4), the flat tanh oracle everywhere (b = 1)
+        fam, b = (TANH, 1.0) if flat else (self.RADIAL, self.RADIAL.b)
         rng = np.random.default_rng(2)
         theta = rng.random((200, 2))
-        t = (-1.0 if reverse else 1.0) / math.pi
-        theta = theta[self.chord_counts(fam, theta, -RHO.rho if reverse else RHO.rho,
-                                        t) == 0][:5]
+        t = (-1.0 if reverse else 1.0) * (3.0 if flat else 1.0 / math.pi)
+        if not flat:
+            theta = theta[self.chord_counts(fam, theta, -RHO.rho if reverse else RHO.rho,
+                                            t) == 0]
+        theta = theta[:5]
         x0 = np.array([1.2, 1.5, 2.0, 4.0, 9.0]) * (1.0 if reverse else -1.0)
         res = flow_batch(fam, 0.5, RHO, theta, x0, t, CFG, channels="full")
         want = (np.arctanh(1.0 / np.abs(x0)) - math.atanh(0.1)) / b
         assert res.escaped.all() and res.n_steps == 0
-        assert np.all(np.abs(np.abs(res.escape_times) - want) <= 1e-14 * want + 1e-15)
-        assert np.all(np.sign(res.escape_times) == np.sign(t))
-        # frozen strictly beyond the boundary it crossed, as the section's
-        # escape score reads it
-        if reverse:
-            assert np.all(res.y[0] > CFG.escape_high) and np.all(res.y[0] < 10.0 + 1e-14)
-        else:
-            assert np.all(res.y[0] < CFG.escape_low) and np.all(res.y[0] > -10.0 - 1e-14)
+        runs = [(res.escape_times, res.y[0])]
+        if flat:
+            states = [integrate(fam, 0.5, RHO, th, x, t, CFG) for th, x in zip(theta, x0)]
+            assert all(st.escaped for st in states)
+            runs.append((np.array([st.escape_time for st in states]),
+                         np.array([st.x for st in states])))
+        for times, x in runs:
+            assert np.all(np.abs(np.abs(times) - want) <= 1e-14 * want + 1e-15)
+            assert np.all(np.sign(times) == np.sign(t))
+            # frozen strictly beyond the boundary it crossed, as the section's
+            # escape score reads it
+            if reverse:
+                assert np.all(x > CFG.escape_high) and np.all(x < 10.0 + 1e-14)
+            else:
+                assert np.all(x < CFG.escape_low) and np.all(x > -10.0 - 1e-14)
         # without a window the pole is a blow-up, bracketed at its exact time
         with pytest.raises(FlowBlowUp) as exc:
             flow_batch(fam, 0.5, RHO, theta[:1], x0[:1], t,

@@ -275,11 +275,10 @@ class TestMobiusSweeps:
 
     def test_no_ode_work_per_sweep(self, monkeypatch):
         # a theta-independent family sweeps a constant node table like any other
-        import snaflow.flow as flow
         import snaflow.graphs as graphs
         import snaflow.section as section
 
-        flow_calls, step_calls, scalar_calls = [], [], []
+        flow_calls, step_calls = [], []
         original_flow, original_step = section.flow_batch, section.SectionMap.step
 
         def counting_flow(*args, **kwargs):
@@ -293,8 +292,6 @@ class TestMobiusSweeps:
         monkeypatch.setattr(section, "flow_batch", counting_flow)
         monkeypatch.setattr(graphs, "flow_batch", counting_flow)
         monkeypatch.setattr(section.SectionMap, "step", counting_step)
-        monkeypatch.setattr(flow, "_rk45_scalar",
-                            lambda *args, **kwargs: scalar_calls.append(1))
         # no sweep changes the graph by less than 0: every pullback runs n_iter sweeps
         monkeypatch.setattr(graphs, "STOP_TOL", 0.0)
         for family in (make_radial(), AutonomousRiccati(a2=-1.0, a0=1.0, beta_slope=-2.0)):
@@ -305,7 +302,7 @@ class TestMobiusSweeps:
                 assert att.iterations_used == n_iter and not att.converged
                 counts[n_iter] = list(flow_calls)
             assert counts[200] == counts[400] == ["mobius"]
-        assert step_calls == [] and scalar_calls == []
+        assert step_calls == []
 
     def test_near_critical_oracle_pullback_settles(self):
         # x' = -x^2 + 2e-4: the graph x = sqrt(2e-4) attracts at about 0.009 per return
