@@ -17,7 +17,6 @@ import numpy as np
 
 from .fields import ForcedField, RadialLogistic
 from .flow import IntegratorConfig
-from .fractal import box_count, default_epsilons, graph_point_cloud
 from .graphs import Escaped, graph_pair
 from .section import _grid_nodes, _merged_images
 from .torus import as_rotation_vector
@@ -37,7 +36,6 @@ __all__ = [
 
 
 SWEEP_CAP = 5_000_000   # largest per-pullback sweep budget of the bisection
-CLOUD_POINTS = 100_000  # points of the lifted attractor cloud that classify box-counts
 BOUNDS_LEVELS = 4       # bisection rounds per return of estimate_beta_bounds (3 and 4
                         # measured alike on the b = 6 audit, 5 slower)
 
@@ -288,21 +286,11 @@ def _bisect(holds, lo, hi, tol, levels: int = 1) -> np.ndarray:
             history.append(np.stack([lo, hi], axis=1))
 
 
-def _normalize_fibre(points: np.ndarray) -> np.ndarray:
-    """Rescale the fibre coordinate into [0, 1]; affine, dimension-preserving."""
-    out = points.copy()
-    lo = out[:, -1].min()
-    hi = out[:, -1].max()
-    out[:, -1] = (out[:, -1] - lo) / max(hi - lo, 1e-12)
-    return out
-
-
 @dataclass(frozen=True)
 class ClassifyThresholds:
     """Numerical signature thresholds; a signature, not a proof."""
 
     gap_ratio_min: float = 10.0
-    boxdim_excess: float = 0.3
     lambda_frac: float = 0.05
     smooth_gap_ratio_max: float = 2.0
 
@@ -321,8 +309,6 @@ class ClassifyRung:
 class BifurcationClassification:
     verdict: str                     # "Smooth" | "NonSmoothSignature" | "Inconclusive"
     rungs: list
-    boxdim_slope: float
-    boxdim_threshold: float
     lambda_reference: float
     thresholds: ClassifyThresholds
     checks: dict = field(default_factory=dict)
@@ -331,21 +317,24 @@ class BifurcationClassification:
 def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
              cfg: IntegratorConfig, bracket_scale: float, tol_beta: float,
              thresholds: ClassifyThresholds = ClassifyThresholds(),
-             n_iter: int = 200_000, seed: int = 0) -> BifurcationClassification:
+             n_iter: int = 200_000) -> BifurcationClassification:
     """Classify the collision at beta_c as smooth or non-smooth by signature.
 
     Evaluates a ladder beta_c - eps with eps in {1e-2, 1e-3, 1e-4} of
     ``bracket_scale`` (rungs finer than the located bracket are dropped).
-    The non-smooth signature requires all three: median/min gap ratio at the
-    finest rung, box-counting slope of the flow-lifted attractor cloud above
-    d + excess, and an attractor exponent bounded away from zero relative to
-    the unforced one. The smooth verdict requires a flat gap and a vanishing
-    exponent; a critical graph that is merely semi-continuous is
+    The non-smooth signature requires both: a large median/min gap ratio at
+    the finest rung, and an attractor exponent bounded away from zero relative
+    to the unforced one. The smooth verdict requires a flat gap and a
+    vanishing exponent; a critical graph that is merely semi-continuous is
     indistinguishable from a continuous one at grid resolution and is
     reported Smooth.
+
+    There is no dimension leg. A graph lifted over T^D has box dimension at
+    least D whether the collision is smooth or not, so a lifted cloud's
+    box-count slope cannot tell the two apart: it measures 1.74 on the smooth
+    cos11 b = 10 collision and 1.62 on the non-smooth b = 100 one.
     """
     rho_v = as_rotation_vector(rho)
-    d = rho_v.D - 1
     epsilons_ladder = [bracket_scale * 10.0**-k for k in (2, 3, 4)]
     epsilons_ladder = [e for e in epsilons_ladder if e >= 4.0 * tol_beta]
     if not epsilons_ladder:
@@ -358,7 +347,6 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
     lambda_ref = abs(ref_rec.lambda_attractor)
 
     rungs = []
-    attractor_finest = None
     for eps in epsilons_ladder:
         beta = beta_c - eps
         pair = graph_pair(family, beta, rho_v, grid_n, n_iter, cfg)
@@ -369,32 +357,15 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
         lam = pair.lambda_map[0] * rho_v.rho_D
         ratio = pair.gap_median / max(pair.gap_min, 1e-15)
         rungs.append(ClassifyRung(eps, beta, pair.gap_min, pair.gap_median, ratio, lam))
-        attractor_finest = pair.attractor
-
-    # dimension evidence on the flow-lifted attractor (the object whose box
-    # dimension tends to D + 1 at the collision): a section graph below the
-    # collision is still a rectifiable curve and honestly measures ~d, so the
-    # d + excess test is meaningful only for the lifted cloud. The fibre
-    # coordinate is normalised by its range before counting (affine and hence
-    # dimension-preserving; without it a fibre extent of many torus widths
-    # saturates any desk-scale sample). Burn-in scales with the rung's
-    # contraction rate so the cloud sits on the graph, not on the transient.
-    lam_map = abs(rungs[-1].lambda_attractor) / rho_v.rho_D
-    burn = int(min(20_000, max(48, 40.0 / max(lam_map, 1e-3))))
-    cloud = graph_point_cloud(family, rungs[-1].beta, rho_v, attractor_finest,
-                              CLOUD_POINTS, cfg, seed=seed, burn_in=burn, lift=True)
-    ladder = box_count(_normalize_fibre(cloud), epsilons=default_epsilons(9))
-    boxdim_threshold = d + thresholds.boxdim_excess
 
     fin = rungs[-1]
     checks = {
         "gap_ratio": fin.gap_ratio >= thresholds.gap_ratio_min,
-        "boxdim": ladder.slope >= boxdim_threshold,
         "lambda_away_from_zero": abs(fin.lambda_attractor) >= thresholds.lambda_frac * lambda_ref,
         "gap_ratio_flat": fin.gap_ratio <= thresholds.smooth_gap_ratio_max,
         "lambda_vanishing": abs(fin.lambda_attractor) <= thresholds.lambda_frac * lambda_ref,
     }
-    if checks["gap_ratio"] and checks["boxdim"] and checks["lambda_away_from_zero"]:
+    if checks["gap_ratio"] and checks["lambda_away_from_zero"]:
         verdict = "NonSmoothSignature"
     elif checks["gap_ratio_flat"] and checks["lambda_vanishing"]:
         verdict = "Smooth"
@@ -403,8 +374,6 @@ def classify(family: ForcedField, rho, beta_c: float, grid_n: int,
     return BifurcationClassification(
         verdict=verdict,
         rungs=rungs,
-        boxdim_slope=ladder.slope,
-        boxdim_threshold=boxdim_threshold,
         lambda_reference=lambda_ref,
         thresholds=thresholds,
         checks=checks,

@@ -30,16 +30,10 @@ import numpy as np
 
 from . import __version__
 from .audit import AuditError, compute_constants, format_report, run_audit
-from .bifurcation import (
-    BifurcationError,
-    ClassifyThresholds,
-    _normalize_fibre,
-    classify,
-    locate_beta_c,
-)
+from .bifurcation import BifurcationError, ClassifyThresholds, classify, locate_beta_c
 from .config import ConfigError, ExperimentConfig, load_config
 from .flow import FlowBlowUp, FlowEscape, flow_batch
-from .fractal import box_count, default_epsilons, graph_point_cloud
+from .fractal import _normalize_fibre, box_count, default_epsilons, graph_point_cloud
 from .graphs import Escaped, GraphPair, graph_pair, lift_graph
 from .section import _grid_nodes, lyapunov_relation_check
 
@@ -195,13 +189,11 @@ def cmd_classify(cfg: ExperimentConfig, out: str) -> None:
     thr = ClassifyThresholds(**cfg.extras["classify"]["thresholds"])
     result = classify(cfg.family, cfg.rho, trace.beta_c, cfg.grid_n, cfg.integrator,
                       bracket_scale=cfg.beta_range[1] - cfg.beta_range[0],
-                      tol_beta=cfg.tol_beta, thresholds=thr, seed=cfg.seed)
+                      tol_beta=cfg.tol_beta, thresholds=thr)
     write_json(os.path.join(out, "classification.json"), cfg, "classify", {
         "beta_c": trace.beta_c,
         "verdict": result.verdict,
         "rungs": [dataclasses.asdict(r) for r in result.rungs],
-        "boxdim_slope": result.boxdim_slope,
-        "boxdim_threshold": result.boxdim_threshold,
         "lambda_reference": result.lambda_reference,
         "checks": result.checks,
         "thresholds": dataclasses.asdict(result.thresholds),

@@ -117,6 +117,15 @@ def _ls_slope(x, y):
     return slope, stderr
 
 
+def _normalize_fibre(points: np.ndarray) -> np.ndarray:
+    """Rescale the fibre coordinate into [0, 1]; affine, dimension-preserving."""
+    out = points.copy()
+    lo = out[:, -1].min()
+    hi = out[:, -1].max()
+    out[:, -1] = (out[:, -1] - lo) / max(hi - lo, 1e-12)
+    return out
+
+
 def graph_point_cloud(family: ForcedField, beta: float, rho, graph: GraphSample,
                       n_points: int, cfg: IntegratorConfig, seed: int = 0,
                       n_orbits: int = 256, burn_in: int = 32,

@@ -35,10 +35,9 @@ when no table is certified, it flows the levels by the ODE.
 A Möbius map has log-derivative -2 log q, so a graph's map-scale exponent is
 the grid mean of -2 sum_s log q_s over the attractor's forward table at the
 graph's values: ``graph_pair`` reads both exponents off that table and
-integrates nothing more. ``lyapunov_of_graph`` is the independent ODE
-reference, one return with the log-derivative channel
-(``section._map_exponent``), as ``graph_defect`` is the ODE reference for the
-defect the pullback measures on its table.
+integrates nothing more. ``section._map_exponent`` is the independent ODE
+reference, one return with the log-derivative channel, as ``graph_defect`` is
+the ODE reference for the defect the pullback measures on its table.
 """
 from __future__ import annotations
 
@@ -51,7 +50,7 @@ import numpy as np
 from .cocycle import tabulate
 from .fields import ForcedField
 from .flow import FlowEscape, IntegratorConfig, flow_batch
-from .section import SectionMap, _grid_nodes, _map_exponent
+from .section import SectionMap, _grid_nodes
 from .torus import as_rotation_vector, wrap_unit
 
 __all__ = [
@@ -59,12 +58,10 @@ __all__ = [
     "GraphPair",
     "LiftedGraph",
     "Escaped",
-    "LyapunovEstimate",
     "pullback_attractor",
     "pushforward_repeller",
     "graph_pair",
     "make_pair",
-    "lyapunov_of_graph",
     "lift_graph",
     "interp_at_shift",
     "resample_shifted_values",
@@ -128,12 +125,6 @@ class LiftedGraph:
     grid_D: int
     role: str
     beta: float
-
-
-@dataclass(frozen=True)
-class LyapunovEstimate:
-    flow_scale: float
-    map_scale: float
 
 
 def _gather(v: np.ndarray, whole, frac) -> np.ndarray:
@@ -323,21 +314,6 @@ def make_pair(attractor: GraphSample, repeller: GraphSample,
         gap_max=float(gap.max()),
         argmin_theta=theta,
     )
-
-
-def lyapunov_of_graph(family: ForcedField, beta: float, rho, graph: GraphSample,
-                      cfg: IntegratorConfig, defect_tol: float = 1e-6) -> LyapunovEstimate:
-    """Graph Lyapunov exponent by the ODE: grid average of log dx over one return.
-
-    The independent reference for the exponents ``graph_pair`` reads off its
-    Möbius table. ``map_scale`` is the per-return exponent; ``flow_scale``
-    divides by the return time (equivalently multiplies by rho_D).
-    """
-    if graph.defect > defect_tol:
-        raise ValueError(f"graph defect {graph.defect} exceeds {defect_tol}")
-    smap = SectionMap(family, beta, rho, cfg)
-    lam_map = _map_exponent(smap, graph.values)
-    return LyapunovEstimate(flow_scale=lam_map / smap.return_time, map_scale=lam_map)
 
 
 def lift_graph(family: ForcedField, beta: float, rho, graph: GraphSample,

@@ -11,7 +11,7 @@ from snaflow.bifurcation import (
     estimate_beta_bounds,
     locate_beta_c,
 )
-from snaflow.fields import AutonomousRiccati, BumpProfile, RadialLogistic
+from snaflow.fields import AutonomousRiccati, BumpProfile, Cos11, RadialLogistic
 from snaflow.flow import FlowEscape, IntegratorConfig
 from snaflow.graphs import Escaped, graph_pair
 from snaflow.section import SectionMap, _map_exponent, _merged_images
@@ -238,6 +238,18 @@ class TestClassify:
         # theta-independent dynamics: the gap is uniform, the exponent vanishes
         assert result.rungs[-1].gap_ratio == pytest.approx(1.0, abs=1e-6)
         assert abs(result.rungs[-1].lambda_attractor) <= 0.05 * result.lambda_reference
+
+    def test_theta_dependent_smooth_collision(self):
+        # cos11 at b = 10: the graphs depend on theta (the gap is not uniform),
+        # yet they merge smoothly and the attractor exponent vanishes
+        fam, rho = Cos11(10.0), RotationVector([GOLDEN, math.pi])
+        trace = locate_beta_c(fam, rho, (0.0, 40.0), 256, 1e-3, CFG)
+        result = classify(fam, rho, trace.beta_c, 256, CFG, bracket_scale=40.0,
+                          tol_beta=1e-3)
+        assert result.verdict == "Smooth"
+        fin = result.rungs[-1]
+        assert 1.2 <= fin.gap_ratio <= 2.0
+        assert abs(fin.lambda_attractor) <= 0.05 * result.lambda_reference
 
     def test_ladder_respects_bracket_resolution(self):
         with pytest.raises(BifurcationError):

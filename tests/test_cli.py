@@ -209,6 +209,8 @@ class TestConfigValidation:
         ("graphs", {"family": {"kind": "logistic_harvest", "b": 4.0, "r": -1.0,
                                "bump_radius": 0.3, "center": [0.5, 0.8]}},
          "family: carrying capacity r must be positive"),
+        ("classify", {"classify": {"thresholds": {"boxdim_excess": 0.3}}},
+         "classify.thresholds.boxdim_excess"),
     ])
     def test_malformed_block_is_a_config_error(self, tmp_path, capsys, subcommand, block,
                                                path):
@@ -298,6 +300,14 @@ class TestSubcommands:
         assert abs(doc["beta_c"] - 0.5) <= 1e-5
         assert doc["predicate_monotone"] is True
         assert doc["config_sha256"]
+
+    def test_classify_oracle(self, tmp_path):
+        path = oracle_cfg(tmp_path)
+        assert main(["classify", "--config", path]) == 0
+        doc = json.load(open(tmp_path / "out" / "classification.json"))
+        assert doc["verdict"] == "Smooth"
+        assert abs(doc["beta_c"] - 0.5) <= 1e-5
+        assert not [key for key in doc if key.startswith("boxdim")]
 
     def test_simulate_trajectory(self, tmp_path):
         path = radial_cfg(tmp_path, simulate={"theta0": [0.1, 0.2], "x0": 0.5,

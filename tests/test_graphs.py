@@ -18,12 +18,12 @@ from snaflow.graphs import (
     graph_pair,
     interp_at_shift,
     lift_graph,
-    lyapunov_of_graph,
     make_pair,
     pullback_attractor,
     pushforward_repeller,
     resample_shifted_values,
 )
+from snaflow.section import SectionMap, _map_exponent
 from snaflow.torus import RotationVector, wrap_unit
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -231,7 +231,6 @@ class TestForcedGraphs:
     def test_defect_honesty(self, forced_pair):
         fam, att, _ = forced_pair
         from snaflow.graphs import graph_defect
-        from snaflow.section import SectionMap
 
         smap = SectionMap(fam, 0.2, RHO, CFG)
         again = graph_defect(smap, att.values)
@@ -322,10 +321,11 @@ class TestTableExponents:
     def test_match_the_ode_return(self, family, beta, rho, grid_n, cfg):
         pair = graph_pair(family, beta, rho, grid_n, 2000, cfg)
         assert pair.converged
+        smap = SectionMap(family, beta, rho, cfg)
         for graph, lam_map in zip((pair.attractor, pair.repeller), pair.lambda_map):
-            want = lyapunov_of_graph(family, beta, rho, graph, cfg, defect_tol=math.inf)
+            want = _map_exponent(smap, graph.values) / smap.return_time
             lam = lam_map * rho.rho_D
-            assert abs(lam - want.flow_scale) <= 1e-9 * max(1.0, abs(want.flow_scale))
+            assert abs(lam - want) <= 1e-9 * max(1.0, abs(want))
         assert pair.lambda_map[0] < 0.0 < pair.lambda_map[1]
 
     def test_escaping_table_gives_nan(self):
@@ -340,26 +340,15 @@ class TestLyapunov:
         fam = make_radial(b=4.0)
         att = pullback_attractor(fam, 0.0, RHO, 64, 200, CFG)
         rep = pushforward_repeller(fam, 0.0, RHO, 64, 200, CFG)
-        la = lyapunov_of_graph(fam, 0.0, RHO, att, CFG)
-        lr = lyapunov_of_graph(fam, 0.0, RHO, rep, CFG)
-        assert la.flow_scale == pytest.approx(-8.0, rel=1e-8)
+        assert att.defect <= 1e-6 and rep.defect <= 1e-6
+        smap = SectionMap(fam, 0.0, RHO, CFG)
+        la_map, lr_map = (_map_exponent(smap, g.values) for g in (att, rep))
+        la, lr = la_map / smap.return_time, lr_map / smap.return_time
+        assert la == pytest.approx(-8.0, rel=1e-8)
         # the repeller exponent needs the reversed-map derivative sign flip:
         # measured along the forward flow it is +2b
-        assert lr.flow_scale == pytest.approx(8.0, rel=1e-8)
-        assert la.map_scale == pytest.approx(la.flow_scale / math.pi, rel=1e-12)
-
-    def test_flow_map_relation(self):
-        fam = make_radial()
-        att = pullback_attractor(fam, 0.2, RHO, 512, 600, CFG)
-        le = lyapunov_of_graph(fam, 0.2, RHO, att, CFG, defect_tol=1e-4)
-        assert le.flow_scale == pytest.approx(math.pi * le.map_scale, abs=1e-8)
-
-    def test_rejects_sloppy_graph(self, forced_pair):
-        fam, att, _ = forced_pair
-        sloppy = GraphSample(att.values, "attractor", 1e-3, 1, True, att.grid_n,
-                             0.2, 0.0)
-        with pytest.raises(ValueError):
-            lyapunov_of_graph(fam, 0.2, RHO, sloppy, CFG)
+        assert lr == pytest.approx(8.0, rel=1e-8)
+        assert la_map == pytest.approx(la / math.pi, rel=1e-12)
 
 
 class TestLift:
