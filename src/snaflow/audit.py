@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import RadialLogistic, eval_field
-from .flow import IntegratorConfig, times_dx
+from .fields import BumpProfile, BumpShape, RadialLogistic, eval_field
+from .flow import IntegratorConfig, _chords, times_dx
 from .bifurcation import estimate_beta_bounds
 from .section import _grid_nodes, _merged_images, _merged_returns
 from .torus import (
@@ -176,22 +176,14 @@ def compute_constants(b: float, c: float, delta1: float, delta2: float,
 
 
 def in_critical_region(constants: AuditConstants, theta_sec) -> np.ndarray:
-    """True where the one-return orbit segment from (theta, 0) meets the bump ball."""
+    """True where the one-return orbit segment from (theta, 0) meets the bump
+    ball: where ``flow._chords`` finds a chord of it through the support."""
     theta_sec = np.atleast_2d(np.asarray(theta_sec, dtype=float))
-    n, d = theta_sec.shape
-    D = d + 1
-    A = np.concatenate([theta_sec, np.zeros((n, 1))], axis=1)
-    L = constants.rho / constants.rho_D      # segment direction, length 1 return
-    LL = float(L @ L)
-    best = np.full(n, np.inf)
-    for lift in np.ndindex(*(3,) * D):
-        m = np.array(lift) - 1.0
-        P = constants.theta_bar + m
-        W = P[None, :] - A
-        tstar = np.clip(W @ L / LL, 0.0, 1.0)
-        diff = W - tstar[:, None] * L[None, :]
-        best = np.minimum(best, np.sqrt(np.sum(diff * diff, axis=1)))
-    return best <= constants.R_support
+    n = theta_sec.shape[0]
+    base = np.concatenate([theta_sec, np.zeros((n, 1))], axis=1)
+    bump = BumpShape(BumpProfile(constants.R_support), constants.theta_bar)
+    t_in, _ = _chords(bump, base, constants.rho, np.full(n, 1.0 / constants.rho_D))
+    return ~np.isnan(t_in).all(axis=1)
 
 
 @dataclass

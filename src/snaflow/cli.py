@@ -210,7 +210,7 @@ def cmd_lyapunov(cfg: ExperimentConfig, out: str) -> None:
     payload = {"beta": cfg.beta}
     for name, graph in (("attractor", pair.attractor), ("repeller", pair.repeller)):
         flow_l, map_l, resid = lyapunov_relation_check(
-            cfg.family, cfg.beta, cfg.rho, graph, cfg.integrator, defect_tol=math.inf)
+            cfg.family, cfg.beta, cfg.rho, graph, cfg.integrator)
         payload[name] = {
             "lambda_flow": flow_l,
             "lambda_map": map_l,

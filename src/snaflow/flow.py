@@ -185,25 +185,8 @@ def times_dx(ratio, log_dx):
     return ratio * np.exp(log_dx)
 
 
-class RatioChannels:
-    """dx, dxx and dtheta_dx of a state that stores log_dx and the two ratios to dx."""
-
-    @property
-    def dx(self) -> float:
-        """dx_xi = exp(log_dx) > 0."""
-        return math.exp(self.log_dx)
-
-    @property
-    def dxx(self) -> float:
-        return float(times_dx(self.dxx_ratio, self.log_dx))
-
-    @property
-    def dtheta_dx(self) -> float:
-        return float(times_dx(self.dtheta_dx_ratio, self.log_dx))
-
-
 @dataclass(frozen=True)
-class AugmentedFlowState(RatioChannels):
+class AugmentedFlowState:
     """Fibre value and variational channels at time t (see module docstring).
 
     ``escape_time``, set when ``escaped``, is ``flow_batch``'s stamp: a time by
@@ -221,6 +204,19 @@ class AugmentedFlowState(RatioChannels):
     t: float
     escaped: bool = False
     escape_time: float | None = None
+
+    @property
+    def dx(self) -> float:
+        """dx_xi = exp(log_dx) > 0."""
+        return math.exp(self.log_dx)
+
+    @property
+    def dxx(self) -> float:
+        return float(times_dx(self.dxx_ratio, self.log_dx))
+
+    @property
+    def dtheta_dx(self) -> float:
+        return float(times_dx(self.dtheta_dx_ratio, self.log_dx))
 
 
 @dataclass
@@ -750,6 +746,8 @@ def flow_batch(family: ForcedField, beta, rho, theta0, x0, t_final,
     if channels not in _CHANNEL_COUNT:
         raise ValueError(f"unknown channel set {channels!r}")
     rho_v = as_rotation_vector(rho).rho
+    if rho_v.size != family.D:
+        raise ValueError(f"rho has {rho_v.size} components but the family lives on T^{family.D}")
     theta0 = np.asarray(theta0, dtype=float)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = x0.size

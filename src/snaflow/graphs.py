@@ -286,23 +286,17 @@ def graph_pair(family: ForcedField, beta: float, rho, grid_n: int, n_iter: int,
     if isinstance(rep, Escaped):
         return rep
     lambda_map = tuple(_table_exponent(att.table, g.values, cfg) for g in (att, rep))
-    return replace(make_pair(att, rep, order_tol=math.inf), lambda_map=lambda_map)
+    return replace(make_pair(att, rep), lambda_map=lambda_map)
 
 
-def make_pair(attractor: GraphSample, repeller: GraphSample,
-              order_tol: float = 1e-9) -> GraphPair:
-    """Pair the two graphs and compute gap statistics.
-
-    The repeller must lie below the attractor up to ``order_tol`` at every
-    node; a violation means the inputs are inconsistent.
-    """
+def make_pair(attractor: GraphSample, repeller: GraphSample) -> GraphPair:
+    """Pair the two graphs and compute gap statistics; no ordering gate, as in
+    ``graph_pair``."""
     if attractor.role != "attractor" or repeller.role != "repeller":
         raise ValueError("role mismatch: expected (attractor, repeller)")
     if attractor.values.shape != repeller.values.shape:
         raise ValueError("graphs live on different grids")
     gap = attractor.values - repeller.values
-    if float(gap.min()) < -order_tol:
-        raise ValueError(f"ordering violated by {-float(gap.min())}")
     flat_idx = int(np.argmin(gap))
     idx = np.unravel_index(flat_idx, gap.shape)
     theta = np.array(idx, dtype=float) / attractor.values.shape[0]

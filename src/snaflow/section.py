@@ -1,6 +1,6 @@
 """First return map to the section theta_D = 0 and the flow/map exponent relation.
 
-The return map evaluates the flow for one return time 1/rho_D from a base
+The return map is ``flow.integrate`` for one return time 1/rho_D from a base
 point (theta, 0) on T^D; the section coordinate advances by
 omega = (rho_1, ..., rho_d)/rho_D. Its inverse integrates the reversed field
 along -rho for the same duration. Derivative channels are exactly the
@@ -9,16 +9,21 @@ variational-flow channels at t = 1/rho_D (same code path).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ForcedField, unit_direction
-from .flow import FlowBatchResult, FlowEscape, IntegratorConfig, RatioChannels, flow_batch
+from .flow import (
+    AugmentedFlowState,
+    FlowBatchResult,
+    FlowEscape,
+    IntegratorConfig,
+    flow_batch,
+    integrate,
+)
 from .torus import as_rotation_vector, induce_frequency, wrap_unit
 
 __all__ = [
-    "ReturnMapEval",
     "SectionMap",
     "return_map",
     "inverse_return_map",
@@ -26,26 +31,6 @@ __all__ = [
 ]
 
 MAX_SUB_RETURNS = 2**20
-
-
-@dataclass(frozen=True)
-class ReturnMapEval(RatioChannels):
-    """One fibre-map evaluation with its tracked derivatives.
-
-    ``escape_time``, set when ``escaped``, is ``flow_batch``'s stamp: a time by
-    which x left the window, exact on a closed-form leg, the end of the first
-    step outside the window on a DP5 leg, and an upper bound where an escape
-    is proven.
-    """
-
-    x_next: float
-    log_dx: float
-    dtheta: float
-    dtheta2: float
-    dxx_ratio: float
-    dtheta_dx_ratio: float
-    escaped: bool = False
-    escape_time: float | None = None
 
 
 class SectionMap:
@@ -64,8 +49,6 @@ class SectionMap:
         self.family = family
         self.beta = np.asarray(beta, dtype=float) if np.ndim(beta) else float(beta)
         self.rho = as_rotation_vector(rho)
-        if self.rho.D != family.D:
-            raise ValueError(f"rho has {self.rho.D} components but the family lives on T^{family.D}")
         self.cfg = cfg
         self.reverse = bool(reverse)
         freq = induce_frequency(self.rho)
@@ -171,39 +154,24 @@ def _merged_images(family: ForcedField, rho, cfg: IntegratorConfig, groups) -> l
             for y, esc in _merged_returns(family, rho, cfg, groups, "x")]
 
 
-def _one_return(smap: SectionMap, theta_sec, x: float, direction) -> ReturnMapEval:
-    """One return of ``smap`` from (theta_sec, x) with all derivative channels."""
-    th = np.atleast_1d(np.asarray(theta_sec, dtype=float))[None, :]
-    res = smap.step(th, [float(x)], channels="full",
-                    direction=unit_direction(direction, smap.family.D, section=True))
-    y = [float(v) for v in res.y[:, 0]]
-    esc = bool(res.escaped[0])
-    return ReturnMapEval(
-        x_next=y[0],
-        log_dx=y[1],
-        dtheta=y[2],
-        dxx_ratio=y[3],
-        dtheta_dx_ratio=y[4],
-        dtheta2=y[5],
-        escaped=esc,
-        escape_time=float(res.escape_times[0]) if esc else None,
-    )
-
-
 def return_map(family: ForcedField, beta: float, rho, theta_sec, x: float,
-               cfg: IntegratorConfig, direction=None) -> ReturnMapEval:
-    """xi~_theta(x): one forward return with all derivative channels.
+               cfg: IntegratorConfig, direction=None) -> AugmentedFlowState:
+    """xi~_theta(x): ``integrate`` from (theta_sec, 0) over one return time 1/rho_D.
 
     ``theta_sec`` lives on the d-dimensional section; ``direction`` is a unit
     section vector (defaults to the first axis).
     """
-    return _one_return(SectionMap(family, beta, rho, cfg), theta_sec, x, direction)
+    rho_v = as_rotation_vector(rho)
+    return integrate(family, beta, rho_v, np.append(theta_sec, 0.0), x, 1.0 / rho_v.rho_D,
+                     cfg, unit_direction(direction, family.D, section=True))
 
 
 def inverse_return_map(family: ForcedField, beta: float, rho, theta_sec, x: float,
-                       cfg: IntegratorConfig, direction=None) -> ReturnMapEval:
-    """Inverse fibre map via the reversed field: xi~^-1(xi~(x)) = x."""
-    return _one_return(SectionMap(family, beta, rho, cfg, reverse=True), theta_sec, x, direction)
+                       cfg: IntegratorConfig, direction=None) -> AugmentedFlowState:
+    """Inverse fibre map, ``integrate`` over -1/rho_D: xi~^-1(xi~(x)) = x."""
+    rho_v = as_rotation_vector(rho)
+    return integrate(family, beta, rho_v, np.append(theta_sec, 0.0), x, -1.0 / rho_v.rho_D,
+                     cfg, unit_direction(direction, family.D, section=True))
 
 
 def _grid_nodes(grid_shape, d: int) -> np.ndarray:
@@ -222,19 +190,16 @@ def _map_exponent(smap: SectionMap, values: np.ndarray) -> float:
 
 
 def lyapunov_relation_check(family: ForcedField, beta: float, rho, graph,
-                            cfg: IntegratorConfig, n_lift: int = 48,
-                            defect_tol: float = 1e-6):
+                            cfg: IntegratorConfig, n_lift: int = 48):
     """Compare the flow-scale exponent with rho_D times the map-scale exponent.
 
     ``graph`` is an invariant section graph, a ``graphs.GraphSample``; its
-    ``defect`` must not exceed ``defect_tol``. The map exponent is the grid
+    ``defect`` is the caller's to judge and report. The map exponent is the grid
     average of log dx over one return on the graph (``_map_exponent``). The
     flow exponent is computed independently by lifting the graph over a full
     return: the T^D average of log dx_xi(1/rho_D, ., .) along the lifted
     graph, times rho_D. Returns (lambda_flow, lambda_map, residual).
     """
-    if graph.defect > defect_tol:
-        raise ValueError(f"input graph defect {graph.defect} exceeds {defect_tol}")
     smap = SectionMap(family, beta, rho, cfg)
     rho_v = smap.rho
     lambda_map = _map_exponent(smap, graph.values)

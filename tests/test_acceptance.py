@@ -319,7 +319,7 @@ def test_criterion_9_audit_suite():
 
     # witness reproducibility on the derivative channels
     channel_map = {"log_dx": "log_dx", "dtheta": "dtheta", "dtheta2": "dtheta2",
-                   "dxx": "dxx", "dtheta_dx": "dtheta_dx", "x_next": "x_next"}
+                   "dxx": "dxx", "dtheta_dx": "dtheta_dx", "x_next": "x"}
     checked = 0
     for e in rep.entries:
         w = e.witness

@@ -114,6 +114,42 @@ class TestCriticalRegion:
         region = critical_region(cons, 512)
         assert 0.0 < region.measure < 1.0
 
+    def test_segment_reaching_the_translate_two_away(self):
+        # from theta = 0 the segment runs to (-0.95, 1) and passes within
+        # 0.2914 of the ball centred at (-1.01, 0.64), one lattice step beyond
+        # the 3^D translates nearest the section
+        cons = compute_constants(6.0, 0.2, 0.01, 0.005, 0.35, [-0.95, 1.0], [0.99, 0.64])
+        assert in_critical_region(cons, [[0.0]])[0]
+        assert critical_region(cons, 512).measure == 0.96484375
+
+    @staticmethod
+    def _brute_force(cons, theta_sec):
+        """Segment-ball distance over all 5^D translates: a one-return segment from
+        [0, 1)^d x {0} moves by at most 1 per coordinate, since |rho_j| <= rho_D."""
+        D = cons.rho.size
+        start = np.concatenate([theta_sec, np.zeros((len(theta_sec), 1))], axis=1)
+        seg = cons.rho / cons.rho_D
+        best = np.full(len(theta_sec), np.inf)
+        for m in np.ndindex(*(5,) * D):
+            w = cons.theta_bar + (np.array(m) - 2.0) - start
+            t = np.clip(w @ seg / (seg @ seg), 0.0, 1.0)
+            best = np.minimum(best, np.linalg.norm(w - t[:, None] * seg, axis=1))
+        return best < cons.R_support
+
+    @pytest.mark.parametrize("D", [2, 3])
+    def test_matches_brute_force_over_translates(self, D):
+        rng = np.random.default_rng(20 + D)
+        for _ in range(200):
+            R = rng.uniform(0.05, 0.45)
+            rho_D = rng.uniform(0.2, 1.0)
+            rho = np.append(rng.uniform(-rho_D, rho_D, D - 1), rho_D)
+            center = np.append(rng.random(D - 1), rng.uniform(R + 1e-3, 1.0 - R - 1e-3))
+            delta1 = 0.5 * audit.delta1_max(rho_D)
+            cons = compute_constants(6.0, 0.2, delta1, 0.5 * delta1, R, rho, center)
+            theta = rng.random((64, D - 1))
+            assert np.array_equal(in_critical_region(cons, theta),
+                                  self._brute_force(cons, theta))
+
     def test_j0_empty_below_firing(self):
         cons = b6_constants()
         mask = j0_region(b6_family(), 0.1, B6_RHO, cons, 128, CFG)

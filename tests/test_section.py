@@ -1,12 +1,11 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from snaflow.fields import AutonomousRiccati, BumpProfile, Cos11, LogisticHarvest, RadialLogistic
-from snaflow.flow import IntegratorConfig
-from snaflow.graphs import _mobius_sweep, graph_defect, pullback_attractor
+from snaflow.flow import IntegratorConfig, integrate
+from snaflow.graphs import _mobius_sweep, pullback_attractor
 from snaflow.section import (
     SectionMap,
     _merged_images,
@@ -29,21 +28,21 @@ class TestReturnMap:
     def test_unforced_equilibrium(self):
         fam = make_radial(b=4.0)
         ev = return_map(fam, 0.0, RHO, [0.3], 1.0, CFG)
-        assert ev.x_next == pytest.approx(1.0, abs=1e-12)
+        assert ev.x == pytest.approx(1.0, abs=1e-12)
         # dx F = -2b on the fixed graph, integrated over one return 1/rho_D
         assert ev.log_dx == pytest.approx(-8.0 / math.pi, abs=1e-9)
 
     def test_repelling_equilibrium(self):
         fam = make_radial(b=4.0)
         ev = return_map(fam, 0.0, RHO, [0.3], -1.0, CFG)
-        assert ev.x_next == pytest.approx(-1.0, abs=1e-12)
+        assert ev.x == pytest.approx(-1.0, abs=1e-12)
         assert ev.log_dx == pytest.approx(8.0 / math.pi, abs=1e-9)
 
     def test_tanh_oracle_via_unit_return(self):
         # x' = -x^2 + 1 with rho_D = 1: one return is the time-1 map
         fam = AutonomousRiccati(a2=-1.0, a0=1.0)
         ev = return_map(fam, 0.0, RotationVector([GOLDEN, 1.0]), [0.1], 0.0, CFG)
-        assert ev.x_next == pytest.approx(math.tanh(1.0), abs=1e-9)
+        assert ev.x == pytest.approx(math.tanh(1.0), abs=1e-9)
 
     def test_base_advances_by_omega(self):
         freq = induce_frequency(RHO)
@@ -59,7 +58,7 @@ class TestReturnMap:
             x2 = x1 + rng.uniform(1e-6, 0.1)
             e1 = return_map(fam, 0.4, RHO, th, x1, CFG)
             e2 = return_map(fam, 0.4, RHO, th, x2, CFG)
-            assert e1.x_next < e2.x_next
+            assert e1.x < e2.x
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_steps_do_not_depend_on_earlier_steps(self, reverse):
@@ -83,10 +82,34 @@ class TestReturnMap:
         res = flow_batch(fam, 0.3, RHO, th, [0.5], 1.0 / math.pi, CFG,
                          channels="full", direction=[1.0, 0.0])
         ev = return_map(fam, 0.3, RHO, [0.22], 0.5, CFG)
-        assert ev.x_next == res.y[0, 0]
+        assert ev.x == res.y[0, 0]
         assert ev.log_dx == res.y[1, 0]
         assert ev.dtheta == res.y[2, 0]
         assert ev.dtheta2 == res.y[5, 0]
+
+    def test_needs_a_section_direction(self):
+        with pytest.raises(ValueError, match="section direction"):
+            return_map(make_radial(), 0.3, RHO, [0.22], 0.5, CFG, direction=[1.0, 0.0])
+
+    def test_needs_rho_on_the_family_torus(self):
+        with pytest.raises(ValueError, match="the family lives on T\\^2"):
+            return_map(make_radial(), 0.3, RotationVector([0.1, GOLDEN, math.pi]),
+                       [0.2, 0.3], 0.5, CFG)
+
+    @pytest.mark.parametrize("family, beta", [
+        (make_radial(b=6.0), 0.3),
+        (Cos11(10.0), 9.0),
+        (AutonomousRiccati(-1.0, 1.0), 0.2),
+    ])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_is_integrate_over_one_return(self, family, beta, sign):
+        one_return = return_map if sign > 0.0 else inverse_return_map
+        rng = np.random.default_rng(5)
+        for th, x in zip(rng.random(8), rng.uniform(-0.9, 1.1, 8)):
+            ev = one_return(family, beta, RHO, [th], x, CFG, direction=[1.0])
+            ref = integrate(family, beta, RHO, [th, 0.0], x, sign / math.pi, CFG,
+                            direction=[1.0, 0.0])
+            assert repr(ev) == repr(ref)
 
 
 class TestMobiusTable:
@@ -131,8 +154,8 @@ class TestInverseReturnMap:
         freq = induce_frequency(RHO)
         fwd = return_map(fam, 0.0, RHO, [0.22], 0.3, CFG)
         back = inverse_return_map(fam, 0.0, RHO,
-                                  [0.22 + freq.omega[0]], fwd.x_next, CFG)
-        assert abs(back.x_next - 0.3) <= 1e-8
+                                  [0.22 + freq.omega[0]], fwd.x, CFG)
+        assert abs(back.x - 0.3) <= 1e-8
 
     def test_forced_inverse_of_forward(self):
         fam = make_radial()
@@ -143,14 +166,14 @@ class TestInverseReturnMap:
             x = float(rng.uniform(-0.8, 1.1))
             fwd = return_map(fam, 0.3, RHO, [th], x, CFG)
             back = inverse_return_map(fam, 0.3, RHO, [th + freq.omega[0]],
-                                      fwd.x_next, CFG)
-            assert abs(back.x_next - x) <= 1e-8
+                                      fwd.x, CFG)
+            assert abs(back.x - x) <= 1e-8
 
     def test_equilibria_are_fixed(self):
         fam = make_radial()
         for x in (-1.0, 1.0):
             ev = inverse_return_map(fam, 0.0, RHO, [0.4], x, CFG)
-            assert ev.x_next == pytest.approx(x, abs=1e-10)
+            assert ev.x == pytest.approx(x, abs=1e-10)
 
 
 class TestMergedImages:
@@ -182,12 +205,3 @@ class TestLyapunovRelation:
         flow_l, map_l, resid = lyapunov_relation_check(fam, 0.1, RHO, att, CFG, n_lift=32)
         assert resid <= 1e-5
         assert flow_l < 0.0
-
-    def test_rejects_non_invariant_graph(self):
-        fam = make_radial()
-        att = pullback_attractor(fam, 0.1, RHO, 1024, 400, CFG)
-        values = att.values + 0.05
-        bad = dataclasses.replace(
-            att, values=values, defect=graph_defect(SectionMap(fam, 0.1, RHO, CFG), values))
-        with pytest.raises(ValueError):
-            lyapunov_relation_check(fam, 0.1, RHO, bad, CFG)
